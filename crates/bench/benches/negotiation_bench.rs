@@ -2,11 +2,11 @@
 //! sharded parallel-scan ablation, and the incremental small-delta series.
 //!
 //! The paper argues the stateless matchmaker "makes the system more
-//! scalable"; the measurable claims here are (a) a cycle is a linear scan
-//! per request, embarrassingly parallel over shared-nothing ad shards,
-//! and (b) when only a small fraction of the pool changed between cycles,
-//! an incremental cycle re-scans only the dirty shards, so its latency
-//! tracks the delta, not the pool.
+//! scalable"; the measurable claims here are (a) a from-scratch cycle is a
+//! linear scan per request, embarrassingly parallel over the offers, and
+//! (b) when only a small fraction of the pool changed between cycles, an
+//! incremental cycle evaluates only the changed ads, so its latency tracks
+//! the delta, not the pool.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use matchmaker::negotiate::NegotiatorConfig;
@@ -108,11 +108,10 @@ fn bench_job_batch_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// The sharded-scan ablation: a cold-cache full cycle over a 4096-machine
-/// pool (8 shards after auto-scaling). A fresh negotiator per iteration
-/// means every shard cache is invalid, so both the shard-cache rebuild and
-/// the per-cluster candidate scans fan out across `threads` workers; with
-/// one thread the same sharded code path runs serially.
+/// The parallel-scan ablation: a from-scratch cycle over a 4096-machine
+/// pool on the full-scan path, whose per-cluster match-list builds fan out
+/// across `threads` workers. (The incremental path evaluates only a
+/// cycle's delta and does not read `threads`.)
 fn bench_parallel_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("parallel_scan_ablation");
     g.sample_size(10);
@@ -125,6 +124,7 @@ fn bench_parallel_ablation(c: &mut Criterion) {
                 b.iter(|| {
                     let mut neg = Negotiator::new(NegotiatorConfig {
                         threads,
+                        incremental: false,
                         ..Default::default()
                     });
                     neg.negotiate(&store, 0)
@@ -135,10 +135,10 @@ fn bench_parallel_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-/// Same cold-cache cycle, same pool, 8 worker threads — but one store is
-/// pinned to a single shard (no fan-out possible) while the other keeps
-/// the auto-scaled shard layout. Isolates what the *partitioning* buys
-/// over what the thread pool buys.
+/// The same cold incremental cycle over the same pool, once with the store
+/// pinned to a single shard and once with the auto-scaled layout. Shards
+/// only bound how much of the store a warm cycle re-reads; a cold cycle
+/// derives every ad either way, so the two should not differ.
 fn bench_sharded_vs_unsharded(c: &mut Criterion) {
     let mut g = c.benchmark_group("sharded_vs_unsharded");
     g.sample_size(10);
@@ -147,10 +147,7 @@ fn bench_sharded_vs_unsharded(c: &mut Criterion) {
     for (label, store) in [("unsharded", &unsharded), ("sharded", &sharded)] {
         g.bench_with_input(BenchmarkId::new(label, 4096), store, |b, store| {
             b.iter(|| {
-                let mut neg = Negotiator::new(NegotiatorConfig {
-                    threads: 8,
-                    ..Default::default()
-                });
+                let mut neg = Negotiator::default();
                 neg.negotiate(store, 0)
             })
         });
@@ -159,8 +156,7 @@ fn bench_sharded_vs_unsharded(c: &mut Criterion) {
 }
 
 /// A machine re-advertisement whose attributes actually changed, so the
-/// store bumps the shard version instead of treating it as a lease
-/// renewal.
+/// store admits it as a new ad instead of treating it as a lease renewal.
 fn perturbed_machine_adv(i: usize, bump: u64) -> Advertisement {
     let mut adv = machine_adv(i);
     let ad = classad::parse_classad(&format!(
@@ -183,8 +179,8 @@ fn perturbed_machine_adv(i: usize, bump: u64) -> Advertisement {
 
 /// The incremental-cycle headline: a warm pool where only 8 machines
 /// re-advertise with changed attributes between cycles. The incremental
-/// negotiator re-scans just the shards those 8 ads hash into; the
-/// full-scan configuration re-derives the whole cycle. For a fixed delta
+/// negotiator re-reads the shards those 8 ads hash into and evaluates the
+/// 8 ads; the full-scan configuration re-derives the whole cycle. For a fixed delta
 /// the incremental series should stay roughly flat as the pool grows from
 /// 4k to 100k machines, while full-scan cost grows linearly.
 fn bench_incremental_small_delta(c: &mut Criterion) {

@@ -29,7 +29,7 @@ use crate::value::{
 use std::sync::Arc;
 
 /// Tunables for evaluation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalPolicy {
     /// Resolve unqualified names in the other ad when the containing ad
     /// lacks them (required by the paper's Figure 2; default `true`).

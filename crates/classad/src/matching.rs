@@ -16,7 +16,7 @@ use crate::value::Value;
 /// The paper uses `Constraint` and `Rank`; later Condor releases renamed
 /// `Constraint` to `Requirements`. Both spellings are accepted by default:
 /// the first present attribute from `constraint_attrs` is used.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchConventions {
     /// Candidate names for the constraint attribute, in priority order.
     pub constraint_attrs: Vec<String>,

@@ -12,21 +12,22 @@
 //! across shards with no shared mutable state and — more importantly — so
 //! cycles can be *incremental*: every mutation of a shard's contents
 //! (insert, content change, withdraw, lease expiry) bumps that shard's
-//! **version**, and anything derived from a shard's contents (candidate
-//! lists, claim metadata, external-reference sets) stays valid exactly as
-//! long as the version it was computed at. A pure lease **renewal** — a
-//! re-advertisement whose ad content, contact, and ticket are unchanged —
-//! updates the lease *without* bumping the version (and without assigning
-//! a new sequence number), which is what keeps a heartbeating 100k-machine
-//! pool almost entirely clean between cycles.
+//! **version**, so a consumer that remembers the version it last read a
+//! shard at knows, by one integer compare, whether anything in it changed
+//! (the negotiator then diffs the shard against its per-ad table, see
+//! [`crate::negotiate`]). A pure lease **renewal** — a re-advertisement
+//! whose ad content, contact, and ticket are unchanged — updates the lease
+//! *without* bumping the version (and without assigning a new sequence
+//! number), which is what keeps a heartbeating 100k-machine pool almost
+//! entirely clean between cycles.
 //!
 //! Shard count is stable-hash-partitioned and **auto-scales**: when the
 //! average shard grows past twice the target size the shard count doubles
-//! and every ad is redistributed (all versions bump — a rare, amortized
-//! full invalidation). [`AdStore::with_shards`] pins an explicit count
-//! instead. Match outcomes never depend on the shard count (see
-//! [`crate::matcher::Candidate`] for the intrinsic tie-break that
-//! guarantees this).
+//! and every ad is redistributed (all versions bump, every ad keeps its
+//! identity — a rare re-read that re-derives nothing).
+//! [`AdStore::with_shards`] pins an explicit count instead. Match outcomes
+//! never depend on the shard count (see [`crate::matcher::Candidate`] for
+//! the intrinsic tie-break that guarantees this).
 //!
 //! Customer (request) ads are not sharded — request-side incrementality
 //! comes from autocluster signatures, not partitioning — but they get the
@@ -39,13 +40,20 @@ use crate::protocol::{
 use crate::ticket::Ticket;
 use classad::{ClassAd, EvalPolicy, Value};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of shard versions. Process-wide rather than per store, so a
+/// version names one state of one shard of one store: a store rebuilt by
+/// [`AdStore::restore_state`] can never present a version a consumer has
+/// already seen on the store it replaces.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 
 /// Default initial shard count for provider ads.
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Auto-scaling target: when the mean shard size exceeds twice this, the
-/// shard count doubles. Chosen so the unit of incremental re-scan work (one
+/// shard count doubles. Chosen so the unit of incremental re-read work (one
 /// shard) stays small and roughly constant as the pool grows.
 pub const TARGET_SHARD_SIZE: usize = 512;
 
@@ -117,7 +125,7 @@ impl Default for Shard {
 
 impl Shard {
     fn touch(&mut self) {
-        self.version += 1;
+        self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
     }
 
     fn refresh_min(&mut self) {
@@ -211,8 +219,10 @@ impl AdStore {
         (stable_hash(&name.to_ascii_lowercase()) % self.shards.len() as u64) as usize
     }
 
-    /// Mutation version of one provider shard. Anything computed from the
-    /// shard's contents is valid exactly while this is unchanged.
+    /// Mutation version of one provider shard (`0` = never mutated, hence
+    /// empty). Anything computed from the shard's contents is valid exactly
+    /// while this is unchanged; versions are unique across stores, so that
+    /// holds across [`AdStore::restore_state`] too.
     pub fn shard_version(&self, shard: usize) -> u64 {
         self.shards[shard].version
     }
@@ -261,7 +271,10 @@ impl AdStore {
     /// the stored ad's is a **pure lease renewal**: the lease (and trace)
     /// update in place, the sequence number is kept, and — for providers —
     /// the shard's version does *not* change, so everything cached against
-    /// the shard stays valid.
+    /// the shard stays valid. The one exception is a renewal that arrives
+    /// after the lease had already lapsed (and before a sweep): the ad
+    /// re-enters the live set, which is a visible change, so the version
+    /// bumps (the sequence number is still kept).
     pub fn advertise_traced(
         &mut self,
         adv: Advertisement,
@@ -284,10 +297,14 @@ impl AdStore {
                         && existing.contact == adv.contact
                         && existing.ticket == adv.ticket
                     {
+                        let lapsed = existing.expires_at <= now;
                         existing.expires_at = adv.expires_at;
                         existing.trace = trace;
                         self.shards[shard].min_expiry =
                             self.shards[shard].min_expiry.min(adv.expires_at);
+                        if lapsed {
+                            self.shards[shard].touch();
+                        }
                         return Ok(name);
                     }
                 }
@@ -334,8 +351,9 @@ impl AdStore {
     }
 
     /// Double the shard count and redistribute when the mean shard size
-    /// outgrows the target. Every version bumps (the world moved), which
-    /// is the correct — if blunt — cache invalidation for a reshard.
+    /// outgrows the target. Every version bumps (the world moved); the ads
+    /// themselves move, keeping their `seq` and `Arc`, so per-ad consumers
+    /// recognize every one of them.
     fn maybe_split(&mut self) {
         if self.pinned {
             return;
@@ -366,6 +384,22 @@ impl AdStore {
                 self.shards[shard].remove(&key)
             }
             EntityKind::Customer => self.customers.remove(&key).is_some(),
+        }
+    }
+
+    /// Remove an entity's ad only if the stored ad is still the very ad
+    /// `seen` (by `Arc` identity). A matchmaker withdraws both sides of a
+    /// match some time after the cycle that read them; an entity that
+    /// re-advertised new content in between keeps its newer ad.
+    pub fn withdraw_if_current(
+        &mut self,
+        kind: EntityKind,
+        name: &str,
+        seen: &Arc<ClassAd>,
+    ) -> bool {
+        match self.get(kind, name) {
+            Some(stored) if Arc::ptr_eq(&stored.ad, seen) => self.withdraw(kind, name),
+            _ => false,
         }
     }
 
@@ -612,6 +646,37 @@ mod tests {
             first_version,
             "renewal leaves the shard clean"
         );
+    }
+
+    #[test]
+    fn renewal_after_the_lease_lapsed_bumps_the_version() {
+        // Unswept, the lapsed ad was invisible to a cycle at t=60; the
+        // renewal makes it visible again, so the shard must read as changed.
+        let mut store = AdStore::new();
+        store
+            .advertise(adv("m", EntityKind::Provider, 50), 0, &proto())
+            .unwrap();
+        let shard = store.shard_of("m");
+        let (seq, version) = (
+            store.get(EntityKind::Provider, "m").unwrap().seq,
+            store.shard_version(shard),
+        );
+        store
+            .advertise(adv("m", EntityKind::Provider, 150), 70, &proto())
+            .unwrap();
+        assert_eq!(store.get(EntityKind::Provider, "m").unwrap().seq, seq);
+        assert_ne!(store.shard_version(shard), version);
+    }
+
+    #[test]
+    fn restored_store_never_reuses_a_shard_version() {
+        let mut store = AdStore::with_shards(1);
+        store
+            .advertise(adv("a", EntityKind::Provider, 50), 0, &proto())
+            .unwrap();
+        let restored = AdStore::restore_state(&store.snapshot_state());
+        assert_ne!(restored.shard_version(0), store.shard_version(0));
+        assert_eq!(AdStore::with_shards(1).shard_version(0), 0, "empty");
     }
 
     #[test]

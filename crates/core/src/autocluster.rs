@@ -20,9 +20,12 @@
 //!
 //! 2. **Match lists** ([`MatchList`]): the first request of a cluster
 //!    scores all offers once and keeps the matching candidates sorted by
-//!    the engine's total order (request rank desc, offer rank desc, index
-//!    asc). Subsequent requests of the cluster consume the next eligible
-//!    candidate with a cursor walk instead of rescanning the pool.
+//!    the engine's total order (request rank desc, offer rank desc, tie
+//!    key asc). Subsequent requests of the cluster consume the next
+//!    eligible candidate with a cursor walk instead of rescanning the
+//!    pool. The incremental negotiation path keeps each cluster's list
+//!    across cycles and patches it with the pool's changes
+//!    ([`MatchList::patch`]) instead of rebuilding it.
 //!
 //! ## Why cursor-only consumption reproduces the full scan
 //!
@@ -64,8 +67,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Per-offer facts the negotiator needs at grant time, evaluated once per
-/// cycle (claim state, the rank of the current claimant, and who would be
-/// displaced by a preemption).
+/// ad (per cycle on the full-scan path): claim state, the rank of the
+/// current claimant, and who would be displaced by a preemption.
 #[derive(Debug, Clone, Default)]
 pub struct OfferMeta {
     /// `Some(CurrentRank)` if the offer advertises `State == "Claimed"`.
@@ -185,14 +188,49 @@ pub fn cluster_requests<'a>(
     }
 }
 
-/// A cluster's sorted candidate list for one cycle, consumed front to back.
-#[derive(Debug)]
+/// A cluster's sorted candidate list, consumed front to back within a
+/// cycle. The full-scan path builds one per cluster per cycle
+/// ([`MatchList::build`]); the incremental path keeps one per cluster
+/// signature across cycles, [`MatchList::patch`]es it with the pool's
+/// changes and [`MatchList::rewind`]s the cursor.
+#[derive(Debug, Default)]
 pub struct MatchList {
     sorted: Vec<Candidate>,
     cursor: usize,
 }
 
 impl MatchList {
+    /// Drop every candidate whose offer index is `stale`, merge in `added`
+    /// (sorted best-first), and rewind. The result is the list a fresh scan
+    /// of the changed pool would build: the order is intrinsic to the
+    /// candidates ([`Candidate::best_first`]), not to when they arrived.
+    /// `scratch` is the merge buffer; it comes back holding the old list's
+    /// allocation, so one buffer serves every list of a cycle.
+    pub fn patch(
+        &mut self,
+        stale: impl Fn(usize) -> bool,
+        added: &[Candidate],
+        scratch: &mut Vec<Candidate>,
+    ) {
+        scratch.clear();
+        scratch.reserve(self.sorted.len() + added.len());
+        let mut added = added.iter().peekable();
+        for c in self.sorted.iter().filter(|c| !stale(c.index)) {
+            while let Some(a) = added.next_if(|a| a.better_than(c)) {
+                scratch.push(*a);
+            }
+            scratch.push(*c);
+        }
+        scratch.extend(added);
+        std::mem::swap(&mut self.sorted, scratch);
+        self.cursor = 0;
+    }
+
+    /// Start consuming from the best candidate again (a new cycle).
+    pub fn rewind(&mut self) {
+        self.cursor = 0;
+    }
+
     /// Score every offer against `request` (one full scan) and keep the
     /// matches sorted best-first. Eligibility is *not* applied here — it
     /// changes as the cycle grants offers, so it is checked at
@@ -387,6 +425,44 @@ mod tests {
         assert_eq!(second.index, 0); // falls through to Mips 10
         taken[second.index] = true;
         assert!(list.pop_next(&taken, &meta, true, 0.0).is_none());
+    }
+
+    #[test]
+    fn patched_list_equals_a_fresh_build_of_the_changed_pool() {
+        // Pool A = machines 0..40; pool B drops every third machine and
+        // adds ten more. Patching A's list with the delta must give B's.
+        let engine = MatchEngine::new();
+        let machine = |i: usize| {
+            arc(&format!(
+                r#"[ Type = "Machine"; Mips = {};
+                    Constraint = other.Type == "Job"; Rank = {} ]"#,
+                (i * 13) % 7,
+                i % 3
+            ))
+        };
+        let request = parse_classad(
+            r#"[ Type = "Job"; Constraint = other.Type == "Machine";
+                Rank = other.Mips ]"#,
+        )
+        .unwrap();
+        let offers: Vec<Arc<ClassAd>> = (0..50).map(machine).collect();
+        let scan = |keep: &dyn Fn(usize) -> bool| {
+            let mut v: Vec<Candidate> = (0..50)
+                .filter(|&i| keep(i))
+                .filter_map(|i| engine.score_keyed(&request, &offers[i], i, 1000 - i as u64))
+                .collect();
+            v.sort_by(Candidate::best_first);
+            v
+        };
+        let mut list = MatchList {
+            sorted: scan(&|i| i < 40),
+            cursor: 7,
+        };
+        let dropped = |i: usize| i < 40 && i.is_multiple_of(3);
+        let mut scratch = Vec::new();
+        list.patch(dropped, &scan(&|i| i >= 40), &mut scratch);
+        assert_eq!(list.sorted, scan(&|i| !dropped(i)));
+        assert_eq!(list.remaining(), list.sorted.len(), "patch rewinds");
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! — an intrinsic, caller-supplied identity for the offer. Store-driven
 //! scans pass the ad's admission sequence number, which is a property of
 //! the ad itself rather than of any particular scan order; that is what
-//! makes serial, parallel, and *sharded* scans (any shard count) return
-//! byte-identical results. Standalone scans default the key to the offer's
-//! slice index, preserving the classic lowest-index-wins behavior.
+//! makes serial, parallel, and *incrementally maintained* candidate lists
+//! (any shard count, any insertion order) return byte-identical results.
+//! Standalone scans default the key to the offer's slice index, preserving
+//! the classic lowest-index-wins behavior.
 //!
 //! Scans are embarrassingly parallel over the offer list; the parallel
 //! implementation chunks the slice across crossbeam scoped threads, each
@@ -56,6 +57,19 @@ impl Candidate {
             std::cmp::Reverse(other.tie),
         )
     }
+
+    /// [`Candidate::better_than`] as a sort comparator: best first.
+    /// `Equal` only for entries with the same ranks *and* tie key, so sort
+    /// stability is irrelevant to determinism.
+    pub(crate) fn best_first(&self, other: &Candidate) -> std::cmp::Ordering {
+        if self.better_than(other) {
+            std::cmp::Ordering::Less
+        } else if other.better_than(self) {
+            std::cmp::Ordering::Greater
+        } else {
+            std::cmp::Ordering::Equal
+        }
+    }
 }
 
 /// Clamp a rank to the finite domain `better_than` requires. Rank
@@ -71,7 +85,7 @@ fn normalize_rank(r: f64) -> f64 {
 }
 
 /// Configuration and entry points for match scans.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatchEngine {
     /// Evaluation policy used for constraint/rank evaluation.
     pub policy: EvalPolicy,
@@ -230,48 +244,7 @@ impl MatchEngine {
             .expect("match scoring worker panicked");
             locals.into_iter().flatten().collect()
         };
-        // `better_than` is total on finite ranks and distinct tie keys, so
-        // the comparator never reports equality for distinct entries and
-        // sort stability is irrelevant to determinism.
-        scored.sort_by(|a, b| {
-            if a.better_than(b) {
-                std::cmp::Ordering::Less
-            } else if b.better_than(a) {
-                std::cmp::Ordering::Greater
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        });
-        scored
-    }
-
-    /// [`MatchEngine::scored_candidates`] with explicit per-offer tie keys
-    /// (`ties[i]` keys `offers[i]`). This is the build step for per-shard
-    /// candidate lists: each shard scans its own offers with the ads'
-    /// admission sequence numbers as keys, and because the resulting order
-    /// is intrinsic to the ads, merging per-shard lists reproduces the
-    /// single-list order for *any* shard count.
-    pub fn scored_candidates_keyed(
-        &self,
-        request: &ClassAd,
-        offers: &[Arc<ClassAd>],
-        ties: &[u64],
-    ) -> Vec<Candidate> {
-        debug_assert_eq!(offers.len(), ties.len());
-        let mut scored: Vec<Candidate> = offers
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| self.score_keyed(request, o, i, ties[i]))
-            .collect();
-        scored.sort_by(|a, b| {
-            if a.better_than(b) {
-                std::cmp::Ordering::Less
-            } else if b.better_than(a) {
-                std::cmp::Ordering::Greater
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        });
+        scored.sort_by(Candidate::best_first);
         scored
     }
 }
@@ -337,46 +310,18 @@ mod tests {
     #[test]
     fn explicit_tie_key_overrides_index_order() {
         // Equal ranks everywhere: the winner is the lowest tie key, not
-        // the lowest index — the property sharded scans rely on.
+        // the lowest index — the property store-driven scans rely on.
         let engine = MatchEngine::new();
         let offers = machines(&[100, 100, 100]);
         let j = job();
         let ties = [30u64, 10, 20];
-        let scored = engine.scored_candidates_keyed(&j, &offers, &ties);
+        let mut scored: Vec<Candidate> = (0..3)
+            .filter_map(|i| engine.score_keyed(&j, &offers[i], i, ties[i]))
+            .collect();
+        scored.sort_by(Candidate::best_first);
         let order: Vec<usize> = scored.iter().map(|c| c.index).collect();
         assert_eq!(order, vec![1, 2, 0]);
         assert_eq!(scored[0].tie, 10);
-    }
-
-    #[test]
-    fn keyed_scan_order_is_partition_independent() {
-        // Score the same pool whole and as two disjoint halves; merging the
-        // halves by `better_than` must reproduce the whole-pool order.
-        let engine = MatchEngine::new();
-        let mips: Vec<i64> = (0..40).map(|i| (i * 13) % 7).collect();
-        let offers = machines(&mips);
-        let ties: Vec<u64> = (0..offers.len() as u64).map(|i| 1000 - i).collect();
-        let j = job();
-        let whole = engine.scored_candidates_keyed(&j, &offers, &ties);
-        let (lo, hi) = offers.split_at(17);
-        let (lt, ht) = ties.split_at(17);
-        let mut halves = [
-            engine.scored_candidates_keyed(&j, lo, lt),
-            engine.scored_candidates_keyed(&j, hi, ht),
-        ];
-        // Fix up the second half's indices to the whole-pool frame.
-        for c in &mut halves[1] {
-            c.index += 17;
-        }
-        let mut merged: Vec<Candidate> = halves.concat();
-        merged.sort_by(|a, b| {
-            if a.better_than(b) {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
-        });
-        assert_eq!(whole, merged);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::priority::PriorityTracker;
 use crate::protocol::{EntityKind, MatchNotification, Timestamp};
 use crate::ticket::Ticket;
 use classad::{traced_symmetric_match, ClassAd, RejectReason, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -47,7 +47,9 @@ const STATE_CLAIMED: &str = "Claimed";
 /// Negotiator tunables.
 #[derive(Debug, Clone)]
 pub struct NegotiatorConfig {
-    /// Worker threads for the match scan (1 = serial).
+    /// Worker threads for the full-scan path's match scans (1 = serial).
+    /// The incremental path evaluates only the cycle's delta and does not
+    /// read this.
     pub threads: usize,
     /// Whether claimed resources may be matched to better-ranked requests.
     pub preemption: bool,
@@ -71,13 +73,14 @@ pub struct NegotiatorConfig {
     /// not serve `Analyze` queries should not pay for it. Match outcomes
     /// are identical either way.
     pub attribution: bool,
-    /// Incremental, shard-cached cycles (the default): per-shard claim
-    /// metadata and per-(cluster, shard) candidate lists persist across
-    /// cycles and are recomputed only for shards whose store version
-    /// changed. Requires `autocluster` (signatures key the cache); with
-    /// `autocluster` off this flag is ignored. Turn off to run every cycle
-    /// as a from-scratch full scan — the oracle the equivalence proptests
-    /// compare against. Match outcomes are byte-identical either way.
+    /// Incremental cycles (the default): each live offer's claim metadata
+    /// and each cluster signature's rank-ordered candidate list persist
+    /// across cycles, and a cycle evaluates classads only for the ads that
+    /// changed since the last one. Requires `autocluster` (signatures key
+    /// the lists); with `autocluster` off this flag is ignored. Turn off to
+    /// run every cycle as a from-scratch full scan — the oracle the
+    /// equivalence proptests compare against. Match outcomes are
+    /// byte-identical either way.
     pub incremental: bool,
     /// Provider shard count for ad stores built from this config by the
     /// service layer (`0` = auto-scaling layout, see
@@ -303,20 +306,27 @@ pub struct CycleStats {
     /// service layer, which owns the sweep; zero when negotiating against
     /// a store directly).
     pub expired_ads: usize,
-    /// Per-(cluster, shard) scans actually performed this cycle on the
-    /// incremental path (0 on the full-scan path, which has no shards).
+    /// Store shards whose delta the incremental path read this cycle —
+    /// the store version moved or a lease watermark passed, so the shard
+    /// was diffed against the offer table (integer compares; 0 on the
+    /// full-scan path).
     pub shards_scanned: usize,
-    /// Per-(cluster, shard) candidate lists reused from a previous cycle
-    /// because the shard's store version was unchanged.
+    /// Store shards the incremental path did not read at all this cycle:
+    /// version and lease watermark both unchanged.
     pub shards_skipped: usize,
-    /// Provider ads living in shards whose caches had to be rebuilt this
-    /// cycle (the cycle's dirty slice of the pool; equals the pool size on
-    /// a cold or full-scan cycle).
+    /// Provider ads whose cached state (claim metadata, external refs) was
+    /// derived this cycle: the ads added or changed since the last cycle
+    /// (the whole pool on a cold cycle; 0 on the full-scan path, which
+    /// caches nothing). Withdrawn, renewed and lapsed ads cost none.
     pub dirty_resources: usize,
-    /// 1 if this cycle reused any state cached by a previous cycle (clean
-    /// shard metadata or candidate lists), 0 for a from-scratch cycle —
-    /// summed into a counter by [`CycleStats::record`], so the registry
-    /// total reads "cycles that ran incrementally".
+    /// (cluster, offer) pairs the incremental path scored this cycle:
+    /// `clusters × pool` for lists built from scratch, `clusters × delta`
+    /// once they are warm, 0 when nothing changed.
+    pub pairs_evaluated: usize,
+    /// 1 if this cycle reused offers cached by a previous cycle, 0 for a
+    /// from-scratch cycle — summed into a counter by
+    /// [`CycleStats::record`], so the registry total reads "cycles that
+    /// ran incrementally".
     pub incremental_cycles: usize,
     /// Rejected (cluster, offer) pairings classified by the attribution
     /// pass (0 unless [`NegotiatorConfig::attribution`] is on).
@@ -373,6 +383,9 @@ impl CycleStats {
         registry
             .counter(schema::DIRTY_RESOURCES)
             .add(self.dirty_resources as u64);
+        registry
+            .counter(schema::PAIRS_EVALUATED)
+            .add(self.pairs_evaluated as u64);
         registry
             .counter(schema::INCREMENTAL_CYCLES)
             .add(self.incremental_cycles as u64);
@@ -458,115 +471,290 @@ pub struct UnmatchedCluster {
     pub members: usize,
 }
 
-/// Everything one provider shard contributes to a cycle, computed once
-/// when the shard's store version changes and reused verbatim until it
-/// changes again: the live non-daemon offers (in stable slot order), their
-/// claim metadata, their seq tie keys, and the request-side attribute
-/// names this shard's offers can read (the shard's contribution to the
-/// pool-wide signature seed set).
+/// One live provider ad as the negotiator last derived it. The slot keeps
+/// the [`StoredAd`] — and with it the `Arc` — alive, so `(seq, Arc
+/// pointer)` stays a sound identity for as long as the slot exists: a
+/// store rebuilt by [`AdStore::restore_state`] may hand out an old `seq`
+/// again, never an old pointer.
 #[derive(Debug)]
-struct ShardCache {
-    /// Store version of the shard when this cache was built.
-    version: u64,
-    /// Identity of this build, from a negotiator-wide monotone counter.
-    /// Cluster lists are stamped with the epoch they scanned, *not* the
-    /// store version: a rebuild forced by lease expiry changes the cached
-    /// offer positions without touching the store version, and the epoch
-    /// is what keeps such lists from being reused against shifted indices.
-    epoch: u64,
-    /// Earliest lease expiry among the cached offers: once `now` passes
-    /// this, the cached set is no longer the live set and must rebuild.
-    min_expiry: Timestamp,
-    offers: Vec<StoredAd>,
-    ads: Vec<Arc<ClassAd>>,
-    ties: Vec<u64>,
-    meta: Vec<OfferMeta>,
-    external: BTreeSet<Arc<str>>,
+struct OfferSlot {
+    stored: StoredAd,
+    /// Request-side attribute names this ad can read — its contribution to
+    /// the signature seed set, reference-counted in [`OfferTable::external`].
+    external: Vec<Arc<str>>,
 }
 
-impl ShardCache {
-    fn valid(&self, store_version: u64, now: Timestamp) -> bool {
-        self.version == store_version && self.min_expiry > now
+/// What the negotiator remembers of one store shard: the version and
+/// earliest lease it last read it at, and which slots it found there.
+#[derive(Debug)]
+struct ShardMark {
+    version: u64,
+    min_expiry: Timestamp,
+    slots: Vec<usize>,
+}
+
+impl Default for ShardMark {
+    /// A never-mutated shard: version 0, empty, nothing to lapse.
+    fn default() -> Self {
+        ShardMark {
+            version: 0,
+            min_expiry: Timestamp::MAX,
+            slots: Vec::new(),
+        }
     }
 }
 
-/// One autocluster's cached candidate lists, one per shard, each stamped
-/// with the shard version it was scanned at.
-#[derive(Debug)]
-struct ClusterCache {
-    /// `(shard version, sorted candidates)` per shard; `None` = never
-    /// scanned. Candidate indices are within-shard positions; tie keys are
-    /// the ads' seqs, so concatenating shards and merging by
-    /// [`Candidate::better_than`] reproduces the whole-pool order.
-    lists: Vec<Option<(u64, Arc<Vec<Candidate>>)>>,
-    /// Last cycle this cluster appeared in, for eviction.
+/// One cluster signature's rank-ordered candidate list over the whole pool
+/// (candidate index = slot, tie key = ad seq), kept across cycles.
+#[derive(Debug, Default)]
+struct ClusterList {
+    list: MatchList,
+    /// Absolute [`OfferTable::log`] position this list has caught up to.
+    synced: u64,
+    /// Last cycle a request hashed to this signature, for eviction.
     last_used: u64,
 }
 
-/// How many cycles a cluster's cached lists survive without any request
-/// hashing to its signature before they are evicted.
-const CLUSTER_CACHE_TTL_CYCLES: u64 = 8;
+/// How many cycles a cluster's list survives without any request hashing
+/// to its signature before it is evicted.
+const CLUSTER_LIST_TTL_CYCLES: u64 = 8;
 
-/// Cross-cycle memory of the incremental path (see the module docs of
-/// [`crate::autocluster`] and the shard docs in [`crate::admanager`]).
+/// Cross-cycle memory of the incremental path: a table of the live
+/// provider ads in stable slots, and the per-cluster candidate lists as
+/// views over it, maintained from the table's changes (DESIGN.md §7).
 #[derive(Debug, Default)]
-struct IncrementalCache {
-    shards: Vec<Option<ShardCache>>,
-    clusters: HashMap<String, ClusterCache>,
-    /// Monotone epoch source for shard cache builds.
-    epoch: u64,
+struct OfferTable {
+    /// The engine every cached verdict was derived under; a different one
+    /// (the simulator moves `policy.now`) empties the table.
+    engine: MatchEngine,
+    slots: Vec<Option<OfferSlot>>,
+    /// Claim metadata per slot (parallel to `slots`, the layout
+    /// [`MatchList::pop_next`] reads).
+    meta: Vec<OfferMeta>,
+    free: Vec<usize>,
+    by_seq: HashMap<u64, usize>,
+    live: usize,
+    /// The signature seed set, with how many live ads read each name.
+    external: BTreeMap<Arc<str>, usize>,
+    shards: Vec<ShardMark>,
+    /// Slot of every ad admitted or evicted, oldest first; `log[0]` is at
+    /// absolute position `log_base`. Trimmed to what the list furthest
+    /// behind still needs.
+    log: Vec<usize>,
+    log_base: u64,
+    lists: HashMap<String, ClusterList>,
+    /// Per-slot scratch marks ("seen in this sync", "touched since this
+    /// list caught up"), valid when equal to `mark`.
+    marks: Vec<u64>,
+    mark: u64,
+    merge_buf: Vec<Candidate>,
 }
 
-/// A cluster's in-cycle view of its per-shard candidate lists: one cursor
-/// per shard, consumed by a k-way merge on [`Candidate::better_than`].
-/// Entry consumption is permanent, exactly like [`MatchList`], and the
-/// merged visit order equals the order of the single concatenated-and-
-/// sorted list — the tie key (ad seq) is unique pool-wide, so the merge
-/// never has to break a tie by shard.
-#[derive(Debug)]
-struct ShardedMatchList {
-    lists: Vec<Arc<Vec<Candidate>>>,
-    cursors: Vec<usize>,
-}
-
-impl ShardedMatchList {
-    /// Grant the next eligible candidate, or `None` when all shard lists
-    /// are exhausted. Returns the shard, the candidate (within-shard
-    /// index), and the displaced user for a preempting grant.
-    fn pop_next(
+impl OfferTable {
+    /// Bring the table up to the store's state at `now`. Integer work
+    /// only for everything unchanged: a shard whose version and lease
+    /// watermark both hold is not read at all; a shard that is read is
+    /// diffed by `(seq, Arc pointer, expires_at)`, and classads are
+    /// evaluated only for ads the table has not seen.
+    fn sync(
         &mut self,
-        taken: &[bool],
-        bases: &[usize],
-        metas: &[&[OfferMeta]],
-        preemption: bool,
-        margin: f64,
-    ) -> Option<(usize, Candidate, Option<String>)> {
-        loop {
-            let mut best: Option<(usize, Candidate)> = None;
-            for (s, list) in self.lists.iter().enumerate() {
-                if let Some(c) = list.get(self.cursors[s]) {
-                    if best.is_none_or(|(_, b)| c.better_than(&b)) {
-                        best = Some((s, *c));
-                    }
-                }
+        engine: &MatchEngine,
+        store: &AdStore,
+        now: Timestamp,
+        stats: &mut CycleStats,
+    ) {
+        if self.engine != *engine {
+            *self = OfferTable {
+                engine: engine.clone(),
+                ..OfferTable::default()
+            };
+        }
+        let mut unconfirmed: Vec<usize> = Vec::new();
+        if self.shards.len() != store.num_shards() {
+            // First cycle or a reshard. Ads keep their identity across a
+            // reshard, so slots survive; only their shard changes.
+            for shard in &mut self.shards {
+                unconfirmed.append(&mut shard.slots);
             }
-            let (s, c) = best?;
-            self.cursors[s] += 1;
-            if taken[bases[s] + c.index] {
+            self.shards.clear();
+            self.shards
+                .resize_with(store.num_shards(), ShardMark::default);
+        }
+        self.mark += 1;
+        for s in 0..store.num_shards() {
+            let version = store.shard_version(s);
+            if self.shards[s].version == version && self.shards[s].min_expiry > now {
+                stats.shards_skipped += 1;
                 continue;
             }
-            match metas[s][c.index].claimed_rank {
-                None => return Some((s, c, None)),
-                Some(current) => {
-                    if preemption && c.offer_rank > current + margin {
-                        let displaced = metas[s][c.index].remote_owner.clone().unwrap_or_default();
-                        return Some((s, c, Some(displaced)));
+            stats.shards_scanned += 1;
+            unconfirmed.append(&mut self.shards[s].slots);
+            let mut min_expiry = Timestamp::MAX;
+            for ad in store.shard_ads(s).iter().filter(|a| a.expires_at > now) {
+                let known = self.by_seq.get(&ad.seq).copied().filter(
+                    |&i| matches!(&self.slots[i], Some(o) if Arc::ptr_eq(&o.stored.ad, &ad.ad)),
+                );
+                let slot = match known {
+                    Some(i) => i,
+                    None if condor_obs::is_daemon_ad(&ad.ad) => continue,
+                    None => {
+                        stats.dirty_resources += 1;
+                        self.admit(engine, ad)
                     }
-                    // Not preemptible by this cluster: cluster-invariant
-                    // verdict, consume forever (see `MatchList::pop_next`).
+                };
+                // A pure renewal moves only the lease (and the trace).
+                let held = &mut self.slots[slot].as_mut().expect("slot is live").stored;
+                held.expires_at = ad.expires_at;
+                held.trace = ad.trace;
+                self.marks[slot] = self.mark;
+                self.shards[s].slots.push(slot);
+                min_expiry = min_expiry.min(ad.expires_at);
+            }
+            self.shards[s].version = version;
+            self.shards[s].min_expiry = min_expiry;
+        }
+        // Withdrawn, replaced, lapsed or swept: no evaluation needed.
+        for slot in unconfirmed {
+            if self.marks[slot] != self.mark {
+                self.evict(slot);
+            }
+        }
+    }
+
+    /// Derive a new ad's cached state (claim metadata, external refs) and
+    /// give it a slot.
+    fn admit(&mut self, engine: &MatchEngine, ad: &StoredAd) -> usize {
+        let external: Vec<Arc<str>> =
+            offer_external_refs(&engine.conventions, std::slice::from_ref(&ad.ad))
+                .into_iter()
+                .collect();
+        for name in &external {
+            *self.external.entry(name.clone()).or_insert(0) += 1;
+        }
+        let slot = Some(OfferSlot {
+            stored: ad.clone(),
+            external,
+        });
+        let meta = offer_meta_of(engine, &ad.ad);
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = slot;
+                self.meta[i] = meta;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                self.meta.push(meta);
+                self.marks.push(0);
+                self.slots.len() - 1
+            }
+        };
+        self.by_seq.insert(ad.seq, i);
+        self.live += 1;
+        self.log.push(i);
+        i
+    }
+
+    fn evict(&mut self, i: usize) {
+        let Some(slot) = self.slots[i].take() else {
+            return;
+        };
+        for name in &slot.external {
+            if let Some(n) = self.external.get_mut(name) {
+                *n -= 1;
+                if *n == 0 {
+                    self.external.remove(name);
                 }
             }
         }
+        // A restored store may already have re-bound this seq to a new slot.
+        if self.by_seq.get(&slot.stored.seq) == Some(&i) {
+            self.by_seq.remove(&slot.stored.seq);
+        }
+        self.free.push(i);
+        self.live -= 1;
+        self.log.push(i);
+    }
+
+    /// Take the candidate list for `sig` out of the table for this cycle,
+    /// caught up with every change since it was last used: candidates of
+    /// touched slots are dropped, touched slots that are live are scored
+    /// against `request` (any member of the cluster scores alike) and
+    /// merged in by rank. A signature seen for the first time touches
+    /// every slot — the one full scan.
+    fn checkout(
+        &mut self,
+        engine: &MatchEngine,
+        sig: &str,
+        request: &ClassAd,
+        stats: &mut CycleStats,
+    ) -> ClusterList {
+        let log_end = self.log_base + self.log.len() as u64;
+        let (mut cl, touched): (ClusterList, Vec<usize>) = match self.lists.remove(sig) {
+            Some(cl) => {
+                let from = (cl.synced - self.log_base) as usize;
+                (cl, self.log[from..].to_vec())
+            }
+            None => {
+                stats.full_scans += 1;
+                (ClusterList::default(), (0..self.slots.len()).collect())
+            }
+        };
+        cl.synced = log_end;
+        if touched.is_empty() {
+            cl.list.rewind();
+            return cl;
+        }
+        self.mark += 1;
+        let mut added: Vec<Candidate> = Vec::new();
+        for i in touched {
+            if std::mem::replace(&mut self.marks[i], self.mark) == self.mark {
+                continue;
+            }
+            if let Some(o) = &self.slots[i] {
+                stats.pairs_evaluated += 1;
+                added.extend(engine.score_keyed(request, &o.stored.ad, i, o.stored.seq));
+            }
+        }
+        added.sort_by(Candidate::best_first);
+        let (marks, mark) = (&self.marks, self.mark);
+        cl.list
+            .patch(|i| marks[i] == mark, &added, &mut self.merge_buf);
+        cl
+    }
+
+    /// Return the cycle's lists, evict signatures no request has hashed to
+    /// for a while, and trim the change log to what the list furthest
+    /// behind still needs.
+    fn checkin(&mut self, lists: impl Iterator<Item = (String, ClusterList)>, cycle: u64) {
+        for (sig, mut cl) in lists {
+            cl.last_used = cycle;
+            self.lists.insert(sig, cl);
+        }
+        self.lists
+            .retain(|_, l| l.last_used + CLUSTER_LIST_TTL_CYCLES >= cycle);
+        let log_end = self.log_base + self.log.len() as u64;
+        let needed_from = self
+            .lists
+            .values()
+            .map(|l| l.synced)
+            .min()
+            .unwrap_or(log_end);
+        self.log.drain(..(needed_from - self.log_base) as usize);
+        self.log_base = needed_from;
+    }
+
+    /// The live offers in seq order — the flat view the full scan works
+    /// on — with each one's slot.
+    fn live_in_seq_order(&self) -> Vec<(usize, &StoredAd)> {
+        let mut live: Vec<(usize, &StoredAd)> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, o)| Some((i, &o.as_ref()?.stored)))
+            .collect();
+        live.sort_by_key(|(_, o)| o.seq);
+        live
     }
 }
 
@@ -581,19 +769,20 @@ pub struct Negotiator {
     pub config: NegotiatorConfig,
     /// Cycles run by this negotiator (stamps [`CycleOutcome::cycle`]).
     cycles_run: u64,
-    /// Cross-cycle shard and cluster caches for the incremental path.
-    cache: IncrementalCache,
+    /// Cross-cycle per-ad state for the incremental path.
+    pool: OfferTable,
 }
+
+/// One request's grant: the candidate, the user it displaces (for a
+/// preempting grant), and the offer it names.
+type Grant = (Candidate, Option<String>, StoredAd);
 
 impl Negotiator {
     /// Create a negotiator with default engine, priorities, and config.
     pub fn new(config: NegotiatorConfig) -> Self {
         Negotiator {
-            engine: MatchEngine::new(),
-            priorities: PriorityTracker::default(),
             config,
-            cycles_run: 0,
-            cache: IncrementalCache::default(),
+            ..Negotiator::default()
         }
     }
 
@@ -603,16 +792,9 @@ impl Negotiator {
         self.priorities.charge(user, seconds, now);
     }
 
-    fn string_attr(&self, ad: &ClassAd, name: &str) -> Option<String> {
-        match ad.eval_attr(name, &self.engine.policy) {
-            Value::Str(s) => Some(s.to_string()),
-            _ => None,
-        }
-    }
-
     /// Run one negotiation cycle over the ads in `store` at time `now`.
     ///
-    /// Dispatches to the incremental sharded path (the default) or the
+    /// Dispatches to the incremental per-ad path (the default) or the
     /// from-scratch full scan ([`NegotiatorConfig::incremental`]); the two
     /// produce byte-identical matches.
     pub fn negotiate(&mut self, store: &AdStore, now: Timestamp) -> CycleOutcome {
@@ -634,75 +816,33 @@ impl Negotiator {
         requests
     }
 
-    /// The from-scratch cycle: snapshot everything, scan everything.
-    fn negotiate_full(&mut self, store: &AdStore, now: Timestamp) -> CycleOutcome {
-        let mut offers: Vec<StoredAd> = store.snapshot(EntityKind::Provider, now);
-        // Daemon self-ads live in the store so they are queryable, but
-        // they are telemetry, not participants: matching against them (or
-        // counting them in cycle statistics) would corrupt both.
-        offers.retain(|o| !condor_obs::is_daemon_ad(&o.ad));
-        // Oldest first, so that a scan's index order is seq order and the
-        // lowest-index tie-break coincides with the intrinsic lowest-seq
-        // (oldest ad wins) rule the sharded path uses — equal ranks must
-        // resolve identically on every path and shard count.
-        offers.sort_by_key(|o| o.seq);
-        let requests = Self::eligible_requests(store, now);
-
-        let offer_ads: Vec<Arc<ClassAd>> = offers.iter().map(|o| o.ad.clone()).collect();
-        // Per-offer claim snapshot, evaluated once per cycle: whether the
-        // offer is claimed (per its own advertised state), at what rank it
-        // values its current claimant, and who that claimant is. Grant-time
-        // code reads these instead of re-evaluating `State`/`CurrentRank`/
-        // `RemoteOwner` per request.
-        let offer_meta: Vec<OfferMeta> = offers
-            .iter()
-            .map(|o| offer_meta_of(&self.engine, &o.ad))
-            .collect();
-
-        // Group request indices by owner.
+    /// The fairness rounds both paths share: one request per user per
+    /// round, best-priority user first, until a full round makes no
+    /// progress. `choose` is the match source — it grants request `i` its
+    /// best still-eligible offer (and marks it taken) or nothing. Fills in
+    /// the matches and the round statistics; returns the unmatched request
+    /// indices in the order they failed.
+    fn serve_rounds(
+        &mut self,
+        requests: &[StoredAd],
+        now: Timestamp,
+        outcome: &mut CycleOutcome,
+        mut choose: impl FnMut(usize, &mut CycleStats) -> Option<Grant>,
+    ) -> Vec<usize> {
         let mut by_owner: HashMap<String, Vec<usize>> = HashMap::new();
         for (i, r) in requests.iter().enumerate() {
-            let owner = self
-                .string_attr(&r.ad, ATTR_OWNER)
-                .unwrap_or_else(|| "<unknown>".to_string());
+            let owner = match r.ad.eval_attr(ATTR_OWNER, &self.engine.policy) {
+                Value::Str(s) => s.to_string(),
+                _ => "<unknown>".to_string(),
+            };
             by_owner.entry(owner).or_default().push(i);
         }
         let users = self
             .priorities
             .order_users(by_owner.keys().map(|s| s.as_str()), now);
-
-        let mut outcome = CycleOutcome::default();
-        outcome.stats.requests_considered = requests.len();
-        outcome.stats.offers_considered = offers.len();
-
-        // Autoclustering: partition requests into equivalence classes whose
-        // members score identically against every offer, then serve each
-        // class from one shared match list built on first use.
-        let clustering = if self.config.autocluster {
-            let external = offer_external_refs(&self.engine.conventions, &offer_ads);
-            Some(cluster_requests(
-                &self.engine.conventions,
-                requests.iter().map(|r| r.ad.as_ref()),
-                &external,
-            ))
-        } else {
-            None
-        };
-        let mut match_lists: Vec<Option<MatchList>> = match &clustering {
-            Some(c) => {
-                outcome.stats.clusters_formed = c.num_clusters;
-                (0..c.num_clusters).map(|_| None).collect()
-            }
-            None => Vec::new(),
-        };
-
-        let mut taken = vec![false; offers.len()];
         let mut cursor: HashMap<&str, usize> = HashMap::new();
-        let mut served_users: HashMap<String, bool> = HashMap::new();
+        let mut served_users: BTreeSet<&str> = BTreeSet::new();
         let mut unmatched_reqs: Vec<usize> = Vec::new();
-
-        // Fairness rounds: one request per user per round, best-priority
-        // user first, until a full round makes no progress.
         loop {
             let mut progress = false;
             outcome.stats.rounds += 1;
@@ -720,117 +860,182 @@ impl Negotiator {
                 progress = true;
 
                 let request = &requests[req_idx];
-                let preemption_on = self.config.preemption;
-                let margin = self.config.preemption_rank_margin;
-
-                let chosen: Option<(Candidate, Option<String>)> = if let Some(cl) = &clustering {
-                    // Clustered path: the first member of an equivalence
-                    // class pays one full scan to build the sorted match
-                    // list; everyone else in the class consumes from it.
-                    let cid = cl.cluster_of[req_idx];
-                    match &mut match_lists[cid] {
-                        slot @ None => {
-                            outcome.stats.full_scans += 1;
-                            let list = MatchList::build(
-                                &self.engine,
-                                &request.ad,
-                                &offer_ads,
-                                self.config.threads,
-                            );
-                            slot.insert(list)
-                                .pop_next(&taken, &offer_meta, preemption_on, margin)
-                        }
-                        Some(list) => {
-                            outcome.stats.matchlist_hits += 1;
-                            list.pop_next(&taken, &offer_meta, preemption_on, margin)
-                        }
-                    }
-                } else {
-                    // Oracle path: a per-request scan with retry. The
-                    // best-ranked offer may be claimed and not preemptible
-                    // by this request, in which case it is excluded and the
-                    // scan repeats.
-                    let mut excluded: Vec<bool> = vec![false; offers.len()];
-                    loop {
-                        // With preemption disabled, claimed offers can
-                        // never be granted: filter them up front rather
-                        // than excluding them one rescan at a time (keeps
-                        // the no-preemption cycle linear in the pool size).
-                        let eligible = |i: usize| {
-                            !taken[i]
-                                && !excluded[i]
-                                && (preemption_on || offer_meta[i].claimed_rank.is_none())
-                        };
-                        outcome.stats.full_scans += 1;
-                        let best = if self.config.threads > 1 {
-                            self.engine.best_match_parallel(
-                                &request.ad,
-                                &offer_ads,
-                                self.config.threads,
-                                eligible,
-                            )
-                        } else {
-                            self.engine.best_match(&request.ad, &offer_ads, eligible)
-                        };
-                        match best {
-                            None => break None,
-                            Some(c) => match offer_meta[c.index].claimed_rank {
-                                None => break Some((c, None)),
-                                Some(current) => {
-                                    if preemption_on && c.offer_rank > current + margin {
-                                        let displaced = offer_meta[c.index].remote_owner.clone();
-                                        break Some((c, Some(displaced.unwrap_or_default())));
-                                    }
-                                    excluded[c.index] = true;
-                                }
-                            },
-                        }
-                    }
+                let Some((c, preempts, offer)) = choose(req_idx, &mut outcome.stats) else {
+                    unmatched_reqs.push(req_idx);
+                    continue;
                 };
-
-                match chosen {
-                    None => unmatched_reqs.push(req_idx),
-                    Some((c, preempts)) => {
-                        taken[c.index] = true;
-                        let offer = &offers[c.index];
-                        if preempts.is_some() {
-                            outcome.stats.preemptions += 1;
-                        }
-                        served_users.insert(user.clone(), true);
-                        if self.config.charge_per_match > 0.0 {
-                            self.priorities
-                                .charge(user, self.config.charge_per_match, now);
-                        }
-                        outcome.matches.push(MatchRecord {
-                            request_name: request.name.clone(),
-                            owner: user.clone(),
-                            request_ad: request.ad.clone(),
-                            customer_contact: request.contact.clone(),
-                            offer_name: offer.name.clone(),
-                            offer_ad: offer.ad.clone(),
-                            provider_contact: offer.contact.clone(),
-                            ticket: offer.ticket,
-                            request_rank: c.request_rank,
-                            offer_rank: c.offer_rank,
-                            preempts,
-                            trace: request.trace,
-                        });
-                    }
+                if preempts.is_some() {
+                    outcome.stats.preemptions += 1;
                 }
+                served_users.insert(user.as_str());
+                if self.config.charge_per_match > 0.0 {
+                    self.priorities
+                        .charge(user, self.config.charge_per_match, now);
+                }
+                outcome.matches.push(MatchRecord {
+                    request_name: request.name.clone(),
+                    owner: user.clone(),
+                    request_ad: request.ad.clone(),
+                    customer_contact: request.contact.clone(),
+                    offer_name: offer.name,
+                    offer_ad: offer.ad,
+                    provider_contact: offer.contact,
+                    ticket: offer.ticket,
+                    request_rank: c.request_rank,
+                    offer_rank: c.offer_rank,
+                    preempts,
+                    trace: request.trace,
+                });
             }
             if !progress {
                 break;
             }
         }
-
         outcome.stats.matches = outcome.matches.len();
         outcome.stats.unmatched_requests = unmatched_reqs.len();
         outcome.stats.users_served = served_users.len();
         self.cycles_run += 1;
         outcome.cycle = self.cycles_run;
+        unmatched_reqs
+    }
 
-        if self.config.attribution && !unmatched_reqs.is_empty() {
+    /// The post-rounds passes both paths share: rejection attribution and
+    /// the flocking hook, each only when configured and only when some
+    /// request went unmatched. `offer_ads`/`offer_meta`/`taken` are the
+    /// flat pool view in seq order.
+    #[allow(clippy::too_many_arguments)]
+    fn post_rounds(
+        &self,
+        outcome: &mut CycleOutcome,
+        requests: &[StoredAd],
+        offer_ads: &[Arc<ClassAd>],
+        offer_meta: &[OfferMeta],
+        taken: &[bool],
+        cluster_of: Option<&[usize]>,
+        unmatched_reqs: &[usize],
+    ) {
+        if self.config.attribution {
             self.attribute_rejections(
+                outcome,
+                requests,
+                offer_ads,
+                offer_meta,
+                taken,
+                cluster_of,
+                unmatched_reqs,
+            );
+        }
+        if self.config.flocking {
+            collect_unmatched_clusters(outcome, requests, cluster_of, unmatched_reqs);
+        }
+    }
+
+    /// The from-scratch cycle: snapshot everything, scan everything. The
+    /// oracle the incremental path is held to.
+    fn negotiate_full(&mut self, store: &AdStore, now: Timestamp) -> CycleOutcome {
+        let mut offers: Vec<StoredAd> = store.snapshot(EntityKind::Provider, now);
+        // Daemon self-ads live in the store so they are queryable, but
+        // they are telemetry, not participants: matching against them (or
+        // counting them in cycle statistics) would corrupt both.
+        offers.retain(|o| !condor_obs::is_daemon_ad(&o.ad));
+        // Oldest first, so that a scan's index order is seq order and the
+        // lowest-index tie-break coincides with the intrinsic lowest-seq
+        // (oldest ad wins) rule the incremental path uses — equal ranks
+        // must resolve identically on every path and shard count.
+        offers.sort_by_key(|o| o.seq);
+        let requests = Self::eligible_requests(store, now);
+
+        let engine = self.engine.clone();
+        let config = self.config.clone();
+        let offer_ads: Vec<Arc<ClassAd>> = offers.iter().map(|o| o.ad.clone()).collect();
+        // Per-offer claim snapshot, evaluated once per cycle: whether the
+        // offer is claimed (per its own advertised state), at what rank it
+        // values its current claimant, and who that claimant is. Grant-time
+        // code reads these instead of re-evaluating `State`/`CurrentRank`/
+        // `RemoteOwner` per request.
+        let offer_meta: Vec<OfferMeta> = offers
+            .iter()
+            .map(|o| offer_meta_of(&engine, &o.ad))
+            .collect();
+
+        let mut outcome = CycleOutcome::default();
+        outcome.stats.requests_considered = requests.len();
+        outcome.stats.offers_considered = offers.len();
+
+        // Autoclustering: partition requests into equivalence classes whose
+        // members score identically against every offer, then serve each
+        // class from one shared match list built on first use.
+        let clustering = config.autocluster.then(|| {
+            let external = offer_external_refs(&engine.conventions, &offer_ads);
+            cluster_requests(
+                &engine.conventions,
+                requests.iter().map(|r| r.ad.as_ref()),
+                &external,
+            )
+        });
+        let num_clusters = clustering.as_ref().map_or(0, |c| c.num_clusters);
+        outcome.stats.clusters_formed = num_clusters;
+        let mut match_lists: Vec<Option<MatchList>> = (0..num_clusters).map(|_| None).collect();
+        let mut taken = vec![false; offers.len()];
+        let (preemption_on, margin) = (config.preemption, config.preemption_rank_margin);
+
+        let unmatched_reqs = self.serve_rounds(&requests, now, &mut outcome, |req_idx, stats| {
+            let request = &requests[req_idx].ad;
+            let chosen: Option<(Candidate, Option<String>)> = if let Some(cl) = &clustering {
+                // Clustered path: the first member of an equivalence
+                // class pays one full scan to build the sorted match
+                // list; everyone else in the class consumes from it.
+                let slot = &mut match_lists[cl.cluster_of[req_idx]];
+                if slot.is_some() {
+                    stats.matchlist_hits += 1;
+                } else {
+                    stats.full_scans += 1;
+                }
+                slot.get_or_insert_with(|| {
+                    MatchList::build(&engine, request, &offer_ads, config.threads)
+                })
+                .pop_next(&taken, &offer_meta, preemption_on, margin)
+            } else {
+                // Oracle path: a per-request scan with retry. The
+                // best-ranked offer may be claimed and not preemptible
+                // by this request, in which case it is excluded and the
+                // scan repeats.
+                let mut excluded: Vec<bool> = vec![false; offers.len()];
+                loop {
+                    // With preemption disabled, claimed offers can
+                    // never be granted: filter them up front rather
+                    // than excluding them one rescan at a time (keeps
+                    // the no-preemption cycle linear in the pool size).
+                    let eligible = |i: usize| {
+                        !taken[i]
+                            && !excluded[i]
+                            && (preemption_on || offer_meta[i].claimed_rank.is_none())
+                    };
+                    stats.full_scans += 1;
+                    let best =
+                        engine.best_match_parallel(request, &offer_ads, config.threads, eligible);
+                    match best {
+                        None => break None,
+                        Some(c) => match offer_meta[c.index].claimed_rank {
+                            None => break Some((c, None)),
+                            Some(current) => {
+                                if preemption_on && c.offer_rank > current + margin {
+                                    let displaced = offer_meta[c.index].remote_owner.clone();
+                                    break Some((c, Some(displaced.unwrap_or_default())));
+                                }
+                                excluded[c.index] = true;
+                            }
+                        },
+                    }
+                }
+            };
+            let (c, preempts) = chosen?;
+            taken[c.index] = true;
+            Some((c, preempts, offers[c.index].clone()))
+        });
+
+        if !unmatched_reqs.is_empty() {
+            self.post_rounds(
                 &mut outcome,
                 &requests,
                 &offer_ads,
@@ -840,281 +1045,86 @@ impl Negotiator {
                 &unmatched_reqs,
             );
         }
-        if self.config.flocking && !unmatched_reqs.is_empty() {
-            collect_unmatched_clusters(
-                &mut outcome,
-                &requests,
-                clustering.as_ref().map(|c| c.cluster_of.as_slice()),
-                &unmatched_reqs,
-            );
-        }
         outcome
     }
 
-    /// The incremental sharded cycle: per-shard caches (claim metadata,
-    /// external refs, offers) and per-(cluster, shard) candidate lists
-    /// persist across cycles; only shards whose store version moved (or
-    /// whose earliest lease lapsed) are recomputed, and cluster lists are
-    /// rescanned only against those shards. Candidate merge order is the
-    /// intrinsic (rank, rank, seq) total order, so the grants are
-    /// byte-identical to [`Negotiator::negotiate_full`]'s for any shard
-    /// count — the equivalence proptests in `tests/proptests.rs` hold the
-    /// two paths to that.
+    /// The incremental cycle: the live offers sit in a table of stable
+    /// slots that survives the cycle ([`OfferTable`]), each cluster
+    /// signature keeps one rank-ordered candidate list over the whole
+    /// pool, and a cycle pays classad evaluation only for what changed
+    /// since the last one — a new or changed ad has its metadata derived
+    /// once and is scored once per cluster list that is actually used.
+    /// The candidate order is the intrinsic (rank, rank, seq) total order,
+    /// so the grants are byte-identical to [`Negotiator::negotiate_full`]'s
+    /// for any shard count and any history — the equivalence proptests in
+    /// `tests/proptests.rs` hold the two paths to that.
     fn negotiate_incremental(&mut self, store: &AdStore, now: Timestamp) -> CycleOutcome {
-        let threads = self.config.threads.max(1);
-        let preemption_on = self.config.preemption;
-        let margin = self.config.preemption_rank_margin;
+        let (preemption_on, margin) = (self.config.preemption, self.config.preemption_rank_margin);
         let cycle = self.cycles_run + 1;
         let requests = Self::eligible_requests(store, now);
+        let engine = self.engine.clone();
+        let mut pool = std::mem::take(&mut self.pool);
 
         let mut outcome = CycleOutcome::default();
         outcome.stats.requests_considered = requests.len();
-
-        let engine = &self.engine;
-        let num_shards = store.num_shards();
-        let IncrementalCache {
-            shards,
-            clusters,
-            epoch,
-        } = &mut self.cache;
-        if shards.len() != num_shards {
-            // First cycle, or the store resharded: nothing carries over.
-            shards.clear();
-            shards.resize_with(num_shards, || None);
-            clusters.clear();
-        }
-        let dirty: Vec<usize> = (0..num_shards)
-            .filter(|&s| {
-                !shards[s]
-                    .as_ref()
-                    .is_some_and(|c| c.valid(store.shard_version(s), now))
-            })
-            .collect();
-        let clean_shards = num_shards - dirty.len();
-        // Rebuild the dirty shards' caches, fanning out across workers —
-        // shards are shared-nothing, so builders share only the store
-        // (read-only here).
-        let rebuilt: Vec<(usize, ShardCache)> = if threads == 1 || dirty.len() < 2 {
-            dirty
-                .iter()
-                .map(|&s| (s, shard_cache_build(engine, store, s, now)))
-                .collect()
-        } else {
-            let workers = threads.min(dirty.len());
-            let mut locals: Vec<Vec<(usize, ShardCache)>> = Vec::new();
-            locals.resize_with(workers, Vec::new);
-            crossbeam::scope(|scope| {
-                for (t, slot) in locals.iter_mut().enumerate() {
-                    let dirty = &dirty;
-                    scope.spawn(move |_| {
-                        for &s in dirty.iter().skip(t).step_by(workers) {
-                            slot.push((s, shard_cache_build(engine, store, s, now)));
-                        }
-                    });
-                }
-            })
-            .expect("shard cache worker panicked");
-            locals.into_iter().flatten().collect()
-        };
-        for (s, mut built) in rebuilt {
-            *epoch += 1;
-            built.epoch = *epoch;
-            outcome.stats.dirty_resources += built.offers.len();
-            shards[s] = Some(built);
-        }
-        let shard_caches: Vec<&ShardCache> = shards
-            .iter()
-            .map(|o| o.as_ref().expect("all shards cached after rebuild"))
-            .collect();
-
-        // Global offer indexing: shard s's offer i is `bases[s] + i` in the
-        // virtual concatenation — the frame `taken` lives in.
-        let mut bases = Vec::with_capacity(num_shards);
-        let mut total_offers = 0usize;
-        for c in &shard_caches {
-            bases.push(total_offers);
-            total_offers += c.offers.len();
-        }
-        outcome.stats.offers_considered = total_offers;
-        let metas: Vec<&[OfferMeta]> = shard_caches.iter().map(|c| c.meta.as_slice()).collect();
-
-        // Pool-wide signature seed set: union of the per-shard cached
-        // external-ref sets. Sound across cycles: a clean shard's offers
-        // still contribute their reads, so any attribute relevant to a
-        // cached list is still folded into today's signatures.
-        let mut external: BTreeSet<Arc<str>> = BTreeSet::new();
-        for c in &shard_caches {
-            for name in &c.external {
-                external.insert(name.clone());
-            }
-        }
+        pool.sync(&engine, store, now, &mut outcome.stats);
+        outcome.stats.offers_considered = pool.live;
+        // Some live offer was not derived this cycle: it was carried over.
+        outcome.stats.incremental_cycles = usize::from(pool.live > outcome.stats.dirty_resources);
 
         // Cluster the requests, keeping each cluster's signature string:
-        // the signature is the cross-cycle key for its candidate lists.
+        // the signature is the cross-cycle key of its candidate list. The
+        // seed set is exactly what a rebuild over the live offers would
+        // compute, so a list is only ever reused for requests that agree
+        // on every attribute any offer scored into it could read.
+        let external: BTreeSet<Arc<str>> = pool.external.keys().cloned().collect();
         let mut sig_ids: HashMap<String, usize> = HashMap::new();
-        let mut cluster_sig: Vec<String> = Vec::new();
         let mut cluster_of: Vec<usize> = Vec::with_capacity(requests.len());
         for r in &requests {
             let sig = request_signature(&engine.conventions, &r.ad, &external);
-            if let Some(&id) = sig_ids.get(&sig) {
-                cluster_of.push(id);
-            } else {
-                let id = cluster_sig.len();
-                sig_ids.insert(sig.clone(), id);
-                cluster_sig.push(sig);
-                cluster_of.push(id);
-            }
+            let next = sig_ids.len();
+            cluster_of.push(*sig_ids.entry(sig).or_insert(next));
         }
-        outcome.stats.clusters_formed = cluster_sig.len();
-
-        let mut by_owner: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, r) in requests.iter().enumerate() {
-            let owner = match r.ad.eval_attr(ATTR_OWNER, &engine.policy) {
-                Value::Str(s) => s.to_string(),
-                _ => "<unknown>".to_string(),
-            };
-            by_owner.entry(owner).or_default().push(i);
-        }
-        let users = self
-            .priorities
-            .order_users(by_owner.keys().map(|s| s.as_str()), now);
-
-        let mut match_lists: Vec<Option<ShardedMatchList>> =
-            (0..cluster_sig.len()).map(|_| None).collect();
-        let mut taken = vec![false; total_offers];
-        let mut cursor: HashMap<&str, usize> = HashMap::new();
-        let mut served_users: HashMap<String, bool> = HashMap::new();
-        let mut unmatched_reqs: Vec<usize> = Vec::new();
-
-        // Fairness rounds, exactly as on the full path; only the match
-        // source differs.
-        loop {
-            let mut progress = false;
-            outcome.stats.rounds += 1;
-            for user in &users {
-                let Some(queue) = by_owner.get(user.as_str()) else {
-                    continue;
-                };
-                let pos = cursor.entry(user.as_str()).or_insert(0);
-                if *pos >= queue.len() {
-                    continue;
-                }
-                let req_idx = queue[*pos];
-                *pos += 1;
-                progress = true;
-
-                let request = &requests[req_idx];
-                let cid = cluster_of[req_idx];
-                if match_lists[cid].is_none() {
-                    // First member of the class this cycle: assemble the
-                    // per-shard lists, rescanning only shards whose cached
-                    // list is stale.
-                    let entry =
-                        clusters
-                            .entry(cluster_sig[cid].clone())
-                            .or_insert_with(|| ClusterCache {
-                                lists: Vec::new(),
-                                last_used: 0,
-                            });
-                    if entry.lists.len() != num_shards {
-                        entry.lists.clear();
-                        entry.lists.resize_with(num_shards, || None);
-                    }
-                    entry.last_used = cycle;
-                    let need: Vec<usize> = (0..num_shards)
-                        .filter(|&s| match &entry.lists[s] {
-                            Some((e, _)) => *e != shard_caches[s].epoch,
-                            None => true,
-                        })
-                        .collect();
-                    outcome.stats.shards_skipped += num_shards - need.len();
-                    outcome.stats.shards_scanned += need.len();
-                    if need.len() == num_shards {
-                        outcome.stats.full_scans += 1;
-                    }
-                    for (s, list) in scan_shards(engine, &request.ad, &shard_caches, &need, threads)
-                    {
-                        entry.lists[s] = Some((shard_caches[s].epoch, list));
-                    }
-                    match_lists[cid] = Some(ShardedMatchList {
-                        lists: entry
-                            .lists
-                            .iter()
-                            .map(|o| o.as_ref().expect("scanned above").1.clone())
-                            .collect(),
-                        cursors: vec![0; num_shards],
-                    });
-                } else {
-                    outcome.stats.matchlist_hits += 1;
-                }
-                let chosen = match_lists[cid].as_mut().expect("built above").pop_next(
-                    &taken,
-                    &bases,
-                    &metas,
-                    preemption_on,
-                    margin,
-                );
-
-                match chosen {
-                    None => unmatched_reqs.push(req_idx),
-                    Some((s, c, preempts)) => {
-                        taken[bases[s] + c.index] = true;
-                        let offer = &shard_caches[s].offers[c.index];
-                        if preempts.is_some() {
-                            outcome.stats.preemptions += 1;
-                        }
-                        served_users.insert(user.clone(), true);
-                        if self.config.charge_per_match > 0.0 {
-                            self.priorities
-                                .charge(user, self.config.charge_per_match, now);
-                        }
-                        outcome.matches.push(MatchRecord {
-                            request_name: request.name.clone(),
-                            owner: user.clone(),
-                            request_ad: request.ad.clone(),
-                            customer_contact: request.contact.clone(),
-                            offer_name: offer.name.clone(),
-                            offer_ad: offer.ad.clone(),
-                            provider_contact: offer.contact.clone(),
-                            ticket: offer.ticket,
-                            request_rank: c.request_rank,
-                            offer_rank: c.offer_rank,
-                            preempts,
-                            trace: request.trace,
-                        });
-                    }
-                }
-            }
-            if !progress {
-                break;
-            }
+        outcome.stats.clusters_formed = sig_ids.len();
+        let mut cluster_sig: Vec<String> = vec![String::new(); sig_ids.len()];
+        for (sig, id) in sig_ids {
+            cluster_sig[id] = sig;
         }
 
-        // Evict clusters no request has hashed to for a while, so the
-        // cache tracks the live workload instead of growing monotonically.
-        clusters.retain(|_, e| e.last_used + CLUSTER_CACHE_TTL_CYCLES >= cycle);
+        let mut lists: Vec<Option<ClusterList>> = cluster_sig.iter().map(|_| None).collect();
+        let mut taken = vec![false; pool.slots.len()];
+        let unmatched_reqs = self.serve_rounds(&requests, now, &mut outcome, |req_idx, stats| {
+            let cid = cluster_of[req_idx];
+            if lists[cid].is_some() {
+                stats.matchlist_hits += 1;
+            }
+            let cl = lists[cid].get_or_insert_with(|| {
+                pool.checkout(&engine, &cluster_sig[cid], &requests[req_idx].ad, stats)
+            });
+            let (c, preempts) = cl
+                .list
+                .pop_next(&taken, &pool.meta, preemption_on, margin)?;
+            taken[c.index] = true;
+            let offer = pool.slots[c.index]
+                .as_ref()
+                .expect("listed offers are live");
+            Some((c, preempts, offer.stored.clone()))
+        });
+        pool.checkin(
+            cluster_sig
+                .into_iter()
+                .zip(lists)
+                .filter_map(|(s, l)| Some((s, l?))),
+            cycle,
+        );
 
-        outcome.stats.matches = outcome.matches.len();
-        outcome.stats.unmatched_requests = unmatched_reqs.len();
-        outcome.stats.users_served = served_users.len();
-        outcome.stats.incremental_cycles =
-            usize::from(clean_shards > 0 || outcome.stats.shards_skipped > 0);
-        self.cycles_run += 1;
-        outcome.cycle = self.cycles_run;
-
-        if self.config.attribution && !unmatched_reqs.is_empty() {
-            // Attribution wants the flat pool view; materialize it from
-            // the shard caches (cheap Arc clones) so the shared post-pass
-            // serves both paths.
-            let offer_ads: Vec<Arc<ClassAd>> = shard_caches
-                .iter()
-                .flat_map(|c| c.ads.iter().cloned())
-                .collect();
-            let offer_meta: Vec<OfferMeta> = shard_caches
-                .iter()
-                .flat_map(|c| c.meta.iter().cloned())
-                .collect();
-            self.attribute_rejections(
+        if !unmatched_reqs.is_empty() && (self.config.attribution || self.config.flocking) {
+            let live = pool.live_in_seq_order();
+            let offer_ads: Vec<Arc<ClassAd>> = live.iter().map(|(_, o)| o.ad.clone()).collect();
+            let offer_meta: Vec<OfferMeta> =
+                live.iter().map(|&(i, _)| pool.meta[i].clone()).collect();
+            let taken: Vec<bool> = live.iter().map(|&(i, _)| taken[i]).collect();
+            self.post_rounds(
                 &mut outcome,
                 &requests,
                 &offer_ads,
@@ -1124,9 +1134,7 @@ impl Negotiator {
                 &unmatched_reqs,
             );
         }
-        if self.config.flocking && !unmatched_reqs.is_empty() {
-            collect_unmatched_clusters(&mut outcome, &requests, Some(&cluster_of), &unmatched_reqs);
-        }
+        self.pool = pool;
         outcome
     }
 
@@ -1279,79 +1287,6 @@ fn offer_meta_of(engine: &MatchEngine, ad: &ClassAd) -> OfferMeta {
     } else {
         OfferMeta::default()
     }
-}
-
-/// Build one provider shard's cycle cache from the store: live, non-daemon
-/// offers in slot order, plus everything derived from them. The caller
-/// stamps the epoch.
-fn shard_cache_build(
-    engine: &MatchEngine,
-    store: &AdStore,
-    shard: usize,
-    now: Timestamp,
-) -> ShardCache {
-    let version = store.shard_version(shard);
-    let offers: Vec<StoredAd> = store
-        .shard_ads(shard)
-        .iter()
-        .filter(|a| a.expires_at > now && !condor_obs::is_daemon_ad(&a.ad))
-        .cloned()
-        .collect();
-    let min_expiry = offers
-        .iter()
-        .map(|a| a.expires_at)
-        .min()
-        .unwrap_or(u64::MAX);
-    let ads: Vec<Arc<ClassAd>> = offers.iter().map(|o| o.ad.clone()).collect();
-    let ties: Vec<u64> = offers.iter().map(|o| o.seq).collect();
-    let meta: Vec<OfferMeta> = ads.iter().map(|ad| offer_meta_of(engine, ad)).collect();
-    let external = offer_external_refs(&engine.conventions, &ads);
-    ShardCache {
-        version,
-        epoch: 0,
-        min_expiry,
-        offers,
-        ads,
-        ties,
-        meta,
-        external,
-    }
-}
-
-/// Scan `request` against the listed shards' cached offers, returning one
-/// sorted candidate list per shard (tie-keyed by ad seq). Scans fan out
-/// across worker threads; shards are shared-nothing, so workers share only
-/// the request.
-fn scan_shards(
-    engine: &MatchEngine,
-    request: &ClassAd,
-    shard_caches: &[&ShardCache],
-    need: &[usize],
-    threads: usize,
-) -> Vec<(usize, Arc<Vec<Candidate>>)> {
-    let scan_one = |s: usize| {
-        let cache = shard_caches[s];
-        let list = engine.scored_candidates_keyed(request, &cache.ads, &cache.ties);
-        (s, Arc::new(list))
-    };
-    if threads == 1 || need.len() < 2 {
-        return need.iter().map(|&s| scan_one(s)).collect();
-    }
-    let workers = threads.min(need.len());
-    let mut locals: Vec<Vec<(usize, Arc<Vec<Candidate>>)>> = Vec::new();
-    locals.resize_with(workers, Vec::new);
-    crossbeam::scope(|scope| {
-        for (t, slot) in locals.iter_mut().enumerate() {
-            let scan_one = &scan_one;
-            scope.spawn(move |_| {
-                for &s in need.iter().skip(t).step_by(workers) {
-                    slot.push(scan_one(s));
-                }
-            });
-        }
-    })
-    .expect("shard scan worker panicked");
-    locals.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -1584,11 +1519,15 @@ mod tests {
             ));
         }
         let store = store_with(ads);
-        let mut serial = Negotiator::default();
-        let mut parallel = Negotiator::new(NegotiatorConfig {
-            threads: 4,
-            ..Default::default()
-        });
+        // Only the full-scan path fans its scans out across threads.
+        let full_scan = |threads| {
+            Negotiator::new(NegotiatorConfig {
+                threads,
+                incremental: false,
+                ..Default::default()
+            })
+        };
+        let (mut serial, mut parallel) = (full_scan(1), full_scan(4));
         let a = serial.negotiate(&store, 0);
         let b = parallel.negotiate(&store, 0);
         assert_eq!(a.stats, b.stats);

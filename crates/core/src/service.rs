@@ -8,11 +8,13 @@
 //! negotiation cycles and queries.
 //!
 //! Locking discipline: the ad store sits behind a `parking_lot::RwLock`
-//! (advertisements are frequent and brief; negotiation snapshots under a
-//! read lock); the negotiator — which carries the priority state — behind
-//! a `Mutex` taken only for the duration of a cycle. Statistics are
-//! relaxed atomics: they are monotone counters with no ordering
-//! requirements.
+//! (advertisements are frequent and brief; negotiation reads it under a
+//! read lock); the negotiator — which carries the priority state and the
+//! cross-cycle match lists — behind a `Mutex` taken only by cycles and
+//! usage reports. Queries, analyses and flock grants never take it: the
+//! match engine and configuration they need are immutable copies on the
+//! service. Statistics are relaxed atomics: they are monotone counters
+//! with no ordering requirements.
 
 use crate::admanager::{AdStore, StoreSnapshot, StoredAd};
 use crate::matcher::{Candidate, MatchEngine};
@@ -111,6 +113,10 @@ struct RetainedRejections {
 pub struct Matchmaker {
     store: RwLock<AdStore>,
     negotiator: Mutex<Negotiator>,
+    /// The negotiator's engine and configuration, fixed at construction:
+    /// what out-of-cycle readers use instead of waiting for a cycle.
+    engine: MatchEngine,
+    config: NegotiatorConfig,
     protocol: AdvertisingProtocol,
     stats: ServiceStats,
     last_rejections: Mutex<RetainedRejections>,
@@ -135,9 +141,12 @@ impl Matchmaker {
         } else {
             AdStore::with_shards(config.shards)
         };
+        let negotiator = Negotiator::new(config.clone());
         Matchmaker {
             store: RwLock::new(store),
-            negotiator: Mutex::new(Negotiator::new(config)),
+            engine: negotiator.engine.clone(),
+            negotiator: Mutex::new(negotiator),
+            config,
             protocol,
             stats: ServiceStats::default(),
             last_rejections: Mutex::new(RetainedRejections::default()),
@@ -283,23 +292,8 @@ impl Matchmaker {
     /// (their count lands in `stats.expired_ads`).
     pub fn negotiate(&self, now: Timestamp) -> CycleOutcome {
         let mut negotiator = self.negotiator.lock();
-        // Sweep under the write lock, then release it: the cycle itself
-        // snapshots the store under a read lock so advertisement ingest
-        // continues during matching.
-        let expired = self.store.write().expire(now);
-        let mut outcome = {
-            let store = self.store.read();
-            negotiator.negotiate(&store, now)
-        };
-        outcome.stats.expired_ads = expired;
-        // Matched ads leave the store until their owners re-advertise.
-        {
-            let mut store = self.store.write();
-            for m in &outcome.matches {
-                store.withdraw(EntityKind::Customer, &m.request_name);
-                store.withdraw(EntityKind::Provider, &m.offer_name);
-            }
-        }
+        let outcome = self.run_cycle(&mut negotiator, now);
+        self.withdraw_matched(&outcome);
         self.stats.cycles.fetch_add(1, Ordering::Relaxed);
         self.stats
             .matches
@@ -309,6 +303,29 @@ impl Matchmaker {
             rejections: outcome.rejections.clone(),
         };
         outcome
+    }
+
+    /// Sweep under the write lock, then release it: the cycle itself reads
+    /// the store under a read lock so advertisement ingest continues
+    /// during matching.
+    fn run_cycle(&self, negotiator: &mut Negotiator, now: Timestamp) -> CycleOutcome {
+        let expired = self.store.write().expire(now);
+        let mut outcome = negotiator.negotiate(&self.store.read(), now);
+        outcome.stats.expired_ads = expired;
+        outcome
+    }
+
+    /// Matched ads leave the store until their owners re-advertise — but
+    /// only the ads the cycle actually matched. The store was unlocked
+    /// since the cycle read it; an entity that re-advertised new content
+    /// in that gap keeps its newer ad (the match it missed is the paper's
+    /// weak-consistency case, settled at claim time).
+    fn withdraw_matched(&self, outcome: &CycleOutcome) {
+        let mut store = self.store.write();
+        for m in &outcome.matches {
+            store.withdraw_if_current(EntityKind::Customer, &m.request_name, &m.request_ad);
+            store.withdraw_if_current(EntityKind::Provider, &m.offer_name, &m.offer_ad);
+        }
     }
 
     /// Report actual usage for fair-share accounting.
@@ -337,19 +354,8 @@ impl Matchmaker {
     /// and was withdrawn.
     pub fn analyze(&self, name: &str, now: Timestamp) -> ClassAd {
         self.stats.analyses.fetch_add(1, Ordering::Relaxed);
-        // Same lock discipline as `query`: copy what we need out of the
-        // negotiator, then scan the store without holding its lock.
-        let (engine, preemption_on, margin) = {
-            let negotiator = self.negotiator.lock();
-            (
-                MatchEngine {
-                    policy: negotiator.engine.policy.clone(),
-                    conventions: negotiator.engine.conventions.clone(),
-                },
-                negotiator.config.preemption,
-                negotiator.config.preemption_rank_margin,
-            )
-        };
+        let engine = &self.engine;
+        let (preemption_on, margin) = (self.config.preemption, self.config.preemption_rank_margin);
         let retained = self.last_rejections.lock().clone();
 
         let (request, offers): (Option<Arc<ClassAd>>, Vec<Arc<ClassAd>>) = {
@@ -473,9 +479,9 @@ impl Matchmaker {
     /// the remote claim never arrives, the provider's next heartbeat
     /// re-advertises it and it rejoins local negotiation a cycle later.
     pub fn flock_match(&self, rep: &ClassAd, now: Timestamp) -> Option<Advertisement> {
-        // Same lock discipline as `analyze`: copy the engine out of the
-        // negotiator, snapshot the store, scan lock-free.
-        let engine = self.match_engine();
+        // Same lock discipline as `analyze`: snapshot the store, scan
+        // lock-free.
+        let engine = &self.engine;
         let offers: Vec<StoredAd> = {
             let store = self.store.read();
             store
@@ -514,26 +520,19 @@ impl Matchmaker {
         })
     }
 
-    /// A point-in-time copy of the negotiator's match engine — its policy
-    /// and evaluation conventions — for out-of-cycle scoring (analyze
-    /// scans, flock grant ranking). Cheap: both members are clone-light.
+    /// A copy of the negotiator's match engine — its policy and
+    /// evaluation conventions — for out-of-cycle scoring (flock grant
+    /// ranking). Fixed at construction, so this never waits on a cycle.
     pub fn match_engine(&self) -> MatchEngine {
-        let negotiator = self.negotiator.lock();
-        MatchEngine {
-            policy: negotiator.engine.policy.clone(),
-            conventions: negotiator.engine.conventions.clone(),
-        }
+        self.engine.clone()
     }
 
-    /// Serve a one-way query.
+    /// Serve a one-way query. Takes only the store's read lock: a status
+    /// tool never waits for the negotiator.
     pub fn query(&self, q: &Query, now: Timestamp) -> Vec<ClassAd> {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let negotiator = self.negotiator.lock();
-        let policy = negotiator.engine.policy.clone();
-        let conv = negotiator.engine.conventions.clone();
-        drop(negotiator);
         let store = self.store.read();
-        q.run_projected(&store, now, &policy, &conv)
+        q.run_projected(&store, now, &self.engine.policy, &self.engine.conventions)
     }
 
     /// A consistent snapshot of the counters.
@@ -886,6 +885,61 @@ mod tests {
             s.matches,
             (0..threads * per_thread).filter(|i| i % 5 == 0).count() as u64
         );
+    }
+
+    #[test]
+    fn ad_readvertised_between_cycle_and_withdrawal_is_kept() {
+        let svc = Matchmaker::new(NegotiatorConfig::default());
+        svc.advertise(machine_adv(0), 0).unwrap();
+        svc.advertise(machine_adv(1), 0).unwrap();
+        svc.advertise(job_adv(0), 0).unwrap();
+        svc.advertise(job_adv(1), 0).unwrap();
+        let outcome = svc.run_cycle(&mut svc.negotiator.lock(), 0);
+        assert_eq!(outcome.stats.matches, 2);
+        // In the gap before the withdrawal, m1 re-advertises with new
+        // content and j1 with a new contact; m0 merely renews its lease.
+        let mut changed = machine_adv(1);
+        changed.ad.set_int("Mips", 999);
+        svc.advertise(changed, 1).unwrap();
+        svc.advertise(machine_adv(0), 1).unwrap();
+        let mut moved = job_adv(1);
+        moved.contact = "ca:2".into();
+        svc.advertise(moved, 1).unwrap();
+        svc.withdraw_matched(&outcome);
+        let store = svc.store.read();
+        let m1 = store
+            .get(EntityKind::Provider, "m1")
+            .expect("newer ad kept");
+        assert_eq!(m1.ad.get_int("Mips"), Some(999));
+        assert_eq!(
+            store.get(EntityKind::Customer, "j1").unwrap().contact,
+            "ca:2"
+        );
+        assert!(store.get(EntityKind::Provider, "m0").is_none(), "matched");
+        assert!(store.get(EntityKind::Customer, "j0").is_none(), "matched");
+    }
+
+    #[test]
+    fn queries_do_not_wait_for_the_negotiator() {
+        let svc = Matchmaker::new(NegotiatorConfig::default());
+        svc.advertise(machine_adv(0), 0).unwrap();
+        svc.advertise(never_matching_job(), 0).unwrap();
+        let cycle_in_progress = svc.negotiator.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let q = Query::from_constraint("other.Mips >= 50").unwrap();
+                let hits = svc.query(&q, 0).len();
+                let found = svc.analyze("never", 0).get("Found").map(|e| e.to_string());
+                let engine = svc.match_engine();
+                tx.send((hits, found, engine)).unwrap();
+            });
+            let (hits, found, engine) = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("status calls finished while the negotiator lock was held");
+            assert_eq!((hits, found.as_deref()), (1, Some("true")));
+            assert_eq!(engine, cycle_in_progress.engine);
+        });
     }
 
     #[test]

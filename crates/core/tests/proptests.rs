@@ -18,6 +18,11 @@ struct MachineSpec {
     memory: i64,
     arch: bool, // true = INTEL, false = SPARC
     claimed: Option<f64>,
+    /// The owner also reads the job's `Dept`: turns away department 2 and
+    /// prefers the higher department number. Only these machines put
+    /// `Dept` into the signature seed set, so it grows when the first one
+    /// joins the pool and shrinks when the last one leaves.
+    reads_dept: bool,
 }
 
 fn arb_machine() -> impl Strategy<Value = MachineSpec> {
@@ -29,12 +34,14 @@ fn arb_machine() -> impl Strategy<Value = MachineSpec> {
             3 => Just(None),
             1 => (0.0f64..5.0).prop_map(Some)
         ],
+        prop_oneof![4 => Just(false), 1 => Just(true)],
     )
-        .prop_map(|(mips, memory, arch, claimed)| MachineSpec {
+        .prop_map(|(mips, memory, arch, claimed, reads_dept)| MachineSpec {
             mips,
             memory,
             arch,
             claimed,
+            reads_dept,
         })
 }
 
@@ -44,6 +51,8 @@ struct JobSpec {
     memory: i64,
     needs_intel: bool,
     prio: i64,
+    /// Read by no job expression — only by `reads_dept` machines.
+    dept: i64,
 }
 
 fn arb_job() -> impl Strategy<Value = JobSpec> {
@@ -52,12 +61,14 @@ fn arb_job() -> impl Strategy<Value = JobSpec> {
         prop_oneof![Just(16i64), Just(48), Just(96)],
         any::<bool>(),
         0i64..10,
+        1i64..4,
     )
-        .prop_map(|(owner, memory, needs_intel, prio)| JobSpec {
+        .prop_map(|(owner, memory, needs_intel, prio, dept)| JobSpec {
             owner,
             memory,
             needs_intel,
             prio,
+            dept,
         })
 }
 
@@ -66,11 +77,16 @@ fn machine_ad(i: usize, m: &MachineSpec) -> ClassAd {
         Some(rank) => format!(r#"State = "Claimed"; RemoteOwner = "prev"; CurrentRank = {rank};"#),
         None => r#"State = "Unclaimed";"#.to_string(),
     };
+    let (dept_clause, dept_rank) = if m.reads_dept {
+        (" && other.Dept != 2", " + other.Dept")
+    } else {
+        ("", "")
+    };
     classad::parse_classad(&format!(
         r#"[ Name = "m{i}"; Type = "Machine"; Mips = {mips}; Memory = {memory};
              Arch = "{arch}"; {claimed_part}
-             Constraint = other.Type == "Job" && other.Memory <= Memory;
-             Rank = other.JobPrio ]"#,
+             Constraint = other.Type == "Job" && other.Memory <= Memory{dept_clause};
+             Rank = other.JobPrio{dept_rank} ]"#,
         mips = m.mips,
         memory = m.memory,
         arch = if m.arch { "INTEL" } else { "SPARC" },
@@ -86,10 +102,10 @@ fn job_ad(i: usize, j: &JobSpec) -> ClassAd {
     };
     classad::parse_classad(&format!(
         r#"[ Name = "j{i}"; Type = "Job"; Owner = "user{}"; Memory = {};
-             JobPrio = {};
+             JobPrio = {}; Dept = {};
              Constraint = other.Type == "Machine" && other.Memory >= self.Memory{arch_clause};
              Rank = other.Mips ]"#,
-        j.owner, j.memory, j.prio,
+        j.owner, j.memory, j.prio, j.dept,
     ))
     .unwrap()
 }
@@ -196,8 +212,12 @@ proptest! {
         let a = Negotiator::default().negotiate(&store, 0);
         let b = Negotiator::default().negotiate(&store, 0);
         prop_assert_eq!(pairs(&a), pairs(&b));
-        // And the parallel scan agrees with serial.
-        let mut par = Negotiator::new(NegotiatorConfig { threads: 3, ..Default::default() });
+        // And the parallel scan (the full-scan path's) agrees with serial.
+        let mut par = Negotiator::new(NegotiatorConfig {
+            threads: 3,
+            incremental: false,
+            ..Default::default()
+        });
         let c = par.negotiate(&store, 0);
         prop_assert_eq!(pairs(&a), pairs(&c));
     }
@@ -425,8 +445,16 @@ enum Delta {
     AddJob(JobSpec),
     /// Time passes; when `sweep` is set the store's expire pass runs, else
     /// lapsed leases are only filtered at negotiation time (exercising the
-    /// shard caches' min-expiry invalidation).
+    /// negotiator's lease watermarks).
     AdvanceClock(u64, bool),
+    /// An HA checkpoint: every store's full state is saved.
+    Checkpoint,
+    /// Every store is replaced by one rebuilt from the last checkpoint
+    /// (or from its present state, if none was taken) while the negotiators
+    /// live on: shard versions restart, and after an older checkpoint the
+    /// sequence counter rewinds, so new ads reuse numbers the negotiators
+    /// have seen on other ads.
+    Restore,
 }
 
 fn arb_delta() -> impl Strategy<Value = Delta> {
@@ -438,6 +466,8 @@ fn arb_delta() -> impl Strategy<Value = Delta> {
         1 => arb_job().prop_map(Delta::AddJob),
         2 => (1u64..120, any::<bool>())
             .prop_map(|(dt, sweep)| Delta::AdvanceClock(dt, sweep)),
+        1 => Just(Delta::Checkpoint),
+        1 => Just(Delta::Restore),
     ]
 }
 
@@ -496,11 +526,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The tentpole's correctness contract: a persistent incremental
-    /// negotiator fed an arbitrary sequence of ad add / update / expire /
-    /// claim deltas produces exactly the same grant sequence as a
-    /// from-scratch full-scan negotiator at every cycle — at shard counts
-    /// 1, 2, and 8, and whether shard-cache rebuilds run serial or
-    /// parallel.
+    /// negotiator fed an arbitrary sequence of ad add / update / renew /
+    /// expire / claim / checkpoint-restore deltas — including machines
+    /// that widen and narrow the set of job attributes offers read —
+    /// produces exactly the same grant sequence as a from-scratch full-scan
+    /// negotiator at every cycle, and forms exactly the clusters a
+    /// from-scratch clustered cycle forms, at shard counts 1, 2, 8 and
+    /// auto-scaled.
     #[test]
     fn incremental_negotiation_matches_full_scan_oracle(
         initial in proptest::collection::vec(arb_machine(), 0..10),
@@ -508,24 +540,25 @@ proptest! {
         batches in proptest::collection::vec(
             proptest::collection::vec(arb_delta(), 1..5), 1..6),
         preemption in any::<bool>(),
-        threads in prop_oneof![Just(1usize), Just(3)],
     ) {
         let proto = AdvertisingProtocol::default();
-        let shard_counts = [1usize, 2, 8];
-        let mut stores: Vec<AdStore> = shard_counts
-            .iter()
-            .map(|&n| AdStore::with_shards(n))
-            .collect();
-        let mut incrementals: Vec<Negotiator> = shard_counts
+        let layouts = ["1", "2", "8", "auto"];
+        let mut stores: Vec<AdStore> = vec![
+            AdStore::with_shards(1),
+            AdStore::with_shards(2),
+            AdStore::with_shards(8),
+            AdStore::new(),
+        ];
+        let mut incrementals: Vec<Negotiator> = layouts
             .iter()
             .map(|_| Negotiator::new(NegotiatorConfig {
                 preemption,
-                threads,
                 autocluster: true,
                 incremental: true,
                 ..Default::default()
             }))
             .collect();
+        let mut checkpoint: Option<Vec<matchmaker::StoreSnapshot>> = None;
 
         let mut clock = 0u64;
         let mut machine_ids: Vec<usize> = Vec::new();
@@ -595,23 +628,43 @@ proptest! {
                             }
                         }
                     }
+                    Delta::Checkpoint => {
+                        checkpoint = Some(stores.iter().map(AdStore::snapshot_state).collect());
+                    }
+                    Delta::Restore => {
+                        for (k, store) in stores.iter_mut().enumerate() {
+                            let present = store.snapshot_state();
+                            let snap = checkpoint.as_ref().map_or(&present, |saved| &saved[k]);
+                            *store = AdStore::restore_state(snap);
+                        }
+                    }
                 }
             }
 
             // The oracle re-derives the cycle from scratch, scanning
-            // everything, every time.
+            // everything, every time; the clustered from-scratch cycle says
+            // how many clusters today's seed set forms.
             let want = records(&Negotiator::new(NegotiatorConfig {
                 preemption,
                 autocluster: false,
                 incremental: false,
                 ..Default::default()
             }).negotiate(&stores[0], clock));
+            let want_clusters = Negotiator::new(NegotiatorConfig {
+                preemption,
+                incremental: false,
+                ..Default::default()
+            }).negotiate(&stores[0], clock).stats.clusters_formed;
 
             for (k, neg) in incrementals.iter_mut().enumerate() {
                 let out = neg.negotiate(&stores[k], clock);
                 prop_assert_eq!(
                     records(&out), want.clone(),
-                    "shards={} diverged from full-scan oracle", shard_counts[k]
+                    "shards={} diverged from full-scan oracle", layouts[k]
+                );
+                prop_assert_eq!(
+                    out.stats.clusters_formed, want_clusters,
+                    "shards={}: seed set differs from a rebuild's", layouts[k]
                 );
             }
         }

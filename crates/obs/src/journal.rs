@@ -62,8 +62,8 @@ pub enum Event {
         unmatched: u64,
         /// Wall-clock cycle duration, milliseconds.
         duration_ms: u64,
-        /// Whether the cycle reused cross-cycle cached shard state
-        /// (incremental path) rather than rebuilding everything.
+        /// Whether the cycle reused offers cached by an earlier cycle
+        /// (incremental path) rather than deriving the whole pool.
         incremental: bool,
     },
     /// The negotiator paired a request with an offer (before delivery of

@@ -40,15 +40,19 @@ pub const MATCHLIST_HITS: &str = "matchlist_hits_total";
 pub const FULL_SCANS: &str = "full_scans_total";
 /// Ads dropped by lease expiry, over all cycles.
 pub const ADS_EXPIRED: &str = "ads_expired_total";
-/// Per-(cluster, shard) scans performed on the incremental path, over all
-/// cycles (surfaces as `ShardsScanned`).
+/// Store shards whose delta the incremental path read (version moved or
+/// lease watermark passed), over all cycles (surfaces as `ShardsScanned`).
 pub const SHARDS_SCANNED: &str = "shards_scanned";
-/// Per-(cluster, shard) cached candidate lists reused because the shard
-/// was clean, over all cycles (surfaces as `ShardsSkipped`).
+/// Store shards the incremental path did not read because nothing in them
+/// changed, over all cycles (surfaces as `ShardsSkipped`).
 pub const SHARDS_SKIPPED: &str = "shards_skipped";
-/// Provider ads in shards whose caches had to be rebuilt, over all cycles
-/// (surfaces as `DirtyResources`).
+/// Provider ads whose cached state was (re)derived — the ads added or
+/// changed between cycles — over all cycles (surfaces as
+/// `DirtyResources`).
 pub const DIRTY_RESOURCES: &str = "dirty_resources";
+/// (cluster, offer) pairs scored by the incremental path, over all cycles
+/// (surfaces as `PairsEvaluated`).
+pub const PAIRS_EVALUATED: &str = "pairs_evaluated";
 /// Cycles that reused cross-cycle cached state (surfaces as
 /// `IncrementalCycles`).
 pub const INCREMENTAL_CYCLES: &str = "incremental_cycles";
