@@ -1,7 +1,6 @@
-//! Benchmark-harness crate: the Criterion targets live in `benches/` (one
-//! per reproduced paper artifact — see DESIGN.md §2 and EXPERIMENTS.md).
-//! The library itself only carries what the targets share: provenance
-//! stamping for the `BENCH_*.json` artifacts they write.
+//! Provenance stamping for benchmark result files: the commit, the time
+//! and the host's CPU count every `pool_bench --out` record starts with
+//! (perfbench/, root `BENCHMARK.json`).
 
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -29,15 +28,15 @@ pub fn recorded_unix() -> u64 {
         .unwrap_or(0)
 }
 
-/// CPUs available to the benchmark process. Thread-scaling ablations are
-/// flat by construction when this is 1, so the artifact records it.
+/// CPUs available to the benchmark process. Any result that depends on
+/// threads means little without it, so every record carries it.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
-/// The provenance fields every `BENCH_*.json` artifact starts with, as a
+/// The provenance fields every benchmark record starts with, as a
 /// JSON fragment (`  "key": value,` lines) ready to splice after the
 /// opening brace.
 pub fn provenance_fields() -> String {

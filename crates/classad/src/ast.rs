@@ -1,8 +1,8 @@
 //! Abstract syntax tree for ClassAd expressions.
 //!
 //! Expressions are immutable once built; classads store them behind [`Arc`]
-//! so ads can be cloned cheaply into ad stores and across the parallel
-//! matcher's worker threads.
+//! so ads can be cloned cheaply into ad stores and shared across the
+//! daemon's threads.
 
 use std::fmt;
 use std::sync::Arc;

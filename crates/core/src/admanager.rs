@@ -52,6 +52,13 @@ static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 /// Default initial shard count for provider ads.
 pub const DEFAULT_SHARDS: usize = 8;
 
+/// The most provider shards a store restored from outside input may have.
+/// Far above anything auto-resharding at [`TARGET_SHARD_SIZE`] reaches:
+/// 65 536 shards is about 67 M provider ads. A larger count in a
+/// checkpoint is corruption, not a pool, and would only make the
+/// recovering daemon allocate itself to death.
+pub const MAX_SHARDS: usize = 65_536;
+
 /// Auto-scaling target: when the mean shard size exceeds twice this, the
 /// shard count doubles. Chosen so the unit of incremental re-read work (one
 /// shard) stays small and roughly constant as the pool grows.

@@ -235,14 +235,9 @@ impl MatchList {
     /// matches sorted best-first. Eligibility is *not* applied here — it
     /// changes as the cycle grants offers, so it is checked at
     /// [`MatchList::pop_next`] time.
-    pub fn build(
-        engine: &MatchEngine,
-        request: &ClassAd,
-        offers: &[Arc<ClassAd>],
-        threads: usize,
-    ) -> Self {
+    pub fn build(engine: &MatchEngine, request: &ClassAd, offers: &[Arc<ClassAd>]) -> Self {
         MatchList {
-            sorted: engine.scored_candidates(request, offers, threads),
+            sorted: engine.scored_candidates(request, offers),
             cursor: 0,
         }
     }
@@ -413,7 +408,7 @@ mod tests {
         )
         .unwrap();
         let meta = vec![OfferMeta::default(); offers.len()];
-        let mut list = MatchList::build(&engine, &request, &offers, 1);
+        let mut list = MatchList::build(&engine, &request, &offers);
         assert_eq!(list.remaining(), 3);
 
         let mut taken = vec![false; offers.len()];
@@ -489,7 +484,7 @@ mod tests {
             OfferMeta::default(),
         ];
         let taken = vec![false, false];
-        let mut list = MatchList::build(&engine, &request, &offers, 1);
+        let mut list = MatchList::build(&engine, &request, &offers);
         let (c, pre) = list.pop_next(&taken, &meta, true, 0.0).unwrap();
         assert_eq!((c.index, pre), (1, None));
         assert_eq!(
@@ -513,12 +508,12 @@ mod tests {
             claimed_rank: Some(5.0),
             remote_owner: Some("olduser".into()),
         }];
-        let mut list = MatchList::build(&engine, &request, &offers, 1);
+        let mut list = MatchList::build(&engine, &request, &offers);
         let (c, pre) = list.pop_next(&[false], &meta, true, 0.0).unwrap();
         assert_eq!(c.index, 0);
         assert_eq!(pre.as_deref(), Some("olduser"));
         // With preemption off the same entry is consumed without a grant.
-        let mut list = MatchList::build(&engine, &request, &offers, 1);
+        let mut list = MatchList::build(&engine, &request, &offers);
         assert!(list.pop_next(&[false], &meta, false, 0.0).is_none());
     }
 }

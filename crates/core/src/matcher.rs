@@ -8,16 +8,10 @@
 //! — an intrinsic, caller-supplied identity for the offer. Store-driven
 //! scans pass the ad's admission sequence number, which is a property of
 //! the ad itself rather than of any particular scan order; that is what
-//! makes serial, parallel, and *incrementally maintained* candidate lists
-//! (any shard count, any insertion order) return byte-identical results.
+//! makes full scans and *incrementally maintained* candidate lists (any
+//! shard count, any insertion order) return byte-identical results.
 //! Standalone scans default the key to the offer's slice index, preserving
 //! the classic lowest-index-wins behavior.
-//!
-//! Scans are embarrassingly parallel over the offer list; the parallel
-//! implementation chunks the slice across crossbeam scoped threads, each
-//! reducing to a local best, followed by a final reduce. Data-race freedom
-//! is by construction: ads are shared immutably (`Arc<ClassAd>`), and each
-//! thread writes only its own slot.
 
 use classad::{constraint_holds, rank_of, ClassAd, EvalPolicy, MatchConventions};
 use std::sync::Arc;
@@ -152,55 +146,6 @@ impl MatchEngine {
         best
     }
 
-    /// Parallel scan over `threads` workers. Returns exactly what
-    /// [`MatchEngine::best_match`] returns.
-    ///
-    /// The eligibility predicate must be `Sync` since all workers consult
-    /// it.
-    pub fn best_match_parallel(
-        &self,
-        request: &ClassAd,
-        offers: &[Arc<ClassAd>],
-        threads: usize,
-        eligible: impl Fn(usize) -> bool + Sync,
-    ) -> Option<Candidate> {
-        let threads = threads.max(1);
-        if threads == 1 || offers.len() < 2 * threads {
-            return self.best_match(request, offers, eligible);
-        }
-        let chunk = offers.len().div_ceil(threads);
-        let mut locals: Vec<Option<Candidate>> = vec![None; threads];
-        crossbeam::scope(|s| {
-            for (t, (slot, part)) in locals.iter_mut().zip(offers.chunks(chunk)).enumerate() {
-                let eligible = &eligible;
-                s.spawn(move |_| {
-                    let base = t * chunk;
-                    let mut best: Option<Candidate> = None;
-                    for (i, offer) in part.iter().enumerate() {
-                        let global = base + i;
-                        if !eligible(global) {
-                            continue;
-                        }
-                        if let Some(c) = self.score(request, offer, global) {
-                            if best.as_ref().is_none_or(|b| c.better_than(b)) {
-                                best = Some(c);
-                            }
-                        }
-                    }
-                    *slot = best;
-                });
-            }
-        })
-        .expect("match scan worker panicked");
-        locals
-            .into_iter()
-            .flatten()
-            .fold(None, |acc: Option<Candidate>, c| match acc {
-                Some(b) if b.better_than(&c) => Some(b),
-                _ => Some(c),
-            })
-    }
-
     /// All matching offers, in index order (used by one-way queries and
     /// gang matching).
     pub fn all_matches(&self, request: &ClassAd, offers: &[Arc<ClassAd>]) -> Vec<Candidate> {
@@ -217,33 +162,8 @@ impl MatchEngine {
     /// (see [`crate::autocluster`]): eligibility, claims, and preemption
     /// checks happen at consumption time, so the scored list is valid for
     /// every request in an equivalence class for a whole cycle.
-    pub fn scored_candidates(
-        &self,
-        request: &ClassAd,
-        offers: &[Arc<ClassAd>],
-        threads: usize,
-    ) -> Vec<Candidate> {
-        let threads = threads.max(1);
-        let mut scored: Vec<Candidate> = if threads == 1 || offers.len() < 2 * threads {
-            self.all_matches(request, offers)
-        } else {
-            let chunk = offers.len().div_ceil(threads);
-            let mut locals: Vec<Vec<Candidate>> = vec![Vec::new(); threads];
-            crossbeam::scope(|s| {
-                for (t, (slot, part)) in locals.iter_mut().zip(offers.chunks(chunk)).enumerate() {
-                    s.spawn(move |_| {
-                        let base = t * chunk;
-                        *slot = part
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, o)| self.score(request, o, base + i))
-                            .collect();
-                    });
-                }
-            })
-            .expect("match scoring worker panicked");
-            locals.into_iter().flatten().collect()
-        };
+    pub fn scored_candidates(&self, request: &ClassAd, offers: &[Arc<ClassAd>]) -> Vec<Candidate> {
+        let mut scored = self.all_matches(request, offers);
         scored.sort_by(Candidate::best_first);
         scored
     }
@@ -357,33 +277,6 @@ mod tests {
         let all = engine.all_matches(&job(), &offers);
         let idx: Vec<usize> = all.iter().map(|c| c.index).collect();
         assert_eq!(idx, vec![0, 1]);
-    }
-
-    #[test]
-    fn parallel_equals_serial() {
-        let engine = MatchEngine::new();
-        // Ranks with deliberate duplicates to exercise tie-breaking.
-        let mips: Vec<i64> = (0..500).map(|i| (i * 37) % 97).collect();
-        let offers = machines(&mips);
-        let j = job();
-        for threads in [1, 2, 3, 4, 8, 13] {
-            let serial = engine.best_match(&j, &offers, |_| true);
-            let parallel = engine.best_match_parallel(&j, &offers, threads, |_| true);
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_respects_eligibility() {
-        let engine = MatchEngine::new();
-        let mips: Vec<i64> = (0..200).map(|i| i as i64).collect();
-        let offers = machines(&mips);
-        let j = job();
-        let elig = |i: usize| i.is_multiple_of(3);
-        let serial = engine.best_match(&j, &offers, elig);
-        let parallel = engine.best_match_parallel(&j, &offers, 4, elig);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.unwrap().index, 198);
     }
 
     #[test]

@@ -44,13 +44,10 @@ const ATTR_CURRENT_RANK: &str = "CurrentRank";
 const ATTR_REMOTE_OWNER: &str = "RemoteOwner";
 const STATE_CLAIMED: &str = "Claimed";
 
-/// Negotiator tunables.
+/// Negotiator tunables. Policy only: how a cycle finds its matches is not
+/// configurable (see [`Negotiator::negotiate`]).
 #[derive(Debug, Clone)]
 pub struct NegotiatorConfig {
-    /// Worker threads for the full-scan path's match scans (1 = serial).
-    /// The incremental path evaluates only the cycle's delta and does not
-    /// read this.
-    pub threads: usize,
     /// Whether claimed resources may be matched to better-ranked requests.
     pub preemption: bool,
     /// How much the offer must prefer the new request over its current
@@ -60,12 +57,6 @@ pub struct NegotiatorConfig {
     /// an advance estimate; agents report actual usage later through
     /// [`Negotiator::charge_usage`].
     pub charge_per_match: f64,
-    /// Partition requests into equivalence classes and serve each class
-    /// from one shared, sorted match list per cycle
-    /// ([`crate::autocluster`]) instead of rescanning the offer pool per
-    /// request. Produces byte-identical matches to the full scan; disable
-    /// only to run the oracle path (testing, benchmarking).
-    pub autocluster: bool,
     /// After the rounds, classify every rejected (cluster, offer) pairing
     /// into per-cluster [`RejectionTable`]s using the tracing evaluator
     /// ([`classad::traced_symmetric_match`]). Off by default: attribution
@@ -73,20 +64,6 @@ pub struct NegotiatorConfig {
     /// not serve `Analyze` queries should not pay for it. Match outcomes
     /// are identical either way.
     pub attribution: bool,
-    /// Incremental cycles (the default): each live offer's claim metadata
-    /// and each cluster signature's rank-ordered candidate list persist
-    /// across cycles, and a cycle evaluates classads only for the ads that
-    /// changed since the last one. Requires `autocluster` (signatures key
-    /// the lists); with `autocluster` off this flag is ignored. Turn off to
-    /// run every cycle as a from-scratch full scan — the oracle the
-    /// equivalence proptests compare against. Match outcomes are
-    /// byte-identical either way.
-    pub incremental: bool,
-    /// Provider shard count for ad stores built from this config by the
-    /// service layer (`0` = auto-scaling layout, see
-    /// [`crate::admanager::AdStore`]). The negotiator itself adapts to
-    /// whatever layout the store has.
-    pub shards: usize,
     /// After the rounds, collect one [`UnmatchedCluster`] per autocluster
     /// left entirely unmatched — the post-cycle hook pool federation
     /// (flocking) forwards to peer pools. Off by default: a pool with no
@@ -98,17 +75,24 @@ pub struct NegotiatorConfig {
 impl Default for NegotiatorConfig {
     fn default() -> Self {
         NegotiatorConfig {
-            threads: 1,
             preemption: true,
             preemption_rank_margin: 0.0,
             charge_per_match: 0.0,
-            autocluster: true,
             attribution: false,
-            incremental: true,
-            shards: 0,
             flocking: false,
         }
     }
+}
+
+/// Which reference implementation [`Negotiator::negotiate_full`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FullScan {
+    /// Autocluster the requests and serve each cluster from one match list
+    /// built by a full scan this cycle.
+    Clustered,
+    /// No clustering: one scan per request, rescanning past claimed offers
+    /// the request cannot preempt.
+    PerRequest,
 }
 
 /// How many distinct [`RejectReason`]s a [`RejectionTable`] keeps before
@@ -197,7 +181,7 @@ impl RejectionTable {
 /// need no diagnosis.
 #[derive(Debug, Clone)]
 pub struct ClusterRejections {
-    /// Cluster id (request index when autoclustering is off).
+    /// Cluster id (request index on the [`FullScan::PerRequest`] oracle).
     pub cluster: usize,
     /// Names of the cluster's unmatched requests (capped; see
     /// [`ClusterRejections::MAX_NAMES`]).
@@ -294,13 +278,15 @@ pub struct CycleStats {
     pub users_served: usize,
     /// Fairness rounds executed.
     pub rounds: usize,
-    /// Request equivalence classes formed (0 with autoclustering off).
+    /// Request equivalence classes formed (0 on the
+    /// [`FullScan::PerRequest`] oracle).
     pub clusters_formed: usize,
     /// Requests served from an already-built cluster match list.
     pub matchlist_hits: usize,
-    /// Full scans of the offer pool: match-list builds on the clustered
-    /// path, every best-match invocation (including preemption-exclusion
-    /// rescans) on the oracle path.
+    /// Full scans of the offer pool: match-list builds from scratch on the
+    /// clustered paths, every best-match invocation (including
+    /// preemption-exclusion rescans) on the [`FullScan::PerRequest`]
+    /// oracle.
     pub full_scans: usize,
     /// Ads swept by lease expiry just before this cycle (filled in by the
     /// service layer, which owns the sweep; zero when negotiating against
@@ -792,19 +778,6 @@ impl Negotiator {
         self.priorities.charge(user, seconds, now);
     }
 
-    /// Run one negotiation cycle over the ads in `store` at time `now`.
-    ///
-    /// Dispatches to the incremental per-ad path (the default) or the
-    /// from-scratch full scan ([`NegotiatorConfig::incremental`]); the two
-    /// produce byte-identical matches.
-    pub fn negotiate(&mut self, store: &AdStore, now: Timestamp) -> CycleOutcome {
-        if self.config.incremental && self.config.autocluster {
-            self.negotiate_incremental(store, now)
-        } else {
-            self.negotiate_full(store, now)
-        }
-    }
-
     /// Select the negotiation-eligible customer ads: no daemon self-ads
     /// (telemetry, not participants), no multi-port gang requests (served
     /// by the `gangmatch` crate — a `Ports` list must be granted atomically
@@ -816,7 +789,7 @@ impl Negotiator {
         requests
     }
 
-    /// The fairness rounds both paths share: one request per user per
+    /// The fairness rounds every path shares: one request per user per
     /// round, best-priority user first, until a full round makes no
     /// progress. `choose` is the match source — it grants request `i` its
     /// best still-eligible offer (and marks it taken) or nothing. Fills in
@@ -899,7 +872,7 @@ impl Negotiator {
         unmatched_reqs
     }
 
-    /// The post-rounds passes both paths share: rejection attribution and
+    /// The post-rounds passes every path shares: rejection attribution and
     /// the flocking hook, each only when configured and only when some
     /// request went unmatched. `offer_ads`/`offer_meta`/`taken` are the
     /// flat pool view in seq order.
@@ -930,9 +903,18 @@ impl Negotiator {
         }
     }
 
-    /// The from-scratch cycle: snapshot everything, scan everything. The
-    /// oracle the incremental path is held to.
-    fn negotiate_full(&mut self, store: &AdStore, now: Timestamp) -> CycleOutcome {
+    /// The test oracle: a from-scratch cycle that snapshots everything and
+    /// scans everything, in one of the two reference implementations
+    /// [`FullScan`] names. It caches nothing across cycles and is not a
+    /// production path — no configuration selects it; the equivalence
+    /// tests call it directly and hold [`Negotiator::negotiate`] to its
+    /// grants byte for byte.
+    pub fn negotiate_full(
+        &mut self,
+        store: &AdStore,
+        now: Timestamp,
+        scan: FullScan,
+    ) -> CycleOutcome {
         let mut offers: Vec<StoredAd> = store.snapshot(EntityKind::Provider, now);
         // Daemon self-ads live in the store so they are queryable, but
         // they are telemetry, not participants: matching against them (or
@@ -946,7 +928,6 @@ impl Negotiator {
         let requests = Self::eligible_requests(store, now);
 
         let engine = self.engine.clone();
-        let config = self.config.clone();
         let offer_ads: Vec<Arc<ClassAd>> = offers.iter().map(|o| o.ad.clone()).collect();
         // Per-offer claim snapshot, evaluated once per cycle: whether the
         // offer is claimed (per its own advertised state), at what rank it
@@ -965,7 +946,7 @@ impl Negotiator {
         // Autoclustering: partition requests into equivalence classes whose
         // members score identically against every offer, then serve each
         // class from one shared match list built on first use.
-        let clustering = config.autocluster.then(|| {
+        let clustering = (scan == FullScan::Clustered).then(|| {
             let external = offer_external_refs(&engine.conventions, &offer_ads);
             cluster_requests(
                 &engine.conventions,
@@ -977,7 +958,7 @@ impl Negotiator {
         outcome.stats.clusters_formed = num_clusters;
         let mut match_lists: Vec<Option<MatchList>> = (0..num_clusters).map(|_| None).collect();
         let mut taken = vec![false; offers.len()];
-        let (preemption_on, margin) = (config.preemption, config.preemption_rank_margin);
+        let (preemption_on, margin) = (self.config.preemption, self.config.preemption_rank_margin);
 
         let unmatched_reqs = self.serve_rounds(&requests, now, &mut outcome, |req_idx, stats| {
             let request = &requests[req_idx].ad;
@@ -991,15 +972,12 @@ impl Negotiator {
                 } else {
                     stats.full_scans += 1;
                 }
-                slot.get_or_insert_with(|| {
-                    MatchList::build(&engine, request, &offer_ads, config.threads)
-                })
-                .pop_next(&taken, &offer_meta, preemption_on, margin)
+                slot.get_or_insert_with(|| MatchList::build(&engine, request, &offer_ads))
+                    .pop_next(&taken, &offer_meta, preemption_on, margin)
             } else {
-                // Oracle path: a per-request scan with retry. The
-                // best-ranked offer may be claimed and not preemptible
-                // by this request, in which case it is excluded and the
-                // scan repeats.
+                // Per-request scan with retry. The best-ranked offer may
+                // be claimed and not preemptible by this request, in which
+                // case it is excluded and the scan repeats.
                 let mut excluded: Vec<bool> = vec![false; offers.len()];
                 loop {
                     // With preemption disabled, claimed offers can
@@ -1012,9 +990,7 @@ impl Negotiator {
                             && (preemption_on || offer_meta[i].claimed_rank.is_none())
                     };
                     stats.full_scans += 1;
-                    let best =
-                        engine.best_match_parallel(request, &offer_ads, config.threads, eligible);
-                    match best {
+                    match engine.best_match(request, &offer_ads, eligible) {
                         None => break None,
                         Some(c) => match offer_meta[c.index].claimed_rank {
                             None => break Some((c, None)),
@@ -1048,7 +1024,9 @@ impl Negotiator {
         outcome
     }
 
-    /// The incremental cycle: the live offers sit in a table of stable
+    /// Run one negotiation cycle over the ads in `store` at time `now`.
+    ///
+    /// The cycle is incremental: the live offers sit in a table of stable
     /// slots that survives the cycle ([`OfferTable`]), each cluster
     /// signature keeps one rank-ordered candidate list over the whole
     /// pool, and a cycle pays classad evaluation only for what changed
@@ -1057,8 +1035,8 @@ impl Negotiator {
     /// The candidate order is the intrinsic (rank, rank, seq) total order,
     /// so the grants are byte-identical to [`Negotiator::negotiate_full`]'s
     /// for any shard count and any history — the equivalence proptests in
-    /// `tests/proptests.rs` hold the two paths to that.
-    fn negotiate_incremental(&mut self, store: &AdStore, now: Timestamp) -> CycleOutcome {
+    /// `tests/proptests.rs` hold the two to that.
+    pub fn negotiate(&mut self, store: &AdStore, now: Timestamp) -> CycleOutcome {
         let (preemption_on, margin) = (self.config.preemption, self.config.preemption_rank_margin);
         let cycle = self.cycles_run + 1;
         let requests = Self::eligible_requests(store, now);
@@ -1220,9 +1198,10 @@ impl Negotiator {
 }
 
 /// Unmatched request indices per cluster, in request order, sorted by
-/// cluster id. With autoclustering off every request is its own singleton
-/// cluster. Shared by attribution and flocking so both see the same
-/// clusters and the same first-member representative.
+/// cluster id. Without a clustering (the [`FullScan::PerRequest`] oracle)
+/// every request is its own singleton cluster. Shared by attribution and
+/// flocking so both see the same clusters and the same first-member
+/// representative.
 fn group_unmatched_by_cluster(
     cluster_of: Option<&[usize]>,
     unmatched_reqs: &[usize],
@@ -1507,44 +1486,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_negotiation_matches_serial() {
-        let mut ads = vec![];
-        for i in 0..40 {
-            ads.push(machine_ad(&format!("m{i}"), (i * 13) % 97));
-        }
-        for i in 0..20 {
-            ads.push(job_ad(
-                &format!("j{i}"),
-                if i % 2 == 0 { "alice" } else { "bob" },
-            ));
-        }
-        let store = store_with(ads);
-        // Only the full-scan path fans its scans out across threads.
-        let full_scan = |threads| {
-            Negotiator::new(NegotiatorConfig {
-                threads,
-                incremental: false,
-                ..Default::default()
-            })
-        };
-        let (mut serial, mut parallel) = (full_scan(1), full_scan(4));
-        let a = serial.negotiate(&store, 0);
-        let b = parallel.negotiate(&store, 0);
-        assert_eq!(a.stats, b.stats);
-        let names_a: Vec<(&str, &str)> = a
-            .matches
-            .iter()
-            .map(|m| (m.request_name.as_str(), m.offer_name.as_str()))
-            .collect();
-        let names_b: Vec<(&str, &str)> = b
-            .matches
-            .iter()
-            .map(|m| (m.request_name.as_str(), m.offer_name.as_str()))
-            .collect();
-        assert_eq!(names_a, names_b);
-    }
-
-    #[test]
     fn autocluster_shares_one_scan_per_equivalence_class() {
         let mut ads = vec![
             machine_ad("m1", 50),
@@ -1577,11 +1518,7 @@ mod tests {
             job_ad("j1", "alice"),
             job_ad("j2", "alice"),
         ]);
-        let mut neg = Negotiator::new(NegotiatorConfig {
-            autocluster: false,
-            ..Default::default()
-        });
-        let out = neg.negotiate(&store, 0);
+        let out = Negotiator::default().negotiate_full(&store, 0, FullScan::PerRequest);
         assert_eq!(out.stats.clusters_formed, 0);
         assert_eq!(out.stats.matchlist_hits, 0);
         assert_eq!(out.stats.full_scans, 2, "one scan per request");
@@ -1604,13 +1541,8 @@ mod tests {
             ));
         }
         let store = store_with(ads);
-        let mut fast = Negotiator::default();
-        let mut oracle = Negotiator::new(NegotiatorConfig {
-            autocluster: false,
-            ..Default::default()
-        });
-        let a = fast.negotiate(&store, 0);
-        let b = oracle.negotiate(&store, 0);
+        let a = Negotiator::default().negotiate(&store, 0);
+        let b = Negotiator::default().negotiate_full(&store, 0, FullScan::PerRequest);
         let key = |o: &CycleOutcome| {
             o.matches
                 .iter()
@@ -1743,11 +1675,10 @@ mod tests {
             job_ad("j2", "alice"),
         ]);
         let mut neg = Negotiator::new(NegotiatorConfig {
-            autocluster: false,
             attribution: true,
             ..Default::default()
         });
-        let out = neg.negotiate(&store, 0);
+        let out = neg.negotiate_full(&store, 0, FullScan::PerRequest);
         assert_eq!(out.stats.matches, 1);
         assert_eq!(out.rejections.len(), 1, "the unmatched job's singleton");
         assert_eq!(out.rejections[0].table.count_kind("LostRank"), 1);

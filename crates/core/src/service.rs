@@ -131,19 +131,12 @@ impl Matchmaker {
 
     /// Create a service with an explicit advertising protocol (e.g. one
     /// that demands real `host:port` contact addresses for live pools).
-    ///
-    /// The ad store's provider shard layout follows
-    /// [`NegotiatorConfig::shards`]: `0` (the default) auto-scales the
-    /// shard count with the pool, any other value pins it.
+    /// The ad store auto-scales its shard count with the pool
+    /// ([`AdStore::new`]).
     pub fn with_protocol(config: NegotiatorConfig, protocol: AdvertisingProtocol) -> Self {
-        let store = if config.shards == 0 {
-            AdStore::new()
-        } else {
-            AdStore::with_shards(config.shards)
-        };
         let negotiator = Negotiator::new(config.clone());
         Matchmaker {
-            store: RwLock::new(store),
+            store: RwLock::new(AdStore::new()),
             engine: negotiator.engine.clone(),
             negotiator: Mutex::new(negotiator),
             config,
@@ -851,10 +844,10 @@ mod tests {
         let svc = Matchmaker::new(NegotiatorConfig::default());
         let threads = 4;
         let per_thread = 50;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let svc = &svc;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per_thread {
                         let idx = t * per_thread + i;
                         svc.advertise(machine_adv(idx), 0).unwrap();
@@ -865,13 +858,12 @@ mod tests {
                 });
             }
             let svc = &svc;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..10 {
                     svc.negotiate(0);
                 }
             });
-        })
-        .unwrap();
+        });
         // Final cycle to drain any remaining pairs.
         svc.negotiate(0);
         let s = svc.stats();

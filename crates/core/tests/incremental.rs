@@ -3,7 +3,7 @@
 //! (That its *matches* equal the full scan's is the proptests' job.)
 
 use matchmaker::admanager::TARGET_SHARD_SIZE;
-use matchmaker::negotiate::CycleOutcome;
+use matchmaker::negotiate::{CycleOutcome, FullScan};
 use matchmaker::prelude::*;
 
 const LEASE: u64 = 1_000;
@@ -61,11 +61,7 @@ fn pairs(out: &CycleOutcome) -> Vec<(String, String)> {
 }
 
 fn full_scan(store: &AdStore, now: u64) -> CycleOutcome {
-    Negotiator::new(NegotiatorConfig {
-        incremental: false,
-        ..Default::default()
-    })
-    .negotiate(store, now)
+    Negotiator::default().negotiate_full(store, now, FullScan::Clustered)
 }
 
 #[test]

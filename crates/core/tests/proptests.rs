@@ -3,6 +3,7 @@
 
 use classad::{symmetric_match, ClassAd, EvalPolicy, MatchConventions};
 use matchmaker::framing::{encode_framed, FrameDecoder};
+use matchmaker::negotiate::FullScan;
 use matchmaker::prelude::*;
 use matchmaker::protocol::Message;
 use proptest::prelude::*;
@@ -212,14 +213,6 @@ proptest! {
         let a = Negotiator::default().negotiate(&store, 0);
         let b = Negotiator::default().negotiate(&store, 0);
         prop_assert_eq!(pairs(&a), pairs(&b));
-        // And the parallel scan (the full-scan path's) agrees with serial.
-        let mut par = Negotiator::new(NegotiatorConfig {
-            threads: 3,
-            incremental: false,
-            ..Default::default()
-        });
-        let c = par.negotiate(&store, 0);
-        prop_assert_eq!(pairs(&a), pairs(&c));
     }
 
     #[test]
@@ -229,7 +222,8 @@ proptest! {
         preemption in any::<bool>(),
         margin in prop_oneof![Just(0.0f64), Just(1.5)],
     ) {
-        // The clustered fast path must reproduce the oracle's grant
+        // The clustered cycles — the production one and the clustered
+        // full-scan oracle — must reproduce the unclustered oracle's grant
         // sequence byte for byte — same requests, same offers, same ranks,
         // same preemption victims — across claimed machines (preemptible
         // and not) and eligibility filters (arch/memory constraints).
@@ -239,11 +233,7 @@ proptest! {
             preemption_rank_margin: margin,
             ..Default::default()
         };
-        let mut fast = Negotiator::new(NegotiatorConfig { autocluster: true, ..config.clone() });
-        let mut oracle =
-            Negotiator::new(NegotiatorConfig { autocluster: false, ..config });
-        let a = fast.negotiate(&store, 0);
-        let b = oracle.negotiate(&store, 0);
+        let b = Negotiator::new(config.clone()).negotiate_full(&store, 0, FullScan::PerRequest);
 
         let records = |out: &matchmaker::negotiate::CycleOutcome| {
             out.matches
@@ -259,18 +249,22 @@ proptest! {
                 ))
                 .collect::<Vec<_>>()
         };
-        prop_assert_eq!(records(&a), records(&b));
-        // Everything but the cache counters agrees.
-        prop_assert_eq!(a.stats.matches, b.stats.matches);
-        prop_assert_eq!(a.stats.preemptions, b.stats.preemptions);
-        prop_assert_eq!(a.stats.unmatched_requests, b.stats.unmatched_requests);
-        prop_assert_eq!(a.stats.users_served, b.stats.users_served);
-        prop_assert_eq!(a.stats.rounds, b.stats.rounds);
-        // And the fast path never scans more than the oracle: each request
-        // is a build or a hit, while the oracle pays at least one scan per
-        // request (plus preemption-exclusion rescans).
-        prop_assert!(a.stats.full_scans <= b.stats.full_scans);
-        prop_assert!(a.stats.full_scans + a.stats.matchlist_hits <= b.stats.full_scans);
+        let production = Negotiator::new(config.clone()).negotiate(&store, 0);
+        let clustered = Negotiator::new(config).negotiate_full(&store, 0, FullScan::Clustered);
+        for a in [production, clustered] {
+            prop_assert_eq!(records(&a), records(&b));
+            // Everything but the cache counters agrees.
+            prop_assert_eq!(a.stats.matches, b.stats.matches);
+            prop_assert_eq!(a.stats.preemptions, b.stats.preemptions);
+            prop_assert_eq!(a.stats.unmatched_requests, b.stats.unmatched_requests);
+            prop_assert_eq!(a.stats.users_served, b.stats.users_served);
+            prop_assert_eq!(a.stats.rounds, b.stats.rounds);
+            // And the clustered cycle never scans more than the oracle: each
+            // request is a build or a hit, while the oracle pays at least
+            // one scan per request (plus preemption-exclusion rescans).
+            prop_assert!(a.stats.full_scans <= b.stats.full_scans);
+            prop_assert!(a.stats.full_scans + a.stats.matchlist_hits <= b.stats.full_scans);
+        }
     }
 
     // -----------------------------------------------------------------------
@@ -553,8 +547,6 @@ proptest! {
             .iter()
             .map(|_| Negotiator::new(NegotiatorConfig {
                 preemption,
-                autocluster: true,
-                incremental: true,
                 ..Default::default()
             }))
             .collect();
@@ -644,17 +636,15 @@ proptest! {
             // The oracle re-derives the cycle from scratch, scanning
             // everything, every time; the clustered from-scratch cycle says
             // how many clusters today's seed set forms.
-            let want = records(&Negotiator::new(NegotiatorConfig {
+            let oracle = || Negotiator::new(NegotiatorConfig {
                 preemption,
-                autocluster: false,
-                incremental: false,
                 ..Default::default()
-            }).negotiate(&stores[0], clock));
-            let want_clusters = Negotiator::new(NegotiatorConfig {
-                preemption,
-                incremental: false,
-                ..Default::default()
-            }).negotiate(&stores[0], clock).stats.clusters_formed;
+            });
+            let want = records(&oracle().negotiate_full(&stores[0], clock, FullScan::PerRequest));
+            let want_clusters = oracle()
+                .negotiate_full(&stores[0], clock, FullScan::Clustered)
+                .stats
+                .clusters_formed;
 
             for (k, neg) in incrementals.iter_mut().enumerate() {
                 let out = neg.negotiate(&stores[k], clock);
@@ -684,8 +674,8 @@ proptest! {
     /// that ad to a peer pool is sound only if
     ///
     /// 1. selection is deterministic — same store, same representatives,
-    ///    across repeated runs and across the serial / parallel /
-    ///    incremental negotiation paths;
+    ///    across repeated runs and between the incremental cycle and the
+    ///    clustered full-scan oracle;
     /// 2. the representative is the cluster's *first unmatched member in
     ///    request order*, and member counts cover the cycle's unmatched
     ///    total exactly (recomputed here from `request_signature`, the
@@ -719,11 +709,8 @@ proptest! {
         // 1. Determinism, including across negotiation paths.
         let again = Negotiator::new(config.clone()).negotiate(&store, 0);
         prop_assert_eq!(reps(&out), reps(&again));
-        let parallel = Negotiator::new(NegotiatorConfig { threads: 3, ..config.clone() })
-            .negotiate(&store, 0);
-        prop_assert_eq!(reps(&out), reps(&parallel));
-        let full_scan = Negotiator::new(NegotiatorConfig { incremental: false, ..config })
-            .negotiate(&store, 0);
+        let full_scan =
+            Negotiator::new(config).negotiate_full(&store, 0, FullScan::Clustered);
         prop_assert_eq!(reps(&out), reps(&full_scan));
 
         // 2. Recompute the clustering externally and derive the expected
@@ -862,13 +849,13 @@ fn rank_ties_break_by_ad_age_regardless_of_shard_count() {
                 )
                 .unwrap();
         }
-        for (autocluster, incremental) in [(false, false), (true, false), (true, true)] {
-            let mut neg = Negotiator::new(NegotiatorConfig {
-                autocluster,
-                incremental,
-                ..Default::default()
-            });
-            let out = neg.negotiate(&store, 0);
+        // `None` is the production cycle.
+        for path in [Some(FullScan::PerRequest), Some(FullScan::Clustered), None] {
+            let mut neg = Negotiator::default();
+            let out = match path {
+                Some(scan) => neg.negotiate_full(&store, 0, scan),
+                None => neg.negotiate(&store, 0),
+            };
             let pairs: Vec<(String, String)> = out
                 .matches
                 .iter()
@@ -877,10 +864,7 @@ fn rank_ties_break_by_ad_age_regardless_of_shard_count() {
             // Oldest ad wins every tie: j0 takes m0, j1 takes m1, ...
             let want: Vec<(String, String)> =
                 (0..4).map(|i| (format!("j{i}"), format!("m{i}"))).collect();
-            assert_eq!(
-                pairs, want,
-                "shards={shards} autocluster={autocluster} incremental={incremental}"
-            );
+            assert_eq!(pairs, want, "shards={shards} path={path:?}");
             match &baseline {
                 None => baseline = Some(pairs),
                 Some(b) => assert_eq!(&pairs, b, "tie-break order changed with shards={shards}"),

@@ -12,8 +12,8 @@
 //! signature, then by value template (identical attribute bindings,
 //! ignoring identity attributes like `Name`). A pool of `n` ads with `t`
 //! distinct templates matches in `O(t)` constraint evaluations instead of
-//! `O(n)` — the paper's hypothesized throughput boost, benchmarked in
-//! `bench/benches/aggregate_bench.rs`.
+//! `O(n)` — the paper's hypothesized throughput boost (EXPERIMENTS.md E7
+//! has the numbers).
 
 use classad::{ClassAd, EvalPolicy, MatchConventions};
 use matchmaker::matcher::{Candidate, MatchEngine};

@@ -13,6 +13,7 @@
 //! tie-break keys survive a failover).
 
 use classad::json::{from_json, to_json};
+use matchmaker::admanager::MAX_SHARDS;
 use matchmaker::negotiate::MatchRecord;
 use matchmaker::protocol::{EntityKind, TraceContext};
 use matchmaker::ticket::Ticket;
@@ -249,7 +250,13 @@ impl PoolSnapshot {
             line: line + 1,
             reason,
         };
-        let shards = decode_u64(head[2]).map_err(SnapshotError::Header)? as usize;
+        let shards = decode_u64(head[2]).map_err(SnapshotError::Header)?;
+        let shards = usize::try_from(shards)
+            .ok()
+            .filter(|&n| n <= MAX_SHARDS)
+            .ok_or_else(|| {
+                SnapshotError::Header(format!("shard count {shards} exceeds {MAX_SHARDS}"))
+            })?;
         let pinned = match head[3] {
             "0" => false,
             "1" => true,
@@ -458,6 +465,14 @@ mod tests {
         assert!(matches!(err, SnapshotError::Line { line: 2, .. }), "{err}");
         let err = PoolSnapshot::decode("poolsnap v1 1 0 0\nblob x\n").unwrap_err();
         assert!(err.to_string().contains("unknown record kind"), "{err}");
+        // A hostile shard count is refused here, before `restore_state`
+        // would allocate that many shards.
+        for count in [u64::MAX, MAX_SHARDS as u64 + 1] {
+            let err = PoolSnapshot::decode(&format!("poolsnap v1 {count} 0 0\n")).unwrap_err();
+            assert!(matches!(err, SnapshotError::Header(_)), "{err}");
+        }
+        let max = PoolSnapshot::decode(&format!("poolsnap v1 {MAX_SHARDS} 0 0\n")).unwrap();
+        assert_eq!(max.store.shards, MAX_SHARDS);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::network::NetworkModel;
 use crate::scenario::{GangLoadSpec, NegotiatorSettings, PolicyConfig, Scenario};
 use crate::workload::{FleetSpec, MachineTemplate, OwnerActivity, UserSpec};
 use classad::ast::Expr;
-use classad::eval::value_to_expr;
 use classad::{ClassAd, EvalPolicy, Value};
 use std::fmt;
 
@@ -352,10 +351,8 @@ pub fn scenario_to_ad(s: &Scenario) -> ClassAd {
     ad.set_int("NegotiationPeriodMs", s.negotiation_period_ms as i64);
     ad.set_bool("PushAdsOnChange", s.push_ads_on_change);
     let mut neg = vec![
-        ("Threads", Expr::int(s.negotiator.threads as i64)),
         ("Preemption", Expr::bool(s.negotiator.preemption)),
         ("ChargePerMatch", Expr::real(s.negotiator.charge_per_match)),
-        ("Autocluster", Expr::bool(s.negotiator.autocluster)),
     ];
     if let Some(h) = s.negotiator.priority_halflife_ms {
         neg.push(("PriorityHalflifeMs", Expr::real(h)));
@@ -498,7 +495,6 @@ pub fn scenario_from_ad(ad: &ClassAd) -> Result<Scenario, ConfigError> {
             let nr = Reader::new(&nad, "Negotiator");
             let d = NegotiatorSettings::default();
             NegotiatorSettings {
-                threads: nr.usize("Threads", d.threads)?,
                 preemption: nr.bool("Preemption", d.preemption)?,
                 charge_per_match: nr.f64("ChargePerMatch", d.charge_per_match)?,
                 priority_halflife_ms: if nad.contains("PriorityHalflifeMs") {
@@ -506,7 +502,6 @@ pub fn scenario_from_ad(ad: &ClassAd) -> Result<Scenario, ConfigError> {
                 } else {
                     None
                 },
-                autocluster: nr.bool("Autocluster", d.autocluster)?,
             }
         }
     };
@@ -537,12 +532,6 @@ pub fn scenario_from_str(src: &str) -> Result<Scenario, ConfigError> {
     let ad = classad::parse_classad(src)
         .map_err(|e| err("<input>", format!("classad parse error: {e}")))?;
     scenario_from_ad(&ad)
-}
-
-// Keep `value_to_expr` linked for potential re-export users.
-#[allow(dead_code)]
-fn _touch(v: &Value) -> Expr {
-    value_to_expr(v)
 }
 
 #[cfg(test)]
@@ -587,11 +576,9 @@ mod tests {
             negotiation_period_ms: 222,
             push_ads_on_change: false,
             negotiator: NegotiatorSettings {
-                threads: 2,
                 preemption: false,
                 charge_per_match: 3.5,
                 priority_halflife_ms: Some(4.5),
-                autocluster: false,
             },
             duration_ms: 333,
         }
@@ -617,8 +604,18 @@ mod tests {
     fn roundtrip_survives_text_form() {
         let s = sample();
         let text = scenario_to_ad(&s).pretty();
-        let back = scenario_from_str(&text).unwrap();
-        assert_eq!(scenario_to_ad(&s), scenario_to_ad(&back));
+        // A file written for an older build may still set the retired
+        // negotiator keys; they are ignored like any unknown attribute.
+        let retired = text.replacen(
+            "Preemption = ",
+            "Threads = 4; Autocluster = false; Preemption = ",
+            1,
+        );
+        assert_ne!(retired, text);
+        for src in [text, retired] {
+            let back = scenario_from_str(&src).unwrap();
+            assert_eq!(scenario_to_ad(&s), scenario_to_ad(&back));
+        }
     }
 
     #[test]

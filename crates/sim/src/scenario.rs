@@ -64,8 +64,6 @@ impl PolicyConfig {
 /// Negotiator tunables in serializable form.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NegotiatorSettings {
-    /// Match-scan worker threads.
-    pub threads: usize,
     /// Allow priority preemption of claimed resources.
     pub preemption: bool,
     /// Advance usage charge per match (resource-seconds).
@@ -74,19 +72,14 @@ pub struct NegotiatorSettings {
     /// simulator clocks the tracker in milliseconds). `None` keeps the
     /// tracker default.
     pub priority_halflife_ms: Option<f64>,
-    /// Autocluster requests and share per-cluster match lists within a
-    /// cycle (the negotiation fast path; `false` forces full scans).
-    pub autocluster: bool,
 }
 
 impl Default for NegotiatorSettings {
     fn default() -> Self {
         NegotiatorSettings {
-            threads: 1,
             preemption: true,
             charge_per_match: 0.0,
             priority_halflife_ms: None,
-            autocluster: true,
         }
     }
 }
@@ -180,12 +173,8 @@ impl Scenario {
         let mut manager = ManagerNode::new(
             0,
             NegotiatorConfig {
-                threads: self.negotiator.threads,
                 preemption: self.negotiator.preemption,
-                preemption_rank_margin: 0.0,
                 charge_per_match: self.negotiator.charge_per_match,
-                autocluster: self.negotiator.autocluster,
-                attribution: false,
                 ..NegotiatorConfig::default()
             },
             self.negotiation_period_ms,

@@ -56,11 +56,9 @@ fn main() {
         negotiation_period_ms: 120_000,
         push_ads_on_change: true,
         negotiator: NegotiatorSettings {
-            threads: 1,
             preemption: true,
             charge_per_match: 60.0,
             priority_halflife_ms: Some(3_600_000.0),
-            autocluster: true,
         },
         duration_ms: 24 * 3_600 * 1000, // one simulated day
         // Co-allocation load: gangs needing a machine AND a matlab seat.

@@ -357,7 +357,16 @@ fn live_query_over_tcp() {
         .machine("q1", machine_ad(400))
         .spawn()
         .unwrap();
-    assert!(pool.wait_for(WAIT, |p| p.daemon().service().ad_count() >= 2));
+    // Wait for both machines, not for any two ads: the daemon's own
+    // self-ad is in the store from the start.
+    let machines = matchmaker::Query::from_constraint("other.Mips >= 100").unwrap();
+    assert!(pool.wait_for(WAIT, |p| {
+        p.daemon()
+            .service()
+            .query(&machines, wire::unix_now())
+            .len()
+            >= 2
+    }));
 
     let reply = wire::request_reply(
         &pool.daemon().addr().to_string(),
