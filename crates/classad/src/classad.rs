@@ -59,7 +59,7 @@ impl ClassAd {
                 self.entries[i] = (name, expr);
             }
             None => {
-                let canon: Arc<str> = Arc::from(name.canonical());
+                let canon = name.canonical_arc();
                 self.entries.push((name, expr));
                 self.index.insert(canon, self.entries.len() - 1);
             }

@@ -18,8 +18,10 @@ use crate::classad::ClassAd;
 use crate::error::{ParseError, Span};
 use crate::parser::parse_expr;
 use crate::pretty::escape_string as classad_escape;
+use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 
 /// Serialize a classad to a compact JSON string.
 pub fn to_json(ad: &ClassAd) -> String {
@@ -116,6 +118,10 @@ fn write_json_string(out: &mut String, s: &str) {
 
 /// Parse a JSON document (in the mapping produced by [`to_json`]) into a
 /// classad. The top-level value must be an object.
+///
+/// An attribute whose value is an `{"$expr": "<source>"}` marker is parsed
+/// through a process-wide interner: ads carrying the same `Constraint` or
+/// `Rank` text share one `Arc<Expr>` and the text is parsed once.
 pub fn from_json(src: &str) -> Result<ClassAd, ParseError> {
     let mut p = JsonParser {
         src: src.as_bytes(),
@@ -123,26 +129,105 @@ pub fn from_json(src: &str) -> Result<ClassAd, ParseError> {
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let fields = if p.peek() == Some(b'{') {
+        let fields = p.members(JsonParser::attr_value)?;
+        match p.marker(&fields)? {
+            None => Some(fields),
+            // A document that is itself a marker object.
+            Some(m) => match &mut m.into_expr()? {
+                Expr::Record(fs) => Some(fs.drain(..).map(|(n, e)| (n, Arc::new(e))).collect()),
+                _ => None,
+            },
+        }
+    } else {
+        p.value()?;
+        None
+    };
     p.skip_ws();
     if p.pos != src.len() {
         return Err(p.err("trailing data after JSON document"));
     }
-    match v {
-        mut v @ Expr::Record(_) => {
-            let Expr::Record(fields) = &mut v else {
-                unreachable!()
-            };
-            let mut ad = ClassAd::with_capacity(fields.len());
-            for (n, e) in fields.drain(..) {
-                ad.insert(n, Arc::new(e));
-            }
-            Ok(ad)
+    let fields = fields.ok_or_else(|| {
+        ParseError::new(Span::default(), "top-level JSON value must be an object")
+    })?;
+    let mut ad = ClassAd::with_capacity(fields.len());
+    for (n, e) in fields {
+        ad.insert(n, e);
+    }
+    Ok(ad)
+}
+
+/// `$expr` sources longer than this are parsed but not interned.
+const INTERN_MAX_SOURCE: usize = 4 * 1024;
+
+/// Cap on the total source text the interner holds. An insert that would
+/// pass it empties the interner first, so a peer sending endless distinct
+/// expressions costs a parse each, as it would without the interner, and
+/// no more memory.
+#[doc(hidden)]
+pub const INTERN_CAP_BYTES: usize = 1024 * 1024;
+
+/// Source text → parsed tree, shared by every decoder in the process.
+/// Sharing is sound because an `Arc<Expr>` is never mutated in place.
+#[derive(Default)]
+struct Interner {
+    exprs: HashMap<Box<str>, Arc<Expr>>,
+    bytes: usize,
+}
+
+static INTERNER: LazyLock<Mutex<Interner>> = LazyLock::new(Mutex::default);
+
+fn interner() -> MutexGuard<'static, Interner> {
+    // The map is consistent at every unlock, so a panic elsewhere while it
+    // was held leaves nothing to repair.
+    INTERNER.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Total source text currently interned (for bound tests).
+#[doc(hidden)]
+pub fn interned_bytes() -> usize {
+    interner().bytes
+}
+
+/// Parse `src`, or return the tree an earlier call parsed from the same
+/// text. Errors are not cached: a malformed source is re-parsed and fails
+/// the same way every time.
+fn interned_expr(src: &str) -> Result<Arc<Expr>, ParseError> {
+    if src.len() > INTERN_MAX_SOURCE {
+        return parse_expr(src).map(Arc::new);
+    }
+    if let Some(e) = interner().exprs.get(src) {
+        return Ok(Arc::clone(e));
+    }
+    let parsed = Arc::new(parse_expr(src)?);
+    let mut guard = interner();
+    let it = &mut *guard;
+    if it.bytes + src.len() > INTERN_CAP_BYTES {
+        it.exprs.clear();
+        it.bytes = 0;
+    }
+    // Another thread may have parsed the same text meanwhile; the first
+    // insert wins so every caller shares one tree.
+    let e = it.exprs.entry(src.into()).or_insert_with(|| {
+        it.bytes += src.len();
+        parsed
+    });
+    Ok(Arc::clone(e))
+}
+
+/// A one-member object whose key is `$error` or `$expr` stands for a
+/// value, not a record.
+enum Marker {
+    Error,
+    Expr(Arc<str>),
+}
+
+impl Marker {
+    fn into_expr(self) -> Result<Expr, ParseError> {
+        match self {
+            Marker::Error => Ok(Expr::Lit(Literal::Error)),
+            Marker::Expr(src) => parse_expr(&src),
         }
-        _ => Err(ParseError::new(
-            Span::default(),
-            "top-level JSON value must be an object",
-        )),
     }
 }
 
@@ -253,42 +338,72 @@ impl<'a> JsonParser<'a> {
         }
     }
 
+    /// A nested object: a record, or a marker parsed without the interner.
     fn object(&mut self) -> Result<Expr, ParseError> {
+        let fields = self.members(JsonParser::value)?;
+        match self.marker(&fields)? {
+            None => Ok(Expr::Record(fields)),
+            Some(m) => m.into_expr(),
+        }
+    }
+
+    /// The value of a top-level attribute: an `$expr` marker resolves
+    /// through the interner, anything else parses as [`Self::value`].
+    fn attr_value(&mut self) -> Result<Arc<Expr>, ParseError> {
+        self.skip_ws();
+        if self.peek() != Some(b'{') {
+            return self.value().map(Arc::new);
+        }
+        let fields = self.members(JsonParser::value)?;
+        match self.marker(&fields)? {
+            None => Ok(Arc::new(Expr::Record(fields))),
+            Some(Marker::Expr(src)) => interned_expr(&src),
+            Some(m) => m.into_expr().map(Arc::new),
+        }
+    }
+
+    /// The `"key": value` members of an object, each value read by `value`.
+    fn members<V>(
+        &mut self,
+        value: fn(&mut Self) -> Result<V, ParseError>,
+    ) -> Result<Vec<(AttrName, V)>, ParseError> {
         self.expect(b'{')?;
-        let mut fields: Vec<(AttrName, Expr)> = Vec::new();
+        let mut fields = Vec::new();
         self.skip_ws();
         if self.eat(b'}') {
-            return Ok(Expr::Record(fields));
+            return Ok(fields);
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let val = self.value()?;
+            let val = value(self)?;
             fields.push((AttrName::new(&key), val));
             self.skip_ws();
             if self.eat(b',') {
                 continue;
             }
             self.expect(b'}')?;
-            break;
+            return Ok(fields);
         }
-        // Marker objects.
-        if fields.len() == 1 {
-            let (k, v) = &fields[0];
-            match k.canonical() {
-                "$error" => return Ok(Expr::Lit(Literal::Error)),
-                "$expr" => {
-                    if let Expr::Lit(Literal::Str(src)) = v {
-                        return parse_expr(src);
-                    }
-                    return Err(self.err("$expr marker must hold a string"));
-                }
-                _ => {}
-            }
+    }
+
+    fn marker<V: Borrow<Expr>>(
+        &self,
+        fields: &[(AttrName, V)],
+    ) -> Result<Option<Marker>, ParseError> {
+        let [(k, v)] = fields else {
+            return Ok(None);
+        };
+        match k.canonical() {
+            "$error" => Ok(Some(Marker::Error)),
+            "$expr" => match v.borrow() {
+                Expr::Lit(Literal::Str(src)) => Ok(Some(Marker::Expr(Arc::clone(src)))),
+                _ => Err(self.err("$expr marker must hold a string")),
+            },
+            _ => Ok(None),
         }
-        Ok(Expr::Record(fields))
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -441,6 +556,7 @@ mod tests {
     #[test]
     fn computed_expressions_roundtrip() {
         roundtrip(r#"[ Rank = KFlops/1E3 + other.Memory/32; Constraint = a && b || !c ]"#);
+        roundtrip(r#"[ policy = [ Requirement = other.Memory >= 32 && Arch == "INTEL" ] ]"#);
     }
 
     #[test]

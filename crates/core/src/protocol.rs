@@ -918,6 +918,7 @@ impl Message {
 mod tests {
     use super::*;
     use classad::parse_classad;
+    use std::sync::Arc;
 
     fn sample_ad() -> ClassAd {
         parse_classad(
@@ -983,6 +984,22 @@ mod tests {
         let msg = Message::Advertise(sample_adv());
         let bytes = msg.encode();
         assert_eq!(Message::decode(bytes).unwrap(), msg);
+    }
+
+    #[test]
+    fn decoded_ads_share_one_policy_tree() {
+        let decode_constraint = |name: &str| {
+            let mut adv = sample_adv();
+            adv.ad.set_str("Name", name);
+            let Ok(Message::Advertise(back)) = Message::decode(Message::Advertise(adv).encode())
+            else {
+                panic!("advertise did not round-trip");
+            };
+            Arc::clone(back.ad.get("Constraint").unwrap())
+        };
+        let a = decode_constraint("leonardo");
+        let b = decode_constraint("raphael");
+        assert!(Arc::ptr_eq(&a, &b), "one Constraint text, one parsed tree");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,13 +54,115 @@ impl Gauge {
     }
 }
 
+/// Time slices per window: a sample ages out with its slice, between
+/// ⅞·window and one window after it was recorded.
+const SLICES: usize = 8;
+
+/// Bits of significand below the leading one that pick a bucket: 32
+/// buckets per power of two, so a bucket's bounds differ by at most 1/32
+/// of the smaller one.
+const SUB_BITS: u32 = 5;
+
 /// A histogram over the samples recorded within a sliding time window
 /// (older samples age out), for quantities like cycle duration where the
 /// *recent* distribution is what an operator wants.
+///
+/// The window is a ring of eight slices, each `window / 8` long. A slice
+/// keeps exact `count/sum/min/max` and a sparse map of log-linear buckets,
+/// so `record` costs the same however many samples the window holds, a
+/// snapshot costs the occupied buckets, and memory does not grow with the
+/// sample rate. Percentiles report their bucket's lower bound clamped to
+/// `[min, max]`: within 1/32 relative of the exact nearest-rank sample.
 #[derive(Debug)]
 pub struct WindowedHistogram {
-    window: Duration,
-    samples: Mutex<VecDeque<(Instant, f64)>>,
+    start: Instant,
+    slice_nanos: u128,
+    slices: Mutex<[Slice; SLICES]>,
+}
+
+/// The samples of one `window / 8` period.
+#[derive(Debug, Default)]
+struct Slice {
+    /// Which period since `start` this slice holds.
+    epoch: u128,
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    /// Samples per [`bucket_of`] key.
+    buckets: BTreeMap<i32, u64>,
+}
+
+impl Slice {
+    fn record(&mut self, value: f64) {
+        if self.count == 0 {
+            self.min = value;
+            self.max = value;
+        } else {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+        self.count += 1;
+        self.sum += value;
+        *self.buckets.entry(bucket_of(value)).or_default() += 1;
+    }
+}
+
+/// The bucket holding a finite `v`. Keys order like the values they hold:
+/// 0 is zero, `k > 0` is magnitude bucket `k` of a positive value and `-k`
+/// the same magnitude negated. Subnormals are normalized first, so every
+/// power of two down to the smallest subnormal gets its own 32 buckets.
+fn bucket_of(v: f64) -> i32 {
+    let bits = v.abs().to_bits();
+    if bits == 0 {
+        return 0;
+    }
+    let exponent = (bits >> 52) as i32;
+    let mantissa = bits & ((1 << 52) - 1);
+    let (octave, sub) = if exponent > 0 {
+        (exponent, mantissa >> (52 - SUB_BITS))
+    } else {
+        let lead = 63 - mantissa.leading_zeros() as i32;
+        let sub = if lead >= SUB_BITS as i32 {
+            mantissa >> (lead - SUB_BITS as i32)
+        } else {
+            mantissa << (SUB_BITS as i32 - lead)
+        };
+        (lead - 51, sub & 31)
+    };
+    let k = ((octave + 51) << SUB_BITS) + sub as i32 + 1;
+    if v < 0.0 {
+        -k
+    } else {
+        k
+    }
+}
+
+/// The smallest value in magnitude bucket `k >= 1`. The bucket past the
+/// largest finite one starts at infinity.
+fn magnitude_floor(k: i32) -> f64 {
+    let octave = ((k - 1) >> SUB_BITS) - 51;
+    let sub = ((k - 1) & 31) as u64;
+    if octave > 0 {
+        f64::from_bits(((octave as u64) << 52) | (sub << (52 - SUB_BITS)))
+    } else {
+        let lead = octave + 51;
+        let m = (1 << SUB_BITS) | sub;
+        f64::from_bits(if lead >= SUB_BITS as i32 {
+            m << (lead - SUB_BITS as i32)
+        } else {
+            m >> (SUB_BITS as i32 - lead)
+        })
+    }
+}
+
+/// The smallest value bucket `key` can hold.
+fn bucket_floor(key: i32) -> f64 {
+    match key {
+        0 => 0.0,
+        k if k > 0 => magnitude_floor(k),
+        k => -magnitude_floor(1 - k),
+    }
 }
 
 /// Point-in-time summary of a [`WindowedHistogram`].
@@ -87,9 +188,14 @@ impl WindowedHistogram {
     /// A histogram forgetting samples older than `window`.
     pub fn new(window: Duration) -> Self {
         WindowedHistogram {
-            window,
-            samples: Mutex::new(VecDeque::new()),
+            start: Instant::now(),
+            slice_nanos: (window.as_nanos() / SLICES as u128).max(1),
+            slices: Mutex::default(),
         }
+    }
+
+    fn epoch_now(&self) -> u128 {
+        self.start.elapsed().as_nanos() / self.slice_nanos
     }
 
     /// Record one sample now. Non-finite samples are dropped (they would
@@ -98,43 +204,57 @@ impl WindowedHistogram {
         if !value.is_finite() {
             return;
         }
-        let now = Instant::now();
-        let mut samples = self.samples.lock();
-        samples.push_back((now, value));
-        while samples
-            .front()
-            .is_some_and(|(t, _)| now.duration_since(*t) > self.window)
-        {
-            samples.pop_front();
+        let epoch = self.epoch_now();
+        let mut slices = self.slices.lock();
+        let slice = &mut slices[(epoch % SLICES as u128) as usize];
+        if slice.epoch != epoch {
+            // The slot last held a period a whole window ago: reuse it.
+            slice.epoch = epoch;
+            slice.count = 0;
+            slice.sum = 0.0;
+            slice.buckets.clear();
         }
+        slice.record(value);
     }
 
     /// Summarize the samples still inside the window.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let now = Instant::now();
-        let mut samples = self.samples.lock();
-        while samples
-            .front()
-            .is_some_and(|(t, _)| now.duration_since(*t) > self.window)
-        {
-            samples.pop_front();
+        let epoch = self.epoch_now();
+        let mut merged: BTreeMap<i32, u64> = BTreeMap::new();
+        let (mut count, mut sum) = (0u64, 0.0);
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for s in self.slices.lock().iter() {
+            if s.count == 0 || s.epoch + (SLICES as u128) <= epoch {
+                continue;
+            }
+            count += s.count;
+            sum += s.sum;
+            min = min.min(s.min);
+            max = max.max(s.max);
+            for (&k, &n) in &s.buckets {
+                *merged.entry(k).or_default() += n;
+            }
         }
-        let mut values: Vec<f64> = samples.iter().map(|(_, v)| *v).collect();
-        drop(samples);
-        if values.is_empty() {
+        if count == 0 {
             return HistogramSnapshot::default();
         }
-        values.sort_by(|a, b| a.partial_cmp(b).expect("non-finite samples are rejected"));
-        let count = values.len() as u64;
-        let sum: f64 = values.iter().sum();
+        // Nearest rank, as over the sorted samples: the bucket holding
+        // the sample at index `p * (count - 1)`.
         let pct = |p: f64| {
-            let idx = ((p * (values.len() - 1) as f64).round() as usize).min(values.len() - 1);
-            values[idx]
+            let idx = ((p * (count - 1) as f64).round() as u64).min(count - 1);
+            let mut seen = 0;
+            for (&k, &n) in &merged {
+                seen += n;
+                if seen > idx {
+                    return bucket_floor(k).clamp(min, max);
+                }
+            }
+            max
         };
         HistogramSnapshot {
             count,
-            min: values[0],
-            max: *values.last().expect("non-empty"),
+            min,
+            max,
             mean: sum / count as f64,
             p50: pct(0.50),
             p90: pct(0.90),
@@ -305,6 +425,53 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 1);
         assert_eq!(s.min, 20.0);
+    }
+
+    #[test]
+    fn histogram_memory_is_bounded_by_buckets_not_samples() {
+        let h = WindowedHistogram::new(Duration::from_secs(3600));
+        let mut octaves = std::collections::BTreeSet::new();
+        for i in 0..1_000_000u32 {
+            let v = f64::from(i) * 0.37 + 0.5;
+            octaves.insert(v.log2().floor() as i32);
+            h.record(v);
+        }
+        let buckets: usize = h.slices.lock().iter().map(|s| s.buckets.len()).sum();
+        assert!(buckets <= SLICES * octaves.len() * 32, "{buckets} buckets");
+        assert_eq!(h.snapshot().count, 1_000_000);
+    }
+
+    #[test]
+    fn bucket_keys_order_like_values_and_floors_bound_them() {
+        let values = [
+            -1e308,
+            -1e300,
+            -3.0,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(7),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MIN_POSITIVE,
+            1.0,
+            1.03,
+            1e300,
+            f64::MAX,
+        ];
+        for w in values.windows(2) {
+            assert!(bucket_of(w[0]) <= bucket_of(w[1]), "{w:?}");
+        }
+        for v in values {
+            let floor = bucket_floor(bucket_of(v));
+            assert!(floor <= v, "{v:e}: floor {floor:e}");
+            assert!(
+                (v - floor).abs() <= v.abs() / 32.0,
+                "{v:e}: floor {floor:e}"
+            );
+        }
+        // Only the most negative bucket floors at -inf; snapshots clamp it.
+        assert_eq!(bucket_floor(bucket_of(-f64::MAX)), f64::NEG_INFINITY);
     }
 
     #[test]

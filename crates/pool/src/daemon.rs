@@ -949,13 +949,20 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     }
 }
 
+/// Socket options for an accepted connection: no Nagle delay on reply
+/// frames, and the configured read/write timeouts.
+fn arm_accepted(stream: &TcpStream, io: &IoConfig) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(io.read_timeout));
+    let _ = stream.set_write_timeout(Some(io.write_timeout));
+}
+
 fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
+    arm_accepted(&stream, &shared.cfg.io);
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".into());
-    let _ = stream.set_read_timeout(Some(shared.cfg.io.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.cfg.io.write_timeout));
     let mut dec = FrameDecoder::with_max_frame_len(shared.cfg.max_frame_len);
     let mut buf = [0u8; 16 * 1024];
     loop {
@@ -1849,6 +1856,17 @@ mod tests {
         assert_eq!(ads.len(), 3, "the self-ad has no Mips and stays out");
         daemon.shutdown();
         assert_eq!(daemon.stats().frames_handled, 4);
+    }
+
+    #[test]
+    fn both_ends_of_a_daemon_connection_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let io = IoConfig::default();
+        let client = wire::connect(&listener.local_addr().unwrap().to_string(), &io).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        arm_accepted(&accepted, &io);
+        assert!(client.nodelay().unwrap(), "dialing side");
+        assert!(accepted.nodelay().unwrap(), "daemon side");
     }
 
     #[test]

@@ -101,6 +101,9 @@ pub fn connect(addr: &str, io: &IoConfig) -> Result<TcpStream, WireError> {
         .next()
         .ok_or_else(|| WireError::Io(ErrorKind::AddrNotAvailable.into()))?;
     let stream = TcpStream::connect_timeout(&target, io.connect_timeout).map_err(WireError::Io)?;
+    // Frames are small and often followed by a wait for the reply; Nagle
+    // would hold each one back for the peer's delayed ACK.
+    stream.set_nodelay(true).map_err(WireError::Io)?;
     stream
         .set_read_timeout(Some(io.read_timeout))
         .map_err(WireError::Io)?;
