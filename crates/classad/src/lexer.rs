@@ -453,6 +453,12 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Is `text` a keyword (`true`, `false`, `undefined`, `error`, `is`,
+/// `isnt`, in any case) — a name that cannot stand as a bare attribute?
+pub fn is_keyword(text: &str) -> bool {
+    match_keyword(text).is_some()
+}
+
 fn match_keyword(text: &str) -> Option<TokenKind> {
     // Keywords are case-insensitive, like attribute names.
     if text.eq_ignore_ascii_case("true") {

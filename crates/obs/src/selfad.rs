@@ -18,8 +18,9 @@ pub const MY_TYPE_ATTR: &str = "MyType";
 
 /// Convert a `snake_case` metric name to the PascalCase classad attribute
 /// it publishes as (`cycle_duration_ms` → `CycleDurationMs`). Characters
-/// that cannot appear in an attribute name are treated as separators, so
-/// any registry name yields a parseable attribute.
+/// that cannot appear in an attribute name are treated as separators, and
+/// a name that would start with a digit or be a keyword (`is` → `MIs`) is
+/// prefixed with `M`, so any registry name yields a parseable attribute.
 pub fn attr_name(metric: &str) -> String {
     let mut out = String::with_capacity(metric.len());
     let mut upper_next = true;
@@ -35,7 +36,10 @@ pub fn attr_name(metric: &str) -> String {
             upper_next = true;
         }
     }
-    if out.is_empty() || out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
+    if out.is_empty()
+        || out.chars().next().is_some_and(|c| c.is_ascii_digit())
+        || classad::lexer::is_keyword(&out)
+    {
         out.insert(0, 'M');
     }
     out
@@ -88,6 +92,8 @@ mod tests {
         assert_eq!(attr_name("a-b.c"), "ABC");
         assert_eq!(attr_name("9lives"), "M9Lives");
         assert_eq!(attr_name(""), "M");
+        assert_eq!(attr_name("is"), "MIs");
+        assert_eq!(attr_name("error"), "MError");
     }
 
     #[test]
