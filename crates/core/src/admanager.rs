@@ -170,6 +170,16 @@ impl Shard {
     }
 }
 
+/// How [`AdStore::admit`] took an advertisement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// A new ad, new content, contact or ticket under a stored name, or a
+    /// renewal that brings a lapsed ad back: what a cycle matches changed.
+    Changed,
+    /// A pure lease renewal of a live ad.
+    Renewed,
+}
+
 /// In-memory ad store keyed by `(kind, lowercase name)`, with provider ads
 /// sharded by a stable hash of the name (see the module docs).
 ///
@@ -261,34 +271,36 @@ impl AdStore {
 
     /// Admit an advertisement, validating it against the advertising
     /// protocol. Returns the entity's name key. Equivalent to
-    /// [`AdStore::advertise_traced`] with no trace context.
+    /// [`AdStore::admit`] with no trace context.
     pub fn advertise(
         &mut self,
         adv: Advertisement,
         now: Timestamp,
         proto: &AdvertisingProtocol,
     ) -> Result<String, ProtocolError> {
-        self.advertise_traced(adv, now, proto, None)
+        self.admit(adv, now, proto, None).map(|(name, _)| name)
     }
 
     /// Admit an advertisement under an optional trace context; the
     /// context rides on the stored ad into every match it produces.
+    /// Returns the entity's name key and how the store took the ad.
     ///
     /// A re-advertisement whose ad content, contact, and ticket all equal
-    /// the stored ad's is a **pure lease renewal**: the lease (and trace)
-    /// update in place, the sequence number is kept, and — for providers —
-    /// the shard's version does *not* change, so everything cached against
-    /// the shard stays valid. The one exception is a renewal that arrives
-    /// after the lease had already lapsed (and before a sweep): the ad
-    /// re-enters the live set, which is a visible change, so the version
-    /// bumps (the sequence number is still kept).
-    pub fn advertise_traced(
+    /// the stored ad's is a **pure lease renewal** ([`Admission::Renewed`]):
+    /// the lease (and trace) update in place, the sequence number is kept,
+    /// and — for providers — the shard's version does *not* change, so
+    /// everything cached against the shard stays valid. The one exception
+    /// is a renewal that arrives after the lease had already lapsed (and
+    /// before a sweep): the ad re-enters the live set, which is a visible
+    /// change ([`Admission::Changed`]), so the version bumps (the sequence
+    /// number is still kept).
+    pub fn admit(
         &mut self,
         adv: Advertisement,
         now: Timestamp,
         proto: &AdvertisingProtocol,
         trace: Option<TraceContext>,
-    ) -> Result<String, ProtocolError> {
+    ) -> Result<(String, Admission), ProtocolError> {
         proto.validate(&adv, now)?;
         let name = match adv.ad.eval_attr("Name", &self.eval_policy) {
             Value::Str(s) => s.to_string(),
@@ -309,10 +321,11 @@ impl AdStore {
                         existing.trace = trace;
                         self.shards[shard].min_expiry =
                             self.shards[shard].min_expiry.min(adv.expires_at);
-                        if lapsed {
-                            self.shards[shard].touch();
+                        if !lapsed {
+                            return Ok((name, Admission::Renewed));
                         }
-                        return Ok(name);
+                        self.shards[shard].touch();
+                        return Ok((name, Admission::Changed));
                     }
                 }
                 self.next_seq += 1;
@@ -335,9 +348,15 @@ impl AdStore {
                         && existing.contact == adv.contact
                         && existing.ticket == adv.ticket
                     {
+                        let lapsed = existing.expires_at <= now;
                         existing.expires_at = adv.expires_at;
                         existing.trace = trace;
-                        return Ok(name);
+                        let admission = if lapsed {
+                            Admission::Changed
+                        } else {
+                            Admission::Renewed
+                        };
+                        return Ok((name, admission));
                     }
                 }
                 self.next_seq += 1;
@@ -354,7 +373,7 @@ impl AdStore {
                 self.customers.insert(key, stored);
             }
         }
-        Ok(name)
+        Ok((name, Admission::Changed))
     }
 
     /// Double the shard count and redistribute when the mean shard size
@@ -673,6 +692,27 @@ mod tests {
             .unwrap();
         assert_eq!(store.get(EntityKind::Provider, "m").unwrap().seq, seq);
         assert_ne!(store.shard_version(shard), version);
+    }
+
+    #[test]
+    fn admit_tells_a_change_from_a_renewal() {
+        for kind in [EntityKind::Provider, EntityKind::Customer] {
+            let mut store = AdStore::new();
+            let mut admit =
+                |ad: Advertisement, now| store.admit(ad, now, &proto(), None).unwrap().1;
+            assert_eq!(admit(adv("x", kind, 50), 0), Admission::Changed, "new");
+            assert_eq!(admit(adv("x", kind, 60), 10), Admission::Renewed);
+            assert_eq!(
+                admit(adv_with_attr("x", kind, 70, 1), 20),
+                Admission::Changed,
+                "new content"
+            );
+            assert_eq!(
+                admit(adv_with_attr("x", kind, 150, 1), 80),
+                Admission::Changed,
+                "a renewal that brings a lapsed ad back"
+            );
+        }
     }
 
     #[test]

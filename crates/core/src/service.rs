@@ -16,7 +16,7 @@
 //! service. Statistics are relaxed atomics: they are monotone counters
 //! with no ordering requirements.
 
-use crate::admanager::{AdStore, StoreSnapshot, StoredAd};
+use crate::admanager::{AdStore, Admission, StoreSnapshot, StoredAd};
 use crate::matcher::{Candidate, MatchEngine};
 use crate::negotiate::{
     ClusterRejections, CycleOutcome, Negotiator, NegotiatorConfig, RejectionTable,
@@ -99,9 +99,9 @@ impl std::error::Error for FrameRejection {
     }
 }
 
-/// The most recent cycle's per-cluster rejection tables, retained so
+/// The most recent tick's per-cluster rejection tables, retained so
 /// `Analyze` replies can name the cycle the journal's `CycleRejections`
-/// event describes. Empty until a cycle runs with attribution on.
+/// event describes. Empty until a tick runs with attribution on.
 #[derive(Debug, Clone, Default)]
 struct RetainedRejections {
     cycle: u64,
@@ -153,22 +153,21 @@ impl Matchmaker {
 
     /// Accept one advertisement.
     pub fn advertise(&self, adv: Advertisement, now: Timestamp) -> Result<String, ProtocolError> {
-        self.advertise_traced(adv, now, None)
+        self.admit(adv, now, None).map(|(name, _)| name)
     }
 
     /// Accept one advertisement under an optional trace context; the
     /// context follows the stored ad into every match it produces (see
-    /// [`crate::negotiate::MatchRecord::trace`]).
-    pub fn advertise_traced(
+    /// [`crate::negotiate::MatchRecord::trace`]). Also says whether the
+    /// store took it as a change or as a pure lease renewal
+    /// ([`AdStore::admit`]).
+    pub fn admit(
         &self,
         adv: Advertisement,
         now: Timestamp,
         trace: Option<TraceContext>,
-    ) -> Result<String, ProtocolError> {
-        let result = self
-            .store
-            .write()
-            .advertise_traced(adv, now, &self.protocol, trace);
+    ) -> Result<(String, Admission), ProtocolError> {
+        let result = self.store.write().admit(adv, now, &self.protocol, trace);
         match &result {
             Ok(_) => self.stats.ads_accepted.fetch_add(1, Ordering::Relaxed),
             Err(_) => self.stats.ads_rejected.fetch_add(1, Ordering::Relaxed),
@@ -201,20 +200,9 @@ impl Matchmaker {
         msg: Message,
         now: Timestamp,
     ) -> Result<Option<bytes::Bytes>, ProtocolError> {
-        self.handle_message_traced(msg, now, None)
-    }
-
-    /// Like [`Matchmaker::handle_message`], threading the frame's
-    /// optional trace context into the store on `Advertise`.
-    pub fn handle_message_traced(
-        &self,
-        msg: Message,
-        now: Timestamp,
-        trace: Option<TraceContext>,
-    ) -> Result<Option<bytes::Bytes>, ProtocolError> {
         match msg {
             Message::Advertise(adv) => {
-                self.advertise_traced(adv, now, trace)?;
+                self.admit(adv, now, None)?;
                 Ok(None)
             }
             Message::Query {
@@ -281,29 +269,48 @@ impl Matchmaker {
         *self.store.write() = AdStore::restore_state(snap);
     }
 
-    /// Run one negotiation cycle at `now`. Expired ads are swept first
-    /// (their count lands in `stats.expired_ads`).
+    /// Run one negotiation cycle — a tick ([`Negotiator::negotiate`]) — at
+    /// `now`. Expired ads are swept first (their count lands in
+    /// `stats.expired_ads`).
     pub fn negotiate(&self, now: Timestamp) -> CycleOutcome {
+        self.cycle(now, true)
+    }
+
+    /// Run one arrival cycle ([`Negotiator::negotiate_arrivals`]) at `now`:
+    /// the grants of [`Matchmaker::negotiate`] without its attribution and
+    /// flocking passes. `Analyze` keeps echoing the last tick's rejections.
+    pub fn negotiate_arrivals(&self, now: Timestamp) -> CycleOutcome {
+        self.cycle(now, false)
+    }
+
+    fn cycle(&self, now: Timestamp, tick: bool) -> CycleOutcome {
         let mut negotiator = self.negotiator.lock();
-        let outcome = self.run_cycle(&mut negotiator, now);
+        let outcome = self.run_cycle(&mut negotiator, now, tick);
         self.withdraw_matched(&outcome);
         self.stats.cycles.fetch_add(1, Ordering::Relaxed);
         self.stats
             .matches
             .fetch_add(outcome.stats.matches as u64, Ordering::Relaxed);
-        *self.last_rejections.lock() = RetainedRejections {
-            cycle: outcome.cycle,
-            rejections: outcome.rejections.clone(),
-        };
+        if tick {
+            *self.last_rejections.lock() = RetainedRejections {
+                cycle: outcome.cycle,
+                rejections: outcome.rejections.clone(),
+            };
+        }
         outcome
     }
 
     /// Sweep under the write lock, then release it: the cycle itself reads
     /// the store under a read lock so advertisement ingest continues
     /// during matching.
-    fn run_cycle(&self, negotiator: &mut Negotiator, now: Timestamp) -> CycleOutcome {
+    fn run_cycle(&self, negotiator: &mut Negotiator, now: Timestamp, tick: bool) -> CycleOutcome {
         let expired = self.store.write().expire(now);
-        let mut outcome = negotiator.negotiate(&self.store.read(), now);
+        let store = self.store.read();
+        let mut outcome = if tick {
+            negotiator.negotiate(&store, now)
+        } else {
+            negotiator.negotiate_arrivals(&store, now)
+        };
         outcome.stats.expired_ads = expired;
         outcome
     }
@@ -886,7 +893,7 @@ mod tests {
         svc.advertise(machine_adv(1), 0).unwrap();
         svc.advertise(job_adv(0), 0).unwrap();
         svc.advertise(job_adv(1), 0).unwrap();
-        let outcome = svc.run_cycle(&mut svc.negotiator.lock(), 0);
+        let outcome = svc.run_cycle(&mut svc.negotiator.lock(), 0, true);
         assert_eq!(outcome.stats.matches, 2);
         // In the gap before the withdrawal, m1 re-advertises with new
         // content and j1 with a new contact; m0 merely renews its lease.

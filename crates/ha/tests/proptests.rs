@@ -65,7 +65,7 @@ fn build_store(specs: &[AdSpec]) -> AdStore {
     let mut store = AdStore::new();
     for (i, spec) in specs.iter().enumerate() {
         store
-            .advertise_traced(
+            .admit(
                 Advertisement {
                     kind: if spec.provider {
                         EntityKind::Provider

@@ -314,6 +314,42 @@ mod tests {
     }
 
     #[test]
+    fn a_recurring_job_shape_keeps_its_match_list_across_cycles() {
+        // Sub-second cycles (the simulator's clock is in ms): one job of
+        // the same shape per cycle, each taking a machine. The shape's
+        // list is built once and patched after, however short the period.
+        const CYCLES: usize = 8;
+        let mut h = Harness::new();
+        let mut mgr = ManagerNode::new(0, NegotiatorConfig::default(), 100);
+        {
+            let mut ctx = h.ctx();
+            for i in 0..CYCLES {
+                let mut m = machine_adv();
+                m.ad.set_str("Name", &format!("m{i}"));
+                mgr.on_message(SimMsg::Proto(Message::Advertise(m)), &mut ctx);
+            }
+        }
+        for i in 0..CYCLES {
+            h.queue.schedule(
+                100,
+                Event::Manager {
+                    node: 0,
+                    tag: ManagerTimer::Negotiate,
+                },
+            );
+            // Skip the notifications the last cycle queued.
+            while !matches!(h.queue.pop(), Some((_, Event::Manager { .. }))) {}
+            let mut ctx = h.ctx();
+            let mut job = job_adv();
+            job.ad.set_str("Name", &format!("alice.{i}"));
+            mgr.on_message(SimMsg::Proto(Message::Advertise(job)), &mut ctx);
+            mgr.run_cycle(&mut ctx);
+        }
+        assert_eq!(h.metrics.matches, CYCLES as u64);
+        assert_eq!(h.metrics.full_scans, 1);
+    }
+
+    #[test]
     fn usage_reports_feed_priorities() {
         let mut h = Harness::new();
         let mut mgr = ManagerNode::new(0, NegotiatorConfig::default(), 60_000);
