@@ -340,7 +340,9 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-fn literal_value(l: &Literal) -> Value {
+/// The value a literal evaluates to — what the evaluator yields for
+/// [`Expr::Lit`], for callers that read literal attributes without it.
+pub fn literal_value(l: &Literal) -> Value {
     match l {
         Literal::Undefined => Value::Undefined,
         Literal::Error => Value::Error,

@@ -38,10 +38,11 @@ use crate::protocol::{
     Advertisement, AdvertisingProtocol, EntityKind, ProtocolError, Timestamp, TraceContext,
 };
 use crate::ticket::Ticket;
+use classad::ast::{Expr, Literal};
 use classad::{ClassAd, EvalPolicy, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Source of shard versions. Process-wide rather than per store, so a
 /// version names one state of one shard of one store: a store rebuilt by
@@ -89,6 +90,30 @@ pub struct StoredAd {
     /// [`crate::negotiate::MatchRecord`] the ad produces. `None` for ads
     /// from pre-tracing peers or paths that never minted a context.
     pub trace: Option<TraceContext>,
+    /// The ad's wire encoding ([`classad::json::to_json`]), filled by the
+    /// first whole-ad query reply that returns it ([`StoredAd::json`]).
+    /// Never stale: the ad behind the `Arc` is immutable and a changed ad
+    /// is a new `StoredAd`, while a pure renewal keeps this one.
+    pub encoded: OnceLock<Arc<str>>,
+}
+
+impl StoredAd {
+    /// The ad's JSON encoding, computed on first use and cached for the
+    /// life of this stored ad.
+    pub fn json(&self) -> &Arc<str> {
+        self.encoded
+            .get_or_init(|| Arc::from(classad::json::to_json(&self.ad)))
+    }
+
+    /// Whether the ad's `Name` is a string literal spelling its store key.
+    /// Only then does every evaluation of `Name` — in any context, against
+    /// any other ad — give the name the ad is stored under.
+    pub fn name_is_literal(&self) -> bool {
+        matches!(
+            self.ad.get("name").map(|e| &**e),
+            Some(Expr::Lit(Literal::Str(s))) if s.eq_ignore_ascii_case(&self.name)
+        )
+    }
 }
 
 /// FNV-1a over the canonical (lowercase) name: a stable hash — identical
@@ -144,29 +169,30 @@ impl Shard {
             .unwrap_or(u64::MAX);
     }
 
-    fn insert(&mut self, key: String, stored: StoredAd) {
+    /// Store `stored` under `key`, returning the ad it replaced.
+    fn insert(&mut self, key: String, stored: StoredAd) -> Option<StoredAd> {
         self.min_expiry = self.min_expiry.min(stored.expires_at);
-        match self.by_key.get(&key) {
-            Some(&i) => self.order[i] = stored,
+        let replaced = match self.by_key.get(&key) {
+            Some(&i) => Some(std::mem::replace(&mut self.order[i], stored)),
             None => {
                 self.by_key.insert(key, self.order.len());
                 self.order.push(stored);
+                None
             }
-        }
+        };
         self.touch();
+        replaced
     }
 
-    fn remove(&mut self, key: &str) -> bool {
-        let Some(i) = self.by_key.remove(key) else {
-            return false;
-        };
-        self.order.swap_remove(i);
+    fn remove(&mut self, key: &str) -> Option<StoredAd> {
+        let i = self.by_key.remove(key)?;
+        let removed = self.order.swap_remove(i);
         if let Some(moved) = self.order.get(i) {
             self.by_key.insert(moved.name.to_ascii_lowercase(), i);
         }
         self.touch();
         self.refresh_min();
-        true
+        Some(removed)
     }
 }
 
@@ -194,6 +220,9 @@ pub struct AdStore {
     customers: HashMap<String, StoredAd>,
     next_seq: u64,
     eval_policy: EvalPolicy,
+    /// Stored ads (lapsed or not) whose `Name` is not a string literal
+    /// spelling their key ([`StoredAd::name_is_literal`]).
+    computed_names: usize,
 }
 
 impl Default for AdStore {
@@ -204,6 +233,7 @@ impl Default for AdStore {
             customers: HashMap::new(),
             next_seq: 0,
             eval_policy: EvalPolicy::default(),
+            computed_names: 0,
         }
     }
 }
@@ -269,6 +299,21 @@ impl AdStore {
         self.len() == 0
     }
 
+    /// Number of stored ads whose `Name` is not a string literal spelling
+    /// their key ([`StoredAd::name_is_literal`]). While it is 0, an ad
+    /// whose `Name` equals a string is exactly the ad [`AdStore::get`]
+    /// finds under that string, whoever evaluates the `Name`.
+    pub fn computed_names(&self) -> usize {
+        self.computed_names
+    }
+
+    /// Keep [`AdStore::computed_names`] as `added` enters and `removed`
+    /// leaves the store.
+    fn recount(&mut self, added: Option<&StoredAd>, removed: Option<&StoredAd>) {
+        let computed = |s: Option<&StoredAd>| usize::from(s.is_some_and(|s| !s.name_is_literal()));
+        self.computed_names = self.computed_names + computed(added) - computed(removed);
+    }
+
     /// Admit an advertisement, validating it against the advertising
     /// protocol. Returns the entity's name key. Equivalent to
     /// [`AdStore::admit`] with no trace context.
@@ -328,18 +373,10 @@ impl AdStore {
                         return Ok((name, Admission::Changed));
                     }
                 }
-                self.next_seq += 1;
-                let stored = StoredAd {
-                    name: name.clone(),
-                    kind: adv.kind,
-                    ad: Arc::new(adv.ad),
-                    contact: adv.contact,
-                    ticket: adv.ticket,
-                    expires_at: adv.expires_at,
-                    seq: self.next_seq,
-                    trace,
-                };
-                self.shards[shard].insert(key, stored);
+                let stored = self.fresh(name.clone(), adv, trace);
+                self.recount(Some(&stored), None);
+                let replaced = self.shards[shard].insert(key, stored);
+                self.recount(None, replaced.as_ref());
                 self.maybe_split();
             }
             EntityKind::Customer => {
@@ -359,21 +396,29 @@ impl AdStore {
                         return Ok((name, admission));
                     }
                 }
-                self.next_seq += 1;
-                let stored = StoredAd {
-                    name: name.clone(),
-                    kind: adv.kind,
-                    ad: Arc::new(adv.ad),
-                    contact: adv.contact,
-                    ticket: adv.ticket,
-                    expires_at: adv.expires_at,
-                    seq: self.next_seq,
-                    trace,
-                };
-                self.customers.insert(key, stored);
+                let stored = self.fresh(name.clone(), adv, trace);
+                self.recount(Some(&stored), None);
+                let replaced = self.customers.insert(key, stored);
+                self.recount(None, replaced.as_ref());
             }
         }
         Ok((name, Admission::Changed))
+    }
+
+    /// A new stored ad for `adv` under the next sequence number.
+    fn fresh(&mut self, name: String, adv: Advertisement, trace: Option<TraceContext>) -> StoredAd {
+        self.next_seq += 1;
+        StoredAd {
+            name,
+            kind: adv.kind,
+            ad: Arc::new(adv.ad),
+            contact: adv.contact,
+            ticket: adv.ticket,
+            expires_at: adv.expires_at,
+            seq: self.next_seq,
+            trace,
+            encoded: OnceLock::new(),
+        }
     }
 
     /// Double the shard count and redistribute when the mean shard size
@@ -404,13 +449,15 @@ impl AdStore {
     /// was present.
     pub fn withdraw(&mut self, kind: EntityKind, name: &str) -> bool {
         let key = name.to_ascii_lowercase();
-        match kind {
+        let removed = match kind {
             EntityKind::Provider => {
                 let shard = self.shard_of(name);
                 self.shards[shard].remove(&key)
             }
-            EntityKind::Customer => self.customers.remove(&key).is_some(),
-        }
+            EntityKind::Customer => self.customers.remove(&key),
+        };
+        self.recount(None, removed.as_ref());
+        removed.is_some()
     }
 
     /// Remove an entity's ad only if the stored ad is still the very ad
@@ -447,12 +494,20 @@ impl AdStore {
     /// resource is a dirty resource.
     pub fn expire(&mut self, now: Timestamp) -> usize {
         let mut dropped = 0;
+        let mut computed_dropped = 0;
+        let mut keep = |s: &StoredAd| {
+            let live = s.expires_at > now;
+            if !live && !s.name_is_literal() {
+                computed_dropped += 1;
+            }
+            live
+        };
         for shard in &mut self.shards {
             if shard.min_expiry > now {
                 continue;
             }
             let before = shard.order.len();
-            shard.order.retain(|s| s.expires_at > now);
+            shard.order.retain(&mut keep);
             let removed = before - shard.order.len();
             if removed > 0 {
                 dropped += removed;
@@ -465,9 +520,24 @@ impl AdStore {
             shard.refresh_min();
         }
         let before = self.customers.len();
-        self.customers.retain(|_, s| s.expires_at > now);
+        self.customers.retain(|_, s| keep(s));
         dropped += before - self.customers.len();
+        self.computed_names -= computed_dropped;
         dropped
+    }
+
+    /// The live ads of one kind, by reference, in storage order (shard by
+    /// shard for providers; unordered for customers).
+    pub(crate) fn live(&self, kind: EntityKind, now: Timestamp) -> impl Iterator<Item = &StoredAd> {
+        let (shards, customers) = match kind {
+            EntityKind::Provider => (&self.shards[..], None),
+            EntityKind::Customer => (&[][..], Some(&self.customers)),
+        };
+        shards
+            .iter()
+            .flat_map(|sh| sh.order.iter())
+            .chain(customers.into_iter().flat_map(|c| c.values()))
+            .filter(move |s| s.expires_at > now)
     }
 
     /// Snapshot the live ads of one kind, freshest first (by sequence
@@ -475,21 +545,7 @@ impl AdStore {
     /// snapshot while new ads arrive. O(pool) — the incremental
     /// negotiation path reads shards directly instead.
     pub fn snapshot(&self, kind: EntityKind, now: Timestamp) -> Vec<StoredAd> {
-        let mut v: Vec<StoredAd> = match kind {
-            EntityKind::Provider => self
-                .shards
-                .iter()
-                .flat_map(|sh| sh.order.iter())
-                .filter(|s| s.expires_at > now)
-                .cloned()
-                .collect(),
-            EntityKind::Customer => self
-                .customers
-                .values()
-                .filter(|s| s.expires_at > now)
-                .cloned()
-                .collect(),
-        };
+        let mut v: Vec<StoredAd> = self.live(kind, now).cloned().collect();
         v.sort_by_key(|s| std::cmp::Reverse(s.seq));
         v
     }
@@ -529,21 +585,19 @@ impl AdStore {
         let mut store = AdStore {
             shards: (0..n).map(|_| Shard::default()).collect(),
             pinned: snap.pinned,
-            customers: HashMap::new(),
             next_seq: snap.next_seq,
-            eval_policy: EvalPolicy::default(),
+            ..AdStore::default()
         };
         for stored in &snap.ads {
             let key = stored.name.to_ascii_lowercase();
-            match stored.kind {
+            let replaced = match stored.kind {
                 EntityKind::Provider => {
                     let shard = store.shard_of(&stored.name);
-                    store.shards[shard].insert(key, stored.clone());
+                    store.shards[shard].insert(key, stored.clone())
                 }
-                EntityKind::Customer => {
-                    store.customers.insert(key, stored.clone());
-                }
-            }
+                EntityKind::Customer => store.customers.insert(key, stored.clone()),
+            };
+            store.recount(Some(stored), replaced.as_ref());
         }
         store
     }

@@ -483,6 +483,21 @@ fn put_ad(buf: &mut BytesMut, ad: &ClassAd) {
     put_string(buf, &to_json(ad));
 }
 
+/// Encode a [`Message::QueryReply`] frame from ads already in their wire
+/// form ([`classad::json::to_json`]): the same bytes as
+/// `Message::QueryReply { ads }.encode()` for the ads they encode, with no
+/// ad re-encoded and the frame allocated once.
+pub fn encode_query_reply<S: AsRef<str>>(ads: &[S]) -> Bytes {
+    let len = 5 + ads.iter().map(|a| 4 + a.as_ref().len()).sum::<usize>();
+    let mut buf = BytesMut::with_capacity(len);
+    buf.put_u8(tag::QUERY_REPLY);
+    buf.put_u32(ads.len() as u32);
+    for ad in ads {
+        put_string(&mut buf, ad.as_ref());
+    }
+    buf.freeze()
+}
+
 fn put_opt_ticket(buf: &mut BytesMut, t: &Option<Ticket>) {
     match t {
         Some(t) => {

@@ -8,9 +8,14 @@
 //! is not consulted, since browsing a resource is not claiming it.
 
 use crate::admanager::{AdStore, StoredAd};
-use crate::protocol::{EntityKind, Timestamp};
-use classad::ast::Expr;
-use classad::{constraint_holds, ClassAd, EvalPolicy, MatchConventions, ParseError};
+use crate::protocol::{EntityKind, ProtocolError, Timestamp};
+use classad::ast::{AttrName, BinOp, Expr, Literal, Scope};
+use classad::eval::literal_value;
+use classad::value::apply_strict_binary;
+use classad::{
+    conjuncts_of, constraint_holds, ClassAd, EvalPolicy, MatchConventions, ParseError, Value,
+};
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// A one-way query over the ad store.
@@ -39,6 +44,23 @@ impl Query {
         })
     }
 
+    /// Build a query from the fields of a wire `Query` message (an empty
+    /// projection means whole ads). A constraint that does not parse is a
+    /// protocol error.
+    pub fn from_message(
+        constraint: &str,
+        kind: Option<EntityKind>,
+        projection: Vec<String>,
+    ) -> Result<Query, ProtocolError> {
+        let mut q = Query::from_constraint(constraint)
+            .map_err(|e| ProtocolError::BadFrame(format!("bad query constraint: {e}")))?;
+        q.kind = kind;
+        if !projection.is_empty() {
+            q.projection = Some(projection);
+        }
+        Ok(q)
+    }
+
     /// Restrict the query to providers or customers.
     pub fn of_kind(mut self, kind: EntityKind) -> Query {
         self.kind = Some(kind);
@@ -51,6 +73,62 @@ impl Query {
         self
     }
 
+    /// The kinds searched, in result order: providers first.
+    fn kinds(&self) -> &'static [EntityKind] {
+        match self.kind {
+            Some(EntityKind::Provider) => &[EntityKind::Provider],
+            Some(EntityKind::Customer) => &[EntityKind::Customer],
+            None => &[EntityKind::Provider, EntityKind::Customer],
+        }
+    }
+
+    /// Whether the query can select an ad of `kind` at all: it searches
+    /// that kind, and no top-level conjunct of its constraint is a literal
+    /// other than `true` (the `false` probes and acknowledgements select
+    /// nothing).
+    pub fn may_select(&self, kind: EntityKind, conv: &MatchConventions) -> bool {
+        self.kinds().contains(&kind) && !Plan::of(self, conv).selects_nothing
+    }
+
+    /// The stored ads the query selects, by reference: each kind's live
+    /// ads whose constraint holds, freshest first, providers before
+    /// customers. The results and their order are those of evaluating the
+    /// constraint against every live ad ([`AdStore::snapshot`] +
+    /// [`constraint_holds`]); a by-name lookup and a literal-comparison
+    /// prefilter only spare the evaluator ads that cannot match.
+    pub fn select_in<'s>(
+        &self,
+        store: &'s AdStore,
+        now: Timestamp,
+        policy: &EvalPolicy,
+        conv: &MatchConventions,
+    ) -> Vec<&'s StoredAd> {
+        let plan = Plan::of(self, conv);
+        let mut out = Vec::new();
+        if plan.selects_nothing {
+            return out;
+        }
+        // A store key is the `Name` evaluated at admission; only while
+        // every stored `Name` is a literal is it the `Name` a query sees.
+        let by_name = plan.name.as_deref().filter(|_| store.computed_names() == 0);
+        let selects =
+            |s: &&StoredAd| !plan.rejects(&s.ad) && constraint_holds(&self.ad, &s.ad, policy, conv);
+        for &kind in self.kinds() {
+            let first = out.len();
+            match by_name {
+                Some(name) => out.extend(
+                    store
+                        .get(kind, name)
+                        .filter(|s| s.expires_at > now)
+                        .filter(&selects),
+                ),
+                None => out.extend(store.live(kind, now).filter(&selects)),
+            }
+            out[first..].sort_by_key(|s| Reverse(s.seq));
+        }
+        out
+    }
+
     /// Run the query, returning matching stored ads (freshest first, as
     /// returned by the store snapshot).
     pub fn run(
@@ -60,20 +138,10 @@ impl Query {
         policy: &EvalPolicy,
         conv: &MatchConventions,
     ) -> Vec<StoredAd> {
-        let kinds: &[EntityKind] = match self.kind {
-            Some(EntityKind::Provider) => &[EntityKind::Provider],
-            Some(EntityKind::Customer) => &[EntityKind::Customer],
-            None => &[EntityKind::Provider, EntityKind::Customer],
-        };
-        let mut out = Vec::new();
-        for kind in kinds {
-            for stored in store.snapshot(*kind, now) {
-                if constraint_holds(&self.ad, &stored.ad, policy, conv) {
-                    out.push(stored);
-                }
-            }
-        }
-        out
+        self.select_in(store, now, policy, conv)
+            .into_iter()
+            .cloned()
+            .collect()
     }
 
     /// Run the query and return (possibly projected) result ads.
@@ -84,13 +152,102 @@ impl Query {
         policy: &EvalPolicy,
         conv: &MatchConventions,
     ) -> Vec<ClassAd> {
-        self.run(store, now, policy, conv)
+        self.select_in(store, now, policy, conv)
             .into_iter()
             .map(|s| match &self.projection {
                 None => (*s.ad).clone(),
                 Some(attrs) => project(&s.ad, attrs, policy),
             })
             .collect()
+    }
+}
+
+/// What a query's constraint settles before any ad is evaluated: its
+/// top-level conjuncts ([`conjuncts_of`]) that are literals or compare
+/// `other.A` with a literal. An `&&` chain is `true` only when every
+/// conjunct is, so each of these can only *reject* an ad; whatever they
+/// let through still goes to [`constraint_holds`].
+#[derive(Default)]
+struct Plan {
+    /// A conjunct is a literal other than `true`: nothing can match.
+    selects_nothing: bool,
+    /// From `other.Name == "<lit>"`: the only name a match can have (string
+    /// `==` is ASCII case-insensitive, like store keys).
+    name: Option<Arc<str>>,
+    /// The `other.A <cmp> <literal>` conjuncts.
+    tests: Vec<LiteralTest>,
+}
+
+/// One `other.A <cmp> <literal>` conjunct, either orientation.
+struct LiteralTest {
+    attr: AttrName,
+    op: BinOp,
+    literal: Value,
+    /// The literal is the left operand (`512 <= other.Memory`).
+    literal_left: bool,
+}
+
+impl Plan {
+    fn of(q: &Query, conv: &MatchConventions) -> Plan {
+        let mut plan = Plan::default();
+        let Some(constraint) = conv.constraint_attr_of(&q.ad).and_then(|a| q.ad.get(a)) else {
+            return plan;
+        };
+        for conjunct in conjuncts_of(constraint) {
+            let (op, attr, lit, literal_left) = match conjunct {
+                Expr::Lit(Literal::Bool(true)) => continue,
+                Expr::Lit(_) => {
+                    plan.selects_nothing = true;
+                    continue;
+                }
+                Expr::Binary(
+                    op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+                    l,
+                    r,
+                ) => match (&**l, &**r) {
+                    (Expr::ScopedAttr(Scope::Target, a), Expr::Lit(lit)) => (*op, a, lit, false),
+                    (Expr::Lit(lit), Expr::ScopedAttr(Scope::Target, a)) => (*op, a, lit, true),
+                    _ => continue,
+                },
+                _ => continue,
+            };
+            if let (BinOp::Eq, Literal::Str(s), None) = (op, lit, &plan.name) {
+                if attr.canonical() == "name" {
+                    plan.name = Some(s.clone());
+                }
+            }
+            plan.tests.push(LiteralTest {
+                attr: attr.clone(),
+                op,
+                literal: literal_value(lit),
+                literal_left,
+            });
+        }
+        plan
+    }
+
+    fn rejects(&self, ad: &ClassAd) -> bool {
+        self.tests.iter().any(|t| t.rejects(ad))
+    }
+}
+
+impl LiteralTest {
+    /// Whether the conjunct is certainly not `true` for `ad`, computed
+    /// with the evaluator's own operator: `A` is missing (`undefined`) or
+    /// a literal the comparison fails on. A computed `A` is left to the
+    /// evaluator.
+    fn rejects(&self, ad: &ClassAd) -> bool {
+        let value = match ad.get(self.attr.canonical()).map(|e| &**e) {
+            None => Value::Undefined,
+            Some(Expr::Lit(l)) => literal_value(l),
+            Some(_) => return false,
+        };
+        let result = if self.literal_left {
+            apply_strict_binary(self.op, &self.literal, &value)
+        } else {
+            apply_strict_binary(self.op, &value, &self.literal)
+        };
+        result.as_bool() != Some(true)
     }
 }
 
@@ -208,6 +365,77 @@ mod tests {
         assert_eq!(r.len(), 2, "{r}");
         assert_eq!(r.get_string("Name"), Some("intel1"));
         assert_eq!(r.get_int("Memory"), Some(64));
+    }
+
+    #[test]
+    fn literal_false_conjuncts_select_nothing() {
+        let s = store();
+        let conv = MatchConventions::default();
+        for src in [
+            "false",
+            "other.Memory > 0 && false",
+            "(true && undefined) && true",
+        ] {
+            let q = Query::from_constraint(src).unwrap();
+            assert!(run(&q, &s).is_empty(), "{src}");
+            assert!(!q.may_select(EntityKind::Provider, &conv), "{src}");
+        }
+        let q = Query::from_constraint("true && other.Memory > 0").unwrap();
+        assert!(q.may_select(EntityKind::Provider, &conv));
+        let q = q.of_kind(EntityKind::Customer);
+        assert!(!q.may_select(EntityKind::Provider, &conv));
+        assert!(q.may_select(EntityKind::Customer, &conv));
+    }
+
+    #[test]
+    fn prefilter_leaves_computed_attributes_to_the_evaluator() {
+        let mut s = store();
+        s.advertise(
+            Advertisement {
+                kind: EntityKind::Provider,
+                ad: parse_classad(
+                    r#"[ Name = "calc"; Base = 32; Memory = Base * 4; Arch = strcat("INT", "EL");
+                         Constraint = true ]"#,
+                )
+                .unwrap(),
+                contact: "c:1".into(),
+                ticket: None,
+                expires_at: 1000,
+            },
+            0,
+            &AdvertisingProtocol::default(),
+        )
+        .unwrap();
+        let q = Query::from_constraint(r#"128 <= other.Memory && other.Arch == "intel""#).unwrap();
+        assert_eq!(run(&q, &s), vec!["calc"]);
+    }
+
+    #[test]
+    fn lookup_by_name_is_case_insensitive_and_waits_out_computed_names() {
+        let mut s = store();
+        let q = Query::from_constraint(r#""INTEL1" == other.Name"#).unwrap();
+        assert_eq!(run(&q, &s), vec!["intel1"]);
+        // Stored under "solo" (no `other` at admission), but `Name` reads
+        // "intel1" against a query: only a scan finds it.
+        s.advertise(
+            Advertisement {
+                kind: EntityKind::Customer,
+                ad: parse_classad(
+                    r#"[ Name = other.Name is undefined ? "solo" : "intel1"; Constraint = true ]"#,
+                )
+                .unwrap(),
+                contact: "c:1".into(),
+                ticket: None,
+                expires_at: 1000,
+            },
+            0,
+            &AdvertisingProtocol::default(),
+        )
+        .unwrap();
+        assert_eq!(s.computed_names(), 1);
+        assert_eq!(run(&q, &s), vec!["intel1", "solo"]);
+        assert!(s.withdraw(EntityKind::Customer, "solo"));
+        assert_eq!(s.computed_names(), 0);
     }
 
     #[test]

@@ -22,9 +22,11 @@ use crate::negotiate::{
     ClusterRejections, CycleOutcome, Negotiator, NegotiatorConfig, RejectionTable,
 };
 use crate::protocol::{
-    Advertisement, AdvertisingProtocol, EntityKind, Message, ProtocolError, Timestamp, TraceContext,
+    encode_query_reply, Advertisement, AdvertisingProtocol, EntityKind, Message, ProtocolError,
+    Timestamp, TraceContext,
 };
-use crate::query::Query;
+use crate::query::{project, Query};
+use classad::json::to_json;
 use classad::{traced_symmetric_match, ClassAd, RejectReason, RejectSide, Value};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -210,14 +212,8 @@ impl Matchmaker {
                 kind,
                 projection,
             } => {
-                let mut q = Query::from_constraint(&constraint)
-                    .map_err(|e| ProtocolError::BadFrame(format!("bad query constraint: {e}")))?;
-                q.kind = kind;
-                if !projection.is_empty() {
-                    q.projection = Some(projection);
-                }
-                let ads = self.query(&q, now);
-                Ok(Some(Message::QueryReply { ads }.encode()))
+                let q = Query::from_message(&constraint, kind, projection)?;
+                Ok(Some(self.query_reply(&q, now)))
             }
             Message::Analyze { name } => {
                 let ad = self.analyze(&name, now);
@@ -535,6 +531,39 @@ impl Matchmaker {
         q.run_projected(&store, now, &self.engine.policy, &self.engine.conventions)
     }
 
+    /// Serve a one-way query as an encoded [`Message::QueryReply`] frame,
+    /// byte-equal to encoding [`Matchmaker::query`]'s result. Whole ads
+    /// are written from each stored ad's cached encoding
+    /// ([`StoredAd::json`]), so an ad is encoded once however often it is
+    /// returned; projected results are built and encoded per query.
+    pub fn query_reply(&self, q: &Query, now: Timestamp) -> bytes::Bytes {
+        self.stats.queries.fetch_add(1, Ordering::Relaxed);
+        let store = self.store.read();
+        let (policy, conv) = (&self.engine.policy, &self.engine.conventions);
+        let selected = q.select_in(&store, now, policy, conv);
+        match &q.projection {
+            None => {
+                let ads: Vec<Arc<str>> = selected.iter().map(|s| s.json().clone()).collect();
+                drop(store);
+                encode_query_reply(&ads)
+            }
+            Some(attrs) => {
+                let ads: Vec<String> = selected
+                    .iter()
+                    .map(|s| to_json(&project(&s.ad, attrs, policy)))
+                    .collect();
+                drop(store);
+                encode_query_reply(&ads)
+            }
+        }
+    }
+
+    /// Whether `q` can select an ad of `kind` at all (see
+    /// [`Query::may_select`]), under this service's conventions.
+    pub fn query_may_select(&self, q: &Query, kind: EntityKind) -> bool {
+        q.may_select(kind, &self.engine.conventions)
+    }
+
     /// A consistent snapshot of the counters.
     pub fn stats(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -723,6 +752,77 @@ mod tests {
             projection: vec![],
         };
         assert!(svc.handle_frame(bad.encode(), 0).is_err());
+    }
+
+    fn whole_ad_reply(svc: &Matchmaker, constraint: &str) -> bytes::Bytes {
+        let q = Message::Query {
+            constraint: constraint.into(),
+            kind: None,
+            projection: vec![],
+        };
+        svc.handle_frame(q.encode(), 0).unwrap().expect("a reply")
+    }
+
+    fn cached_encoding(svc: &Matchmaker, name: &str) -> Option<Arc<str>> {
+        let store = svc.store.read();
+        store
+            .get(EntityKind::Provider, name)
+            .and_then(|s| s.encoded.get().cloned())
+    }
+
+    #[test]
+    fn replies_from_cached_encodings_equal_encoding_the_ads() {
+        let svc = Matchmaker::new(NegotiatorConfig::default());
+        for i in 0..4 {
+            svc.advertise(machine_adv(i), 0).unwrap();
+            svc.advertise(job_adv(i), 0).unwrap();
+        }
+        // Three machines and four jobs, both kinds in one reply.
+        let constraint = r#"other.Mips >= 51 || other.Type == "Job""#;
+        let q = Query::from_constraint(constraint).unwrap();
+        let expected = Message::QueryReply {
+            ads: svc.query(&q, 0),
+        }
+        .encode();
+        assert!(
+            cached_encoding(&svc, "m1").is_none(),
+            "filled on first reply"
+        );
+        assert_eq!(whole_ad_reply(&svc, constraint), expected);
+        assert!(cached_encoding(&svc, "m1").is_some());
+        assert!(
+            cached_encoding(&svc, "m0").is_none(),
+            "never returned whole"
+        );
+        // The second reply copies the cached strings: same bytes.
+        assert_eq!(whole_ad_reply(&svc, constraint), expected);
+        assert_eq!(svc.query_reply(&q, 0), expected);
+    }
+
+    #[test]
+    fn renewals_keep_the_cached_encoding_and_changes_replace_it() {
+        let svc = Matchmaker::new(NegotiatorConfig::default());
+        svc.advertise(machine_adv(1), 0).unwrap();
+        whole_ad_reply(&svc, "other.Mips >= 50");
+        let cached = cached_encoding(&svc, "m1").expect("filled");
+        svc.advertise(machine_adv(1), 1).unwrap();
+        let renewed = cached_encoding(&svc, "m1").expect("kept across a renewal");
+        assert!(Arc::ptr_eq(&cached, &renewed));
+
+        let mut changed = machine_adv(1);
+        changed.ad.set_int("Mips", 999);
+        svc.advertise(changed, 2).unwrap();
+        assert!(
+            cached_encoding(&svc, "m1").is_none(),
+            "a changed ad starts empty"
+        );
+        let Message::QueryReply { ads } =
+            Message::decode(whole_ad_reply(&svc, "other.Mips >= 50")).unwrap()
+        else {
+            panic!("expected QueryReply")
+        };
+        assert_eq!(ads.len(), 1);
+        assert_eq!(ads[0].get_int("Mips"), Some(999), "{}", ads[0]);
     }
 
     fn never_matching_job() -> Advertisement {

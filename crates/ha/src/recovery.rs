@@ -122,6 +122,7 @@ mod tests {
             expires_at: u64::MAX,
             seq: 1,
             trace: None,
+            encoded: std::sync::OnceLock::new(),
         }
     }
 

@@ -19,7 +19,7 @@ use matchmaker::protocol::{EntityKind, TraceContext};
 use matchmaker::ticket::Ticket;
 use matchmaker::{StoreSnapshot, StoredAd};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Everything a standby needs to stand in for a dead leader: the ad
 /// store's full state plus any matches made but possibly not yet
@@ -292,6 +292,7 @@ impl PoolSnapshot {
                         name: decode_str(toks[6]).map_err(|e| fail(idx, e))?,
                         contact: decode_str(toks[7]).map_err(|e| fail(idx, e))?,
                         ad: decode_ad(toks[8]).map_err(|e| fail(idx, e))?,
+                        encoded: OnceLock::new(),
                     });
                 }
                 "match" => {
@@ -370,6 +371,7 @@ mod tests {
                             trace_id: 0xdead_beef,
                             parent_span_id: 0,
                         }),
+                        encoded: OnceLock::new(),
                     },
                     StoredAd {
                         name: "j-üñí".into(),
@@ -380,6 +382,7 @@ mod tests {
                         expires_at: u64::MAX,
                         seq: 8,
                         trace: None,
+                        encoded: OnceLock::new(),
                     },
                 ],
             },

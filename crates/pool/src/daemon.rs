@@ -17,7 +17,8 @@
 //! Observability: the daemon keeps a `condor_obs` metrics registry and
 //! publishes a self-ad (`MyType == "MatchmakerStats"`, `DaemonAd = true`)
 //! into its own ad store — at spawn, after every periodic cycle (once per
-//! `cycle_interval`), and freshly before serving any query — so
+//! `cycle_interval`), and freshly before serving any query that could
+//! select it (not a customer-only query, not a constant `false`) — so
 //! `Message::Query` with `other.MyType == "MatchmakerStats"` reads live
 //! daemon health over the same wire as any other query.
 
@@ -34,6 +35,7 @@ use matchmaker::negotiate::{NegotiatorConfig, UnmatchedCluster};
 use matchmaker::protocol::{
     Advertisement, AdvertisingProtocol, EntityKind, MatchNotification, Message,
 };
+use matchmaker::query::Query;
 use matchmaker::service::Matchmaker;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -1161,12 +1163,6 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                             adv.contact.clone(),
                             adv.kind == EntityKind::Customer && !condor_obs::is_daemon_ad(&adv.ad),
                         )),
-                        Message::Query { .. } => {
-                            // Queries may target the self-ad: refresh it so
-                            // the reply reflects this very moment.
-                            shared.publish_self_ad();
-                            None
-                        }
                         _ => None,
                     };
                     // Adopt the peer's trace context — or, when this is an
@@ -1186,6 +1182,19 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                             .service
                             .admit(adv, now, store_trace)
                             .map(|(_, admission)| (None, admission == Admission::Changed)),
+                        Message::Query {
+                            constraint,
+                            kind,
+                            projection,
+                        } => Query::from_message(&constraint, kind, projection).map(|q| {
+                            // A query that can see the self-ad (a provider
+                            // ad) gets it refreshed, so the reply reflects
+                            // this very moment.
+                            if shared.service.query_may_select(&q, EntityKind::Provider) {
+                                shared.publish_self_ad();
+                            }
+                            (Some(shared.service.query_reply(&q, now)), false)
+                        }),
                         msg => shared.service.handle_message(msg, now).map(|r| (r, false)),
                     };
                     match handled {
@@ -1662,9 +1671,7 @@ fn daemon_self_ads(shared: &Arc<Shared>, now: u64) -> Vec<ClassAd> {
         schema::RESOURCE_AGENT_STATS,
         schema::CUSTOMER_AGENT_STATS,
     ] {
-        if let Ok(q) =
-            matchmaker::query::Query::from_constraint(&condor_obs::self_ad_constraint(ty))
-        {
+        if let Ok(q) = Query::from_constraint(&condor_obs::self_ad_constraint(ty)) {
             ads.extend(shared.service.query(&q, now));
         }
     }
@@ -1983,6 +1990,53 @@ mod tests {
         // Refreshed just before the query: our own connection is visible.
         assert_eq!(ad.get_int("ConnectionsAccepted"), Some(1), "{ad}");
         assert_eq!(ad.get_int("ActiveConnections"), Some(1), "{ad}");
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn only_queries_that_can_see_the_self_ad_refresh_it() {
+        let mut daemon = quiet_daemon();
+        let addr = daemon.addr().to_string();
+        let io = IoConfig::default();
+        let self_ad_seq = |daemon: &MatchmakerDaemon| {
+            let snap = daemon.service().snapshot_state();
+            let ad = snap.ads.iter().find(|s| condor_obs::is_daemon_ad(&s.ad));
+            ad.expect("the self-ad is stored").seq
+        };
+        let published = self_ad_seq(&daemon);
+        let blind = [
+            // The HA/flock leader probe and a stream's acknowledgement.
+            crate::failover::probe_query(),
+            Message::Query {
+                constraint: "false".into(),
+                kind: Some(EntityKind::Customer),
+                projection: vec![],
+            },
+            Message::Query {
+                constraint: "true".into(),
+                kind: Some(EntityKind::Customer),
+                projection: vec![],
+            },
+        ];
+        for q in blind.iter().cycle().take(20) {
+            let reply = wire::request_reply(&addr, q, &io).unwrap();
+            assert!(matches!(&reply, Message::QueryReply { ads } if ads.is_empty()));
+        }
+        // Each of those connections moved `ConnectionsAccepted`, so a
+        // refresh would have stored a changed ad under a new seq.
+        assert_eq!(self_ad_seq(&daemon), published);
+
+        let q = Message::Query {
+            constraint: condor_obs::self_ad_constraint(schema::MATCHMAKER_STATS),
+            kind: Some(EntityKind::Provider),
+            projection: vec!["ConnectionsAccepted".into()],
+        };
+        let Ok(Message::QueryReply { ads }) = wire::request_reply(&addr, &q, &io) else {
+            panic!("self-ad query failed")
+        };
+        assert_eq!(ads.len(), 1);
+        assert_eq!(ads[0].get_int("ConnectionsAccepted"), Some(21));
+        assert!(self_ad_seq(&daemon) > published);
         daemon.shutdown();
     }
 
