@@ -34,8 +34,8 @@
 //! The monitor owns no sockets, no clock, and no journal: the embedding
 //! daemon (`condor-pool`'s `mm-alarm` thread) supplies telemetry each
 //! interval, journals the transitions as `AlertRaised` / `AlertCleared`
-//! events, and answers `AlertQuery` wire messages from
-//! [`Monitor::query`]. See `docs/observability.md` §7.
+//! events, and serves [`Monitor::state_ads`] as the `AlertState`
+//! collection of its `Query`. See `docs/observability.md` §7.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -24,8 +24,8 @@
 
 use crate::rule::{severity_rank, Rule, ALERT_AD_TYPE};
 use classad::{
-    constraint_holds, parse_expr, traced_constraint_holds, ClassAd, EvalPolicy, Expr,
-    MatchConventions, RejectReason, RejectSide,
+    constraint_holds, traced_constraint_holds, ClassAd, EvalPolicy, Expr, MatchConventions,
+    RejectReason, RejectSide,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -318,25 +318,6 @@ impl Monitor {
         out
     }
 
-    /// Answer an `AlertQuery`: an ordinary classad constraint over the
-    /// alert-state ads (`other.State == "firing"`, `other.Severity ==
-    /// "critical"`, ...). `"true"` selects everything. Malformed
-    /// constraints are errors, not panics — the daemon turns them into
-    /// structured wire errors.
-    pub fn query(&self, constraint: &str) -> Result<Vec<ClassAd>, String> {
-        let expr = parse_expr(constraint).map_err(|e| format!("bad alert constraint: {e}"))?;
-        let mut query_ad = ClassAd::new();
-        query_ad.set("Name", Expr::str("alert-query"));
-        query_ad.set("Constraint", expr);
-        let policy = EvalPolicy::default();
-        let conv = MatchConventions::default();
-        Ok(self
-            .state_ads()
-            .into_iter()
-            .filter(|ad| constraint_holds(&query_ad, ad, &policy, &conv))
-            .collect())
-    }
-
     /// A compact one-line summary of firing alerts, severity-sorted:
     /// `critical:MatchmakerDown@peer:1/pool warning:AgentAbsent@ra-1` —
     /// what the matchmaker self-ad publishes as `ActiveAlertSummary` and
@@ -542,6 +523,19 @@ mod tests {
         assert!(m.state_ads().is_empty());
     }
 
+    /// The state ads whose constraint `src` holds: how a `Query` of the
+    /// `AlertState` collection selects among them. A constraint that does
+    /// not parse selects nothing and is an error.
+    fn select(m: &Monitor, src: &str) -> Result<Vec<ClassAd>, classad::ParseError> {
+        let mut query = ClassAd::new();
+        query.set("Constraint", classad::parse_expr(src)?);
+        let (policy, conv) = (EvalPolicy::default(), MatchConventions::default());
+        Ok(m.state_ads()
+            .into_iter()
+            .filter(|ad| constraint_holds(&query, ad, &policy, &conv))
+            .collect())
+    }
+
     #[test]
     fn query_filters_state_ads_and_rejects_bad_constraints() {
         let m = Monitor::with_default_pack(&[], MonitorConfig::default()).unwrap();
@@ -549,13 +543,15 @@ mod tests {
         let t = m.evaluate(&[presence("peer:9", "pool", 1, 1)], 100);
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].severity, "critical");
-        let firing = m.query(r#"other.State == "firing""#).unwrap();
+        let firing_src = r#"other.MyType == "AlertState" && other.State == "firing""#;
+        let firing = select(&m, firing_src).unwrap();
         assert_eq!(firing.len(), 1);
         assert_eq!(firing[0].get_string("Rule"), Some("MatchmakerDown"));
-        let crit = m.query(r#"other.Severity == "critical""#).unwrap();
+        assert_eq!(firing[0].get_string("MyType"), Some(ALERT_AD_TYPE));
+        let crit = select(&m, r#"other.Severity == "critical""#).unwrap();
         assert_eq!(crit.len(), 1);
-        assert!(!m.query("true").unwrap().is_empty());
-        assert!(m.query("((").is_err());
+        assert!(!select(&m, "true").unwrap().is_empty());
+        assert!(select(&m, "((").is_err());
     }
 
     #[test]

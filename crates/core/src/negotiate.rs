@@ -61,7 +61,7 @@ pub struct NegotiatorConfig {
     /// into per-cluster [`RejectionTable`]s using the tracing evaluator
     /// ([`classad::traced_symmetric_match`]). Off by default: attribution
     /// re-scans the pool once per *unmatched* cluster, and pools that do
-    /// not serve `Analyze` queries should not pay for it. Match outcomes
+    /// not serve `MatchAnalysis` queries should not pay for it. Match outcomes
     /// are identical either way.
     pub attribution: bool,
     /// After the rounds, collect one [`UnmatchedCluster`] per autocluster
@@ -145,7 +145,7 @@ impl RejectionTable {
     }
 
     /// Render as `label=count; label=count[; +overflow=n]`, most frequent
-    /// first — the format self-ads, journal events, and `Analyze` replies
+    /// first — the format self-ads, journal events, and `MatchAnalysis` ads
     /// share, so their counts can be compared textually.
     pub fn encode(&self) -> String {
         let mut out = String::new();
@@ -200,7 +200,7 @@ impl ClusterRejections {
 
     /// Render as `c<id>[name+name]: <table>` — one segment of the
     /// `CycleRejections` journal event's breakdown, and the exact string
-    /// an `Analyze` reply echoes for the request's cluster.
+    /// a `MatchAnalysis` ad echoes for the request's cluster.
     pub fn encode(&self) -> String {
         let mut names = self.requests.join("+");
         if self.more_requests > 0 {
@@ -421,7 +421,7 @@ pub struct CycleOutcome {
     pub stats: CycleStats,
     /// This cycle's ordinal (1-based, counted by the negotiator across its
     /// lifetime) — lets retained rejection tables, journal events, and
-    /// `Analyze` replies name the same cycle.
+    /// `MatchAnalysis` ads name the same cycle.
     pub cycle: u64,
     /// Per-cluster rejection tables for clusters left with unmatched
     /// requests (empty unless [`NegotiatorConfig::attribution`] is on, and

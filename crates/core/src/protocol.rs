@@ -250,7 +250,11 @@ pub enum Message {
         /// Ticket of the claim being released.
         ticket: Ticket,
     },
-    /// A one-way query from a status/administrative tool (paper §4).
+    /// A one-way query from a status/administrative tool (paper §4). With
+    /// no `kind`, a constraint conjunct `other.MyType == "<type>"` naming
+    /// one of the matchmaker's own collections (`MatchAnalysis`,
+    /// `HistorySeries`, `AlertState`; see [`crate::query::Collection`])
+    /// reads that collection instead of the ad store.
     Query {
         /// Constraint expression source selecting target ads.
         constraint: String,
@@ -271,23 +275,6 @@ pub enum Message {
     Error {
         /// Human-readable description of what was rejected.
         detail: String,
-    },
-    /// Ask the matchmaker *why* a request is not matching (paper §4's
-    /// one-way query protocol, extended with failure attribution). The
-    /// matchmaker answers with a [`Message::AnalyzeReply`] carrying a
-    /// `MatchAnalysis` classad; an older matchmaker that predates the tag
-    /// answers [`Message::Error`] (`unknown tag 9`), which clients surface
-    /// as a remote error — no framing desync on either side.
-    Analyze {
-        /// `Name` attribute of the request ad to analyze.
-        name: String,
-    },
-    /// The matchmaker's answer to a [`Message::Analyze`]: a single
-    /// `MatchAnalysis` classad (see `docs/protocol.md` §12 for its
-    /// attributes).
-    AnalyzeReply {
-        /// The analysis ad.
-        ad: ClassAd,
     },
     /// A matchmaker daemon bids for pool leadership (HA election; see
     /// `docs/protocol.md` §13). A bid proposes an epoch strictly greater
@@ -342,47 +329,6 @@ pub enum Message {
         /// The matched provider's advertisement, if any.
         grant: Option<Advertisement>,
     },
-    /// Ask a matchmaker's embedded view collector for retained time
-    /// series (see `docs/protocol.md` §15). The constraint is an ordinary
-    /// classad expression evaluated against each series' *metadata* ad
-    /// (`Metric`, `Source`, `Tier`, ...), keeping the "stats are just
-    /// ads" philosophy: history is browsed with the same language as the
-    /// pool itself. A pre-view matchmaker answers [`Message::Error`]
-    /// (`unknown tag 15`), which clients surface as a remote error — no
-    /// framing desync on either side.
-    HistoryQuery {
-        /// Constraint expression source selecting series metadata ads.
-        constraint: String,
-        /// Cap on returned samples per series; `0` = the whole tier.
-        limit: u32,
-    },
-    /// The view collector's answer to a [`Message::HistoryQuery`]: one
-    /// classad per matching series, carrying the series metadata plus its
-    /// samples rendered as attributes (see `docs/observability.md` §6).
-    HistoryReply {
-        /// The matching series ads.
-        ads: Vec<ClassAd>,
-    },
-    /// Ask a matchmaker's embedded alarm monitor for its alert state (see
-    /// `docs/protocol.md` §16). The constraint is an ordinary classad
-    /// expression evaluated against each alert-state ad (`Rule`,
-    /// `Severity`, `State`, ...), so alerts are browsed with the same
-    /// language that raised them. A pre-alarm matchmaker answers
-    /// [`Message::Error`] (`unknown tag 17`), which clients surface as a
-    /// remote error — no framing desync on either side.
-    AlertQuery {
-        /// Constraint expression source selecting alert-state ads
-        /// (`true` selects everything).
-        constraint: String,
-    },
-    /// The alarm monitor's answer to a [`Message::AlertQuery`]: one
-    /// classad per rule, carrying the rule's current state, hold/flap
-    /// counters, and last raise attribution (see `docs/observability.md`
-    /// §7).
-    AlertReply {
-        /// The matching alert-state ads.
-        ads: Vec<ClassAd>,
-    },
 }
 
 /// The wire tag assigned to each [`Message`] variant — the first byte of
@@ -410,10 +356,6 @@ pub mod tag {
     pub const QUERY_REPLY: u8 = 7;
     /// Structured rejection ([`super::Message::Error`]).
     pub const ERROR: u8 = 8;
-    /// Match-failure analysis request ([`super::Message::Analyze`]).
-    pub const ANALYZE: u8 = 9;
-    /// Analysis answer ([`super::Message::AnalyzeReply`]).
-    pub const ANALYZE_REPLY: u8 = 10;
     /// HA leadership bid ([`super::Message::ElectionBid`]).
     pub const ELECTION_BID: u8 = 11;
     /// HA leadership lease ([`super::Message::LeaderLease`]).
@@ -422,18 +364,16 @@ pub mod tag {
     pub const FLOCK_QUERY: u8 = 13;
     /// Cross-pool delegation answer ([`super::Message::FlockOffer`]).
     pub const FLOCK_OFFER: u8 = 14;
-    /// Time-series history request ([`super::Message::HistoryQuery`]).
-    pub const HISTORY_QUERY: u8 = 15;
-    /// Time-series history answer ([`super::Message::HistoryReply`]).
-    pub const HISTORY_REPLY: u8 = 16;
-    /// Alert-state request ([`super::Message::AlertQuery`]).
-    pub const ALERT_QUERY: u8 = 17;
-    /// Alert-state answer ([`super::Message::AlertReply`]).
-    pub const ALERT_REPLY: u8 = 18;
+
+    // Retired, never to be reassigned: 9/10 (match analysis), 15/16 (pool
+    // history) and 17/18 (alert state). Those answers are `Query`
+    // collections now; a frame with one of these tags decodes as an
+    // unknown tag, so an old tool gets a structured `Error`, never a
+    // misread reply.
 
     /// Every assigned tag, in order. Exhaustiveness tests iterate this so
     /// a new variant cannot land without joining the round-trip suite.
-    pub const ALL: [u8; 18] = [
+    pub const ALL: [u8; 12] = [
         ADVERTISE,
         NOTIFY,
         CLAIM,
@@ -442,16 +382,10 @@ pub mod tag {
         QUERY,
         QUERY_REPLY,
         ERROR,
-        ANALYZE,
-        ANALYZE_REPLY,
         ELECTION_BID,
         LEADER_LEASE,
         FLOCK_QUERY,
         FLOCK_OFFER,
-        HISTORY_QUERY,
-        HISTORY_REPLY,
-        ALERT_QUERY,
-        ALERT_REPLY,
     ];
 }
 
@@ -654,14 +588,6 @@ impl Message {
                 buf.put_u8(tag::ERROR);
                 put_string(&mut buf, detail);
             }
-            Message::Analyze { name } => {
-                buf.put_u8(tag::ANALYZE);
-                put_string(&mut buf, name);
-            }
-            Message::AnalyzeReply { ad } => {
-                buf.put_u8(tag::ANALYZE_REPLY);
-                put_ad(&mut buf, ad);
-            }
             Message::ElectionBid { epoch, candidate } => {
                 buf.put_u8(tag::ELECTION_BID);
                 buf.put_u64(*epoch);
@@ -703,29 +629,6 @@ impl Message {
                         put_opt_ticket(&mut buf, &adv.ticket);
                         buf.put_u64(adv.expires_at);
                     }
-                }
-            }
-            Message::HistoryQuery { constraint, limit } => {
-                buf.put_u8(tag::HISTORY_QUERY);
-                put_string(&mut buf, constraint);
-                buf.put_u32(*limit);
-            }
-            Message::HistoryReply { ads } => {
-                buf.put_u8(tag::HISTORY_REPLY);
-                buf.put_u32(ads.len() as u32);
-                for ad in ads {
-                    put_ad(&mut buf, ad);
-                }
-            }
-            Message::AlertQuery { constraint } => {
-                buf.put_u8(tag::ALERT_QUERY);
-                put_string(&mut buf, constraint);
-            }
-            Message::AlertReply { ads } => {
-                buf.put_u8(tag::ALERT_REPLY);
-                buf.put_u32(ads.len() as u32);
-                for ad in ads {
-                    put_ad(&mut buf, ad);
                 }
             }
         }
@@ -832,8 +735,6 @@ impl Message {
             tag::ERROR => Message::Error {
                 detail: r.string()?,
             },
-            tag::ANALYZE => Message::Analyze { name: r.string()? },
-            tag::ANALYZE_REPLY => Message::AnalyzeReply { ad: r.ad()? },
             tag::ELECTION_BID => Message::ElectionBid {
                 epoch: r.u64()?,
                 candidate: r.string()?,
@@ -872,35 +773,6 @@ impl Message {
                 };
                 Message::FlockOffer { pool, grant }
             }
-            tag::HISTORY_QUERY => Message::HistoryQuery {
-                constraint: r.string()?,
-                limit: r.u32()?,
-            },
-            tag::HISTORY_REPLY => {
-                let n = r.u32()? as usize;
-                if n > 1_000_000 {
-                    return Err(ProtocolError::BadFrame(format!("reply of {n} series")));
-                }
-                let mut ads = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    ads.push(r.ad()?);
-                }
-                Message::HistoryReply { ads }
-            }
-            tag::ALERT_QUERY => Message::AlertQuery {
-                constraint: r.string()?,
-            },
-            tag::ALERT_REPLY => {
-                let n = r.u32()? as usize;
-                if n > 1_000_000 {
-                    return Err(ProtocolError::BadFrame(format!("reply of {n} alerts")));
-                }
-                let mut ads = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    ads.push(r.ad()?);
-                }
-                Message::AlertReply { ads }
-            }
             other => return Err(ProtocolError::BadFrame(format!("unknown tag {other}"))),
         };
         let trace = if tag_carries_trace(tag) && r.buf.has_remaining() {
@@ -932,6 +804,7 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{attr_is, Collection};
     use classad::parse_classad;
     use std::sync::Arc;
 
@@ -1095,41 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_and_reply_roundtrip() {
-        let msg = Message::Analyze {
-            name: "job-17".into(),
-        };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
-        let reply = Message::AnalyzeReply {
-            ad: parse_classad(r#"[ MyType = "MatchAnalysis"; Name = "job-17"; Found = false ]"#)
-                .unwrap(),
-        };
-        assert_eq!(Message::decode(reply.encode()).unwrap(), reply);
-    }
-
-    #[test]
-    fn analyze_tags_never_carry_trace_trailers() {
-        // Analysis queries are not part of any match's causal chain, so —
-        // like Query/Release — their frames stay trailer-free even when
-        // the encoder holds a context.
-        let ctx = TraceContext {
-            trace_id: 1,
-            parent_span_id: 2,
-        };
-        let msg = Message::Analyze { name: "j".into() };
-        assert_eq!(msg.encode(), msg.encode_traced(Some(&ctx)));
-        let reply = Message::AnalyzeReply {
-            ad: parse_classad("[ Found = false ]").unwrap(),
-        };
-        assert_eq!(reply.encode(), reply.encode_traced(Some(&ctx)));
-        // Trailing bytes after an analyze frame are rejected, not
-        // misparsed as a trailer.
-        let mut bytes = msg.encode().to_vec();
-        bytes.push(1);
-        assert!(Message::decode(Bytes::from(bytes)).is_err());
-    }
-
-    #[test]
     fn election_messages_roundtrip() {
         let bid = Message::ElectionBid {
             epoch: 7,
@@ -1221,10 +1059,6 @@ mod tests {
             tag::ERROR => Message::Error {
                 detail: "nope".into(),
             },
-            tag::ANALYZE => Message::Analyze {
-                name: "job-17".into(),
-            },
-            tag::ANALYZE_REPLY => Message::AnalyzeReply { ad: sample_ad() },
             tag::ELECTION_BID => Message::ElectionBid {
                 epoch: 9,
                 candidate: "mm:1".into(),
@@ -1243,19 +1077,6 @@ mod tests {
                 pool: "127.0.0.1:9615".into(),
                 grant: Some(sample_adv()),
             },
-            tag::HISTORY_QUERY => Message::HistoryQuery {
-                constraint: r#"other.Metric == "Utilization""#.into(),
-                limit: 360,
-            },
-            tag::HISTORY_REPLY => Message::HistoryReply {
-                ads: vec![sample_ad()],
-            },
-            tag::ALERT_QUERY => Message::AlertQuery {
-                constraint: r#"other.Severity == "critical""#.into(),
-            },
-            tag::ALERT_REPLY => Message::AlertReply {
-                ads: vec![sample_ad()],
-            },
             other => panic!("no sample message for tag {other}"),
         }
     }
@@ -1264,8 +1085,8 @@ mod tests {
     fn every_assigned_tag_round_trips_through_encode_decode() {
         // Exhaustive over the tag space: a new Message variant cannot ship
         // without registering in tag::ALL and round-tripping here.
-        for (i, &t) in tag::ALL.iter().enumerate() {
-            assert_eq!(t, i as u8 + 1, "tags are dense starting at 1");
+        assert!(tag::ALL.windows(2).all(|w| w[0] < w[1]), "tags ascend");
+        for &t in &tag::ALL {
             let msg = sample_message_for(t);
             let bytes = msg.encode();
             assert_eq!(bytes[0], t, "first frame byte is the tag");
@@ -1339,120 +1160,111 @@ mod tests {
         assert!(err.contains("unknown tag 29"), "{err}");
     }
 
+    /// A `Query` of `collection` and a reply of `ads` round-trip, stay
+    /// trailer-free with a trace context in hand, and reject a stray byte
+    /// instead of misparsing it as a trailer.
+    fn assert_collection_exchange(collection: Collection, conjunct: &str, ads: Vec<ClassAd>) {
+        let q = Message::Query {
+            constraint: collection.constraint(&[conjunct]),
+            kind: None,
+            projection: vec![],
+        };
+        let reply = Message::QueryReply { ads };
+        let ctx = TraceContext {
+            trace_id: 1,
+            parent_span_id: 2,
+        };
+        for msg in [q, reply] {
+            assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+            assert_eq!(msg.encode(), msg.encode_traced(Some(&ctx)));
+            let mut bytes = msg.encode().to_vec();
+            bytes.push(1);
+            assert!(Message::decode(Bytes::from(bytes)).is_err());
+        }
+    }
+
+    fn collection_ad(collection: Collection, extra: &str) -> ClassAd {
+        let mut ad = parse_classad(&format!("[ {extra} ]")).unwrap();
+        ad.set_str("MyType", collection.my_type());
+        ad
+    }
+
+    #[test]
+    fn analyze_and_reply_roundtrip() {
+        let ad = collection_ad(
+            Collection::MatchAnalysis,
+            r#"Name = "job-17"; Found = false"#,
+        );
+        assert_collection_exchange(
+            Collection::MatchAnalysis,
+            &attr_is("Name", "job-17"),
+            vec![ad],
+        );
+    }
+
+    #[test]
+    fn analyze_tags_never_carry_trace_trailers() {
+        // A name with quotes travels inside the constraint string intact.
+        let conjunct = attr_is("Name", r#"j" || true"#);
+        assert_collection_exchange(Collection::MatchAnalysis, &conjunct, vec![]);
+    }
+
     #[test]
     fn history_messages_roundtrip() {
-        let q = Message::HistoryQuery {
-            constraint: r#"other.Metric == "Utilization" && other.Tier == 0"#.into(),
-            limit: 0,
-        };
-        assert_eq!(Message::decode(q.encode()).unwrap(), q);
-        let reply = Message::HistoryReply {
-            ads: vec![
-                parse_classad(r#"[ MyType = "HistorySeries"; Metric = "Utilization" ]"#).unwrap(),
-                sample_ad(),
-            ],
-        };
-        assert_eq!(Message::decode(reply.encode()).unwrap(), reply);
-        let dry = Message::HistoryReply { ads: vec![] };
-        assert_eq!(Message::decode(dry.encode()).unwrap(), dry);
+        let ad = collection_ad(Collection::HistorySeries, r#"Metric = "Utilization""#);
+        let conjunct = r#"other.Metric == "Utilization" && other.Tier == 0"#;
+        assert_collection_exchange(Collection::HistorySeries, conjunct, vec![ad, sample_ad()]);
     }
 
     #[test]
     fn history_tags_never_carry_trace_trailers() {
-        // History queries browse retained telemetry; like Query/Analyze
-        // they are not part of any match's causal chain and stay
-        // trailer-free even when the encoder holds a context.
-        let ctx = TraceContext {
-            trace_id: 1,
-            parent_span_id: 2,
-        };
-        let q = Message::HistoryQuery {
-            constraint: "true".into(),
-            limit: 0,
-        };
-        assert_eq!(q.encode(), q.encode_traced(Some(&ctx)));
-        let reply = Message::HistoryReply { ads: vec![] };
-        assert_eq!(reply.encode(), reply.encode_traced(Some(&ctx)));
-        // Trailing bytes after a history frame are rejected, not
-        // misparsed as a trailer.
-        let mut bytes = q.encode().to_vec();
-        bytes.push(1);
-        assert!(Message::decode(Bytes::from(bytes)).is_err());
-    }
-
-    #[test]
-    fn pre_view_peers_reject_the_history_tags_cleanly() {
-        // An old decoder sees tags 15/16 as unknown and raises BadFrame;
-        // its daemon replies with a structured Error (`unknown tag 15`),
-        // which history clients surface as a remote error.
-        let q = sample_message_for(tag::HISTORY_QUERY);
-        assert_eq!(q.encode()[0], tag::HISTORY_QUERY);
-        let reply = sample_message_for(tag::HISTORY_REPLY);
-        assert_eq!(reply.encode()[0], tag::HISTORY_REPLY);
+        assert_collection_exchange(Collection::HistorySeries, "true", vec![]);
     }
 
     #[test]
     fn alert_messages_roundtrip() {
-        let q = Message::AlertQuery {
-            constraint: r#"other.State == "firing" && other.Severity == "critical""#.into(),
-        };
-        assert_eq!(Message::decode(q.encode()).unwrap(), q);
-        let reply = Message::AlertReply {
-            ads: vec![
-                parse_classad(r#"[ MyType = "AlertState"; Rule = "MatchmakerDown" ]"#).unwrap(),
-                sample_ad(),
-            ],
-        };
-        assert_eq!(Message::decode(reply.encode()).unwrap(), reply);
-        let quiet = Message::AlertReply { ads: vec![] };
-        assert_eq!(Message::decode(quiet.encode()).unwrap(), quiet);
+        let ad = collection_ad(Collection::AlertState, r#"Rule = "MatchmakerDown""#);
+        let conjunct = r#"other.State == "firing" && other.Severity == "critical""#;
+        assert_collection_exchange(Collection::AlertState, conjunct, vec![ad, sample_ad()]);
     }
 
     #[test]
     fn alert_tags_never_carry_trace_trailers() {
-        // Alert queries browse monitor state; like Query/History they are
-        // not part of any match's causal chain and stay trailer-free even
-        // when the encoder holds a context.
-        let ctx = TraceContext {
-            trace_id: 1,
-            parent_span_id: 2,
-        };
-        let q = Message::AlertQuery {
-            constraint: "true".into(),
-        };
-        assert_eq!(q.encode(), q.encode_traced(Some(&ctx)));
-        let reply = Message::AlertReply { ads: vec![] };
-        assert_eq!(reply.encode(), reply.encode_traced(Some(&ctx)));
-        // Trailing bytes after an alert frame are rejected, not misparsed
-        // as a trailer.
-        let mut bytes = q.encode().to_vec();
-        bytes.push(1);
-        assert!(Message::decode(Bytes::from(bytes)).is_err());
+        assert_collection_exchange(Collection::AlertState, "true", vec![]);
     }
 
-    #[test]
-    fn pre_alarm_peers_reject_the_alert_tags_cleanly() {
-        // An old decoder sees tags 17/18 as unknown and raises BadFrame;
-        // its daemon replies with a structured Error (`unknown tag 17`),
-        // which alert clients surface as a remote error.
-        let q = sample_message_for(tag::ALERT_QUERY);
-        assert_eq!(q.encode()[0], tag::ALERT_QUERY);
-        let reply = sample_message_for(tag::ALERT_REPLY);
-        assert_eq!(reply.encode()[0], tag::ALERT_REPLY);
+    /// Each retired tag decodes as unknown — a `BadFrame` the daemon turns
+    /// into a structured `Error` — and none is in `tag::ALL`.
+    fn assert_retired(tags: &[u8]) {
+        for &t in tags {
+            assert!(!tag::ALL.contains(&t), "tag {t} is retired");
+            match Message::decode(Bytes::from(vec![t, 0, 0, 0, 0])) {
+                Err(ProtocolError::BadFrame(m)) => assert_eq!(m, format!("unknown tag {t}")),
+                other => panic!("tag {t}: expected BadFrame, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn pre_analyze_peers_reject_the_tag_cleanly() {
-        // What an old decoder does with an Analyze frame: the tag is
-        // unknown, so it raises BadFrame (and a daemon turns that into a
-        // structured Error reply) instead of desyncing.
-        let bytes = Message::Analyze { name: "j".into() }.encode();
-        assert_eq!(bytes[0], tag::ANALYZE);
-        let err = match Message::decode(Bytes::from_static(&[tag::ANALYZE_REPLY + 90])) {
-            Err(ProtocolError::BadFrame(m)) => m,
-            other => panic!("expected BadFrame, got {other:?}"),
-        };
-        assert!(err.contains("unknown tag 100"), "{err}");
+        // Tags 9/10 are retired (match analysis is the `MatchAnalysis`
+        // query collection): every decoder now treats them the way a
+        // pre-analysis peer did.
+        assert_retired(&[9, 10]);
+    }
+
+    #[test]
+    fn pre_view_peers_reject_the_history_tags_cleanly() {
+        // Tags 15/16 are retired (pool history is the `HistorySeries`
+        // query collection).
+        assert_retired(&[15, 16]);
+    }
+
+    #[test]
+    fn pre_alarm_peers_reject_the_alert_tags_cleanly() {
+        // Tags 17/18 are retired (alert state is the `AlertState` query
+        // collection).
+        assert_retired(&[17, 18]);
     }
 
     #[test]

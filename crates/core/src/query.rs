@@ -18,15 +18,73 @@ use classad::{
 use std::cmp::Reverse;
 use std::sync::Arc;
 
-/// A one-way query over the ad store.
+/// A one-way query over the ad store or one of the matchmaker's own
+/// collections.
 #[derive(Debug, Clone)]
 pub struct Query {
     /// The query ad; its `Constraint` selects targets.
-    pub ad: ClassAd,
+    ad: ClassAd,
     /// Restrict to one kind of ad, or search both.
     pub kind: Option<EntityKind>,
     /// Attributes to project in results (`None` = whole ads).
     pub projection: Option<Vec<String>>,
+    /// What the constraint settles before any ad is evaluated, computed
+    /// once when the query is built.
+    plan: Plan,
+}
+
+/// The matchmaker's own collections: ads it computes or retains rather
+/// than stores. A [`Query`] with no `kind` reaches one by pinning
+/// `other.MyType` to its name in a top-level conjunct, and then reads
+/// only that collection, never the ad store. These three `MyType` values
+/// are reserved for them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Collection {
+    /// "Why is this request not matching?" — one ad for the request named
+    /// by an `other.Name == "<name>"` conjunct, computed on demand.
+    MatchAnalysis,
+    /// Retained time series, one ad per (series, tier), from the view
+    /// collector.
+    HistorySeries,
+    /// One ad per alert rule and subject, from the alarm monitor.
+    AlertState,
+}
+
+impl Collection {
+    const ALL: [Collection; 3] = [
+        Collection::MatchAnalysis,
+        Collection::HistorySeries,
+        Collection::AlertState,
+    ];
+
+    /// The `MyType` of the collection's ads.
+    pub fn my_type(self) -> &'static str {
+        match self {
+            Collection::MatchAnalysis => "MatchAnalysis",
+            Collection::HistorySeries => "HistorySeries",
+            Collection::AlertState => "AlertState",
+        }
+    }
+
+    /// A constraint that reads this collection: the `other.MyType` pin
+    /// `&&` each of `conjuncts`, each parenthesised so an `||` inside one
+    /// stays inside it.
+    pub fn constraint<S: AsRef<str>>(self, conjuncts: &[S]) -> String {
+        let mut out = attr_is("MyType", self.my_type());
+        for c in conjuncts {
+            out.push_str(" && (");
+            out.push_str(c.as_ref());
+            out.push(')');
+        }
+        out
+    }
+}
+
+/// The conjunct `other.<attr> == "<value>"`, with `value` written as an
+/// escaped classad string literal: a value that contains quotes is
+/// compared as it is, never spliced into the expression.
+pub fn attr_is(attr: &str, value: &str) -> String {
+    format!("other.{attr} == {}", classad::pretty::escape_string(value))
 }
 
 impl Query {
@@ -34,6 +92,7 @@ impl Query {
     /// `other.Memory >= 64 && other.Arch == "INTEL"`.
     pub fn from_constraint(src: &str) -> Result<Query, ParseError> {
         let expr = classad::parse_expr(src)?;
+        let plan = Plan::of(&expr);
         let mut ad = ClassAd::new();
         ad.set("Name", Expr::str("query"));
         ad.set("Constraint", expr);
@@ -41,6 +100,7 @@ impl Query {
             ad,
             kind: None,
             projection: None,
+            plan,
         })
     }
 
@@ -73,6 +133,32 @@ impl Query {
         self
     }
 
+    /// The query ad: its `Constraint` is the query's constraint.
+    pub fn ad(&self) -> &ClassAd {
+        &self.ad
+    }
+
+    /// The collection the query reads instead of the ad store: the first
+    /// top-level `other.MyType == "<lit>"` conjunct names one (in either
+    /// orientation and any letter case, like every string `==`), and the
+    /// query searches no single kind.
+    pub fn collection(&self) -> Option<Collection> {
+        let my_type = self
+            .plan
+            .my_type
+            .as_deref()
+            .filter(|_| self.kind.is_none())?;
+        Collection::ALL
+            .into_iter()
+            .find(|c| c.my_type().eq_ignore_ascii_case(my_type))
+    }
+
+    /// The name from the first top-level `other.Name == "<lit>"` conjunct:
+    /// the only `Name` a selected ad can have.
+    pub(crate) fn name(&self) -> Option<&str> {
+        self.plan.name.as_deref()
+    }
+
     /// The kinds searched, in result order: providers first.
     fn kinds(&self) -> &'static [EntityKind] {
         match self.kind {
@@ -82,12 +168,26 @@ impl Query {
         }
     }
 
-    /// Whether the query can select an ad of `kind` at all: it searches
-    /// that kind, and no top-level conjunct of its constraint is a literal
-    /// other than `true` (the `false` probes and acknowledgements select
-    /// nothing).
-    pub fn may_select(&self, kind: EntityKind, conv: &MatchConventions) -> bool {
-        self.kinds().contains(&kind) && !Plan::of(self, conv).selects_nothing
+    /// Whether the query can select a stored ad of `kind` at all: it reads
+    /// the store rather than a [`Collection`], searches that kind, and no
+    /// top-level conjunct of its constraint is a literal other than `true`
+    /// (the `false` probes and acknowledgements select nothing).
+    pub fn may_select(&self, kind: EntityKind) -> bool {
+        self.collection().is_none() && self.kinds().contains(&kind) && !self.plan.selects_nothing
+    }
+
+    /// Whether `ad` satisfies the constraint: the plan's literal tests
+    /// can only reject, whatever they let through is evaluated.
+    fn holds(&self, ad: &ClassAd, policy: &EvalPolicy, conv: &MatchConventions) -> bool {
+        !self.plan.rejects(ad) && constraint_holds(&self.ad, ad, policy, conv)
+    }
+
+    /// A result ad: the whole ad, or its projection.
+    fn result(&self, ad: &ClassAd, policy: &EvalPolicy) -> ClassAd {
+        match &self.projection {
+            None => ad.clone(),
+            Some(attrs) => project(ad, attrs, policy),
+        }
     }
 
     /// The stored ads the query selects, by reference: each kind's live
@@ -95,7 +195,9 @@ impl Query {
     /// customers. The results and their order are those of evaluating the
     /// constraint against every live ad ([`AdStore::snapshot`] +
     /// [`constraint_holds`]); a by-name lookup and a literal-comparison
-    /// prefilter only spare the evaluator ads that cannot match.
+    /// prefilter only spare the evaluator ads that cannot match. This
+    /// reads the store whatever [`Query::collection`] says: collections
+    /// are served by their owners through [`Query::select_from`].
     pub fn select_in<'s>(
         &self,
         store: &'s AdStore,
@@ -103,16 +205,14 @@ impl Query {
         policy: &EvalPolicy,
         conv: &MatchConventions,
     ) -> Vec<&'s StoredAd> {
-        let plan = Plan::of(self, conv);
         let mut out = Vec::new();
-        if plan.selects_nothing {
+        if self.plan.selects_nothing {
             return out;
         }
         // A store key is the `Name` evaluated at admission; only while
         // every stored `Name` is a literal is it the `Name` a query sees.
-        let by_name = plan.name.as_deref().filter(|_| store.computed_names() == 0);
-        let selects =
-            |s: &&StoredAd| !plan.rejects(&s.ad) && constraint_holds(&self.ad, &s.ad, policy, conv);
+        let by_name = self.name().filter(|_| store.computed_names() == 0);
+        let selects = |s: &&StoredAd| self.holds(&s.ad, policy, conv);
         for &kind in self.kinds() {
             let first = out.len();
             match by_name {
@@ -127,6 +227,25 @@ impl Query {
             out[first..].sort_by_key(|s| Reverse(s.seq));
         }
         out
+    }
+
+    /// Filter and project ads that are not in the store — a collection's
+    /// ads — in their given order: the ads whose constraint holds, whole or
+    /// projected, exactly as [`Query::select_in`] + [`project`] treat a
+    /// stored ad.
+    pub fn select_from(
+        &self,
+        ads: &[ClassAd],
+        policy: &EvalPolicy,
+        conv: &MatchConventions,
+    ) -> Vec<ClassAd> {
+        if self.plan.selects_nothing {
+            return Vec::new();
+        }
+        ads.iter()
+            .filter(|ad| self.holds(ad, policy, conv))
+            .map(|ad| self.result(ad, policy))
+            .collect()
     }
 
     /// Run the query, returning matching stored ads (freshest first, as
@@ -154,10 +273,7 @@ impl Query {
     ) -> Vec<ClassAd> {
         self.select_in(store, now, policy, conv)
             .into_iter()
-            .map(|s| match &self.projection {
-                None => (*s.ad).clone(),
-                Some(attrs) => project(&s.ad, attrs, policy),
-            })
+            .map(|s| self.result(&s.ad, policy))
             .collect()
     }
 }
@@ -167,18 +283,21 @@ impl Query {
 /// `other.A` with a literal. An `&&` chain is `true` only when every
 /// conjunct is, so each of these can only *reject* an ad; whatever they
 /// let through still goes to [`constraint_holds`].
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 struct Plan {
     /// A conjunct is a literal other than `true`: nothing can match.
     selects_nothing: bool,
     /// From `other.Name == "<lit>"`: the only name a match can have (string
     /// `==` is ASCII case-insensitive, like store keys).
     name: Option<Arc<str>>,
+    /// From `other.MyType == "<lit>"`: the only type a match can have.
+    my_type: Option<Arc<str>>,
     /// The `other.A <cmp> <literal>` conjuncts.
     tests: Vec<LiteralTest>,
 }
 
 /// One `other.A <cmp> <literal>` conjunct, either orientation.
+#[derive(Debug, Clone)]
 struct LiteralTest {
     attr: AttrName,
     op: BinOp,
@@ -188,11 +307,8 @@ struct LiteralTest {
 }
 
 impl Plan {
-    fn of(q: &Query, conv: &MatchConventions) -> Plan {
+    fn of(constraint: &Expr) -> Plan {
         let mut plan = Plan::default();
-        let Some(constraint) = conv.constraint_attr_of(&q.ad).and_then(|a| q.ad.get(a)) else {
-            return plan;
-        };
         for conjunct in conjuncts_of(constraint) {
             let (op, attr, lit, literal_left) = match conjunct {
                 Expr::Lit(Literal::Bool(true)) => continue,
@@ -211,9 +327,11 @@ impl Plan {
                 },
                 _ => continue,
             };
-            if let (BinOp::Eq, Literal::Str(s), None) = (op, lit, &plan.name) {
-                if attr.canonical() == "name" {
-                    plan.name = Some(s.clone());
+            if let (BinOp::Eq, Literal::Str(s)) = (op, lit) {
+                match attr.canonical() {
+                    "name" if plan.name.is_none() => plan.name = Some(s.clone()),
+                    "mytype" if plan.my_type.is_none() => plan.my_type = Some(s.clone()),
+                    _ => {}
                 }
             }
             plan.tests.push(LiteralTest {
@@ -254,7 +372,7 @@ impl LiteralTest {
 /// Project the named attributes of an ad into a new ad, **evaluating** each
 /// (status tools want values, not formulas). Missing attributes are
 /// omitted.
-pub fn project(ad: &Arc<ClassAd>, attrs: &[String], policy: &EvalPolicy) -> ClassAd {
+pub fn project(ad: &ClassAd, attrs: &[String], policy: &EvalPolicy) -> ClassAd {
     let mut out = ClassAd::with_capacity(attrs.len());
     for name in attrs {
         let v = ad.eval_attr(name, policy);
@@ -370,7 +488,6 @@ mod tests {
     #[test]
     fn literal_false_conjuncts_select_nothing() {
         let s = store();
-        let conv = MatchConventions::default();
         for src in [
             "false",
             "other.Memory > 0 && false",
@@ -378,13 +495,13 @@ mod tests {
         ] {
             let q = Query::from_constraint(src).unwrap();
             assert!(run(&q, &s).is_empty(), "{src}");
-            assert!(!q.may_select(EntityKind::Provider, &conv), "{src}");
+            assert!(!q.may_select(EntityKind::Provider), "{src}");
         }
         let q = Query::from_constraint("true && other.Memory > 0").unwrap();
-        assert!(q.may_select(EntityKind::Provider, &conv));
+        assert!(q.may_select(EntityKind::Provider));
         let q = q.of_kind(EntityKind::Customer);
-        assert!(!q.may_select(EntityKind::Provider, &conv));
-        assert!(q.may_select(EntityKind::Customer, &conv));
+        assert!(!q.may_select(EntityKind::Provider));
+        assert!(q.may_select(EntityKind::Customer));
     }
 
     #[test]
@@ -436,6 +553,91 @@ mod tests {
         assert_eq!(run(&q, &s), vec!["intel1", "solo"]);
         assert!(s.withdraw(EntityKind::Customer, "solo"));
         assert_eq!(s.computed_names(), 0);
+    }
+
+    #[test]
+    fn a_pin_in_either_orientation_and_any_case_picks_the_collection() {
+        for (src, want) in [
+            (
+                r#"other.MyType == "HistorySeries""#,
+                Collection::HistorySeries,
+            ),
+            (r#""alertstate" == other.mytype"#, Collection::AlertState),
+            (
+                r#"other.Name == "j" && other.MYTYPE == "MATCHANALYSIS""#,
+                Collection::MatchAnalysis,
+            ),
+            (
+                r#"(other.Metric == "x" || true) && other.MyType == "HistorySeries""#,
+                Collection::HistorySeries,
+            ),
+        ] {
+            let q = Query::from_constraint(src).unwrap();
+            assert_eq!(q.collection(), Some(want), "{src}");
+            assert!(!q.may_select(EntityKind::Provider), "{src}");
+            assert!(!q.may_select(EntityKind::Customer), "{src}");
+        }
+    }
+
+    #[test]
+    fn no_pin_or_a_kind_never_reads_a_collection() {
+        let s = store();
+        for src in [
+            "true",
+            r#"other.Type == "Machine""#,
+            // Not top-level conjuncts, or not `==` a literal: no pin.
+            r#"other.MyType == "HistorySeries" || other.Memory > 0"#,
+            r#"other.MyType != "AlertState""#,
+            r#"MyType == "AlertState""#,
+            // A type that is no collection of ours.
+            r#"other.MyType == "Machine""#,
+        ] {
+            let q = Query::from_constraint(src).unwrap();
+            assert_eq!(q.collection(), None, "{src}");
+        }
+        let pinned = Query::from_constraint(r#"other.MyType == "HistorySeries""#).unwrap();
+        for kind in [EntityKind::Provider, EntityKind::Customer] {
+            let q = pinned.clone().of_kind(kind);
+            assert_eq!(q.collection(), None);
+            assert!(q.may_select(kind));
+        }
+        // Kind-restricted, the pin is an ordinary conjunct over the store.
+        assert!(run(&pinned.of_kind(EntityKind::Provider), &s).is_empty());
+    }
+
+    #[test]
+    fn client_literals_are_escaped_and_user_constraints_parenthesised() {
+        let metric = r#"a" || true || "b"#;
+        let src = Collection::HistorySeries.constraint(&[attr_is("Metric", metric)]);
+        let q = Query::from_constraint(&src).unwrap();
+        assert_eq!(q.collection(), Some(Collection::HistorySeries));
+        let series = |m: &str| {
+            let mut ad = ClassAd::new();
+            ad.set_str("MyType", "HistorySeries");
+            ad.set_str("Metric", m);
+            ad
+        };
+        let (policy, conv) = (EvalPolicy::default(), MatchConventions::default());
+        let ads = [series("Utilization"), series("MatchRate")];
+        assert!(q.select_from(&ads, &policy, &conv).is_empty(), "{src}");
+        assert_eq!(q.select_from(&[series(metric)], &policy, &conv).len(), 1);
+        // Spliced in unquoted, the same metric selects every series.
+        let spliced = format!(r#"other.MyType == "HistorySeries" && other.Metric == "{metric}""#);
+        let q = Query::from_constraint(&spliced).unwrap();
+        assert_eq!(q.select_from(&ads, &policy, &conv).len(), 2);
+
+        let name = r#"we"ird
+ame"#;
+        let src = Collection::MatchAnalysis.constraint(&[attr_is("Name", name)]);
+        let q = Query::from_constraint(&src).unwrap();
+        assert_eq!(q.collection(), Some(Collection::MatchAnalysis));
+        assert_eq!(q.name(), Some(name));
+
+        // A user constraint stays one conjunct: its `||` cannot escape.
+        let src = Collection::AlertState.constraint(&["true || true"]);
+        let q = Query::from_constraint(&src).unwrap();
+        assert_eq!(q.collection(), Some(Collection::AlertState));
+        assert!(q.select_from(&ads, &policy, &conv).is_empty());
     }
 
     #[test]

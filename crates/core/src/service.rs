@@ -25,7 +25,7 @@ use crate::protocol::{
     encode_query_reply, Advertisement, AdvertisingProtocol, EntityKind, Message, ProtocolError,
     Timestamp, TraceContext,
 };
-use crate::query::{project, Query};
+use crate::query::{project, Collection, Query};
 use classad::json::to_json;
 use classad::{traced_symmetric_match, ClassAd, RejectReason, RejectSide, Value};
 use parking_lot::{Mutex, RwLock};
@@ -45,7 +45,7 @@ pub struct ServiceStats {
     pub matches: AtomicU64,
     /// Queries served.
     pub queries: AtomicU64,
-    /// `Analyze` requests served.
+    /// `MatchAnalysis` ads computed.
     pub analyses: AtomicU64,
 }
 
@@ -62,7 +62,7 @@ pub struct StatsSnapshot {
     pub matches: u64,
     /// Queries served.
     pub queries: u64,
-    /// `Analyze` requests served.
+    /// `MatchAnalysis` ads computed.
     pub analyses: u64,
 }
 
@@ -102,7 +102,7 @@ impl std::error::Error for FrameRejection {
 }
 
 /// The most recent tick's per-cluster rejection tables, retained so
-/// `Analyze` replies can name the cycle the journal's `CycleRejections`
+/// `MatchAnalysis` ads can name the cycle the journal's `CycleRejections`
 /// event describes. Empty until a tick runs with attribution on.
 #[derive(Debug, Clone, Default)]
 struct RetainedRejections {
@@ -213,15 +213,10 @@ impl Matchmaker {
                 projection,
             } => {
                 let q = Query::from_message(&constraint, kind, projection)?;
-                Ok(Some(self.query_reply(&q, now)))
-            }
-            Message::Analyze { name } => {
-                let ad = self.analyze(&name, now);
-                Ok(Some(Message::AnalyzeReply { ad }.encode()))
+                self.query_reply(&q, now).map(Some)
             }
             other => Err(ProtocolError::BadFrame(format!(
-                "matchmaker endpoint only accepts advertisements, queries, and analyze \
-                 requests, got {other:?}"
+                "matchmaker endpoint only accepts advertisements and queries, got {other:?}"
             ))),
         }
     }
@@ -274,7 +269,8 @@ impl Matchmaker {
 
     /// Run one arrival cycle ([`Negotiator::negotiate_arrivals`]) at `now`:
     /// the grants of [`Matchmaker::negotiate`] without its attribution and
-    /// flocking passes. `Analyze` keeps echoing the last tick's rejections.
+    /// flocking passes. `MatchAnalysis` keeps echoing the last tick's
+    /// rejections.
     pub fn negotiate_arrivals(&self, now: Timestamp) -> CycleOutcome {
         self.cycle(now, false)
     }
@@ -330,7 +326,7 @@ impl Matchmaker {
     }
 
     /// Answer "why is this request not matching?" with a `MatchAnalysis`
-    /// classad (the body of a [`Message::AnalyzeReply`]).
+    /// classad (the [`Collection::MatchAnalysis`] ad a `Query` reads).
     ///
     /// The reply combines two views:
     ///
@@ -531,17 +527,31 @@ impl Matchmaker {
         q.run_projected(&store, now, &self.engine.policy, &self.engine.conventions)
     }
 
-    /// Serve a one-way query as an encoded [`Message::QueryReply`] frame,
-    /// byte-equal to encoding [`Matchmaker::query`]'s result. Whole ads
-    /// are written from each stored ad's cached encoding
-    /// ([`StoredAd::json`]), so an ad is encoded once however often it is
-    /// returned; projected results are built and encoded per query.
-    pub fn query_reply(&self, q: &Query, now: Timestamp) -> bytes::Bytes {
+    /// Serve a one-way query as an encoded [`Message::QueryReply`] frame.
+    /// A query of the [`Collection::MatchAnalysis`] collection gets the
+    /// analysis of the request its `other.Name` conjunct names, if the
+    /// whole constraint holds for it; without that conjunct it is an
+    /// error. Any other query reads the ad store, byte-equal to encoding
+    /// [`Matchmaker::query`]'s result: whole ads are written from each
+    /// stored ad's cached encoding ([`StoredAd::json`]), so an ad is
+    /// encoded once however often it is returned; projected results are
+    /// built and encoded per query. The view and alarm collections are not
+    /// this service's: their owner serves them with
+    /// [`Matchmaker::collection_reply`].
+    pub fn query_reply(&self, q: &Query, now: Timestamp) -> Result<bytes::Bytes, ProtocolError> {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
+        if q.collection() == Some(Collection::MatchAnalysis) {
+            let name = q.name().ok_or_else(|| {
+                ProtocolError::BadFrame(
+                    "a MatchAnalysis query names one request: other.Name == \"<name>\"".into(),
+                )
+            })?;
+            return Ok(self.collection_reply(q, &[self.analyze(name, now)]));
+        }
         let store = self.store.read();
         let (policy, conv) = (&self.engine.policy, &self.engine.conventions);
         let selected = q.select_in(&store, now, policy, conv);
-        match &q.projection {
+        Ok(match &q.projection {
             None => {
                 let ads: Vec<Arc<str>> = selected.iter().map(|s| s.json().clone()).collect();
                 drop(store);
@@ -555,13 +565,20 @@ impl Matchmaker {
                 drop(store);
                 encode_query_reply(&ads)
             }
-        }
+        })
     }
 
-    /// Whether `q` can select an ad of `kind` at all (see
-    /// [`Query::may_select`]), under this service's conventions.
-    pub fn query_may_select(&self, q: &Query, kind: EntityKind) -> bool {
-        q.may_select(kind, &self.engine.conventions)
+    /// Answer `q` over a collection's ads, under this service's evaluation
+    /// policy and conventions ([`Query::select_from`]), as an encoded
+    /// [`Message::QueryReply`] frame.
+    pub fn collection_reply(&self, q: &Query, ads: &[ClassAd]) -> bytes::Bytes {
+        let (policy, conv) = (&self.engine.policy, &self.engine.conventions);
+        let ads: Vec<String> = q
+            .select_from(ads, policy, conv)
+            .iter()
+            .map(to_json)
+            .collect();
+        encode_query_reply(&ads)
     }
 
     /// A consistent snapshot of the counters.
@@ -580,6 +597,7 @@ impl Matchmaker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::attr_is;
     use classad::parse_classad;
 
     fn machine_adv(i: usize) -> Advertisement {
@@ -796,7 +814,7 @@ mod tests {
         );
         // The second reply copies the cached strings: same bytes.
         assert_eq!(whole_ad_reply(&svc, constraint), expected);
-        assert_eq!(svc.query_reply(&q, 0), expected);
+        assert_eq!(svc.query_reply(&q, 0).unwrap(), expected);
     }
 
     #[test]
@@ -840,6 +858,90 @@ mod tests {
         }
     }
 
+    /// The `MatchAnalysis` collection over the wire path: the reply's ads
+    /// for `other.MyType == "MatchAnalysis" && (other.Name == <name>)`
+    /// plus any `extra` conjuncts.
+    fn analysis_ads(svc: &Matchmaker, name: &str, extra: &[&str]) -> Vec<ClassAd> {
+        let mut conjuncts = vec![attr_is("Name", name)];
+        conjuncts.extend(extra.iter().map(|c| c.to_string()));
+        let q = Message::Query {
+            constraint: Collection::MatchAnalysis.constraint(&conjuncts),
+            kind: None,
+            projection: vec![],
+        };
+        let reply = svc.handle_frame(q.encode(), 0).unwrap().expect("a reply");
+        let Message::QueryReply { ads } = Message::decode(reply).unwrap() else {
+            panic!("expected QueryReply")
+        };
+        ads
+    }
+
+    fn analysis(svc: &Matchmaker, name: &str) -> Option<ClassAd> {
+        let mut ads = analysis_ads(svc, name, &[]);
+        assert!(ads.len() <= 1, "one analysis per name: {ads:?}");
+        ads.pop()
+    }
+
+    #[test]
+    fn match_analysis_needs_a_name_and_the_whole_constraint() {
+        let svc = Matchmaker::new(NegotiatorConfig::default());
+        svc.advertise(machine_adv(0), 0).unwrap();
+        svc.advertise(never_matching_job(), 0).unwrap();
+        // Without an `other.Name` conjunct there is nothing to analyze.
+        for constraint in [
+            r#"other.MyType == "MatchAnalysis""#,
+            r#"other.MyType == "MatchAnalysis" && (other.Name == "never" || true)"#,
+        ] {
+            let q = Message::Query {
+                constraint: constraint.into(),
+                kind: None,
+                projection: vec![],
+            };
+            let err = svc.handle_frame(q.encode(), 0).unwrap_err();
+            let Message::Error { detail } = Message::decode(err.reply).unwrap() else {
+                panic!("expected Error")
+            };
+            assert!(
+                detail.contains("a MatchAnalysis query names one request"),
+                "{detail}"
+            );
+        }
+        // The analysis ad is returned only if the whole constraint holds,
+        // projected like any result.
+        assert_eq!(analysis_ads(&svc, "never", &["other.Found"]).len(), 1);
+        assert!(analysis_ads(&svc, "never", &["other.PoolSize > 1"]).is_empty());
+        let q = Query::from_constraint(
+            &Collection::MatchAnalysis.constraint(&[attr_is("Name", "never")]),
+        )
+        .unwrap()
+        .select(&["PoolSize"]);
+        let Message::QueryReply { ads } = Message::decode(svc.query_reply(&q, 0).unwrap()).unwrap()
+        else {
+            panic!("expected QueryReply")
+        };
+        assert_eq!(ads.len(), 1);
+        assert_eq!(ads[0].len(), 1, "{}", ads[0]);
+        assert_eq!(ads[0].get_int("PoolSize"), Some(1));
+        // Kind-restricted, the same constraint reads the ad store.
+        let stored = q.of_kind(EntityKind::Customer);
+        assert!(svc.query(&stored, 0).is_empty());
+    }
+
+    #[test]
+    fn a_quoted_request_name_is_analyzed_under_exactly_that_name() {
+        let svc = Matchmaker::new(NegotiatorConfig::default());
+        let mut job = never_matching_job();
+        let name = r#"never" || other.Name == "x"#;
+        job.ad.set_str("Name", name);
+        svc.advertise(job, 0).unwrap();
+        svc.advertise(never_matching_job(), 0).unwrap();
+        let ad = analysis(&svc, name).expect("analyzed");
+        assert_eq!(ad.get_string("Name"), Some(name));
+        assert_eq!(ad.get("Found").unwrap().to_string(), "true");
+        let plain = analysis(&svc, "never").expect("analyzed");
+        assert_eq!(plain.get_string("Name"), Some("never"));
+    }
+
     #[test]
     fn analyze_names_the_failing_clause() {
         let svc = Matchmaker::new(NegotiatorConfig {
@@ -854,19 +956,7 @@ mod tests {
         assert_eq!(out.stats.matches, 0);
         assert_eq!(out.rejections.len(), 1);
 
-        let reply = svc
-            .handle_frame(
-                Message::Analyze {
-                    name: "never".into(),
-                }
-                .encode(),
-                0,
-            )
-            .unwrap()
-            .expect("analyze gets a reply");
-        let Message::AnalyzeReply { ad } = Message::decode(reply).unwrap() else {
-            panic!("expected AnalyzeReply")
-        };
+        let ad = analysis(&svc, "never").expect("the constraint holds");
         assert_eq!(ad.get_string("MyType"), Some("MatchAnalysis"));
         assert_eq!(ad.get_string("Name"), Some("never"));
         assert_eq!(ad.get("Found").unwrap().to_string(), "true");

@@ -5,6 +5,9 @@
 //! (`AdStore::snapshot` + `constraint_holds`), in content and order; a
 //! reply written from the cached encodings is the reply encoding the
 //! oracle's ads gives; and a query said to select nothing of a kind does.
+//! Over ads that are not in a store — a collection's — `Query::select_from`
+//! returns exactly what evaluating the query ad against every ad in input
+//! order returns, projected like a stored ad.
 
 use classad::{constraint_holds, parse_expr, ClassAd, EvalPolicy, Expr, MatchConventions};
 use matchmaker::admanager::{AdStore, StoredAd};
@@ -316,7 +319,25 @@ fn reference(
     kinds
         .into_iter()
         .flat_map(|kind| store.snapshot(kind, NOW))
-        .filter(|s| constraint_holds(&q.ad, &s.ad, policy, conv))
+        .filter(|s| constraint_holds(q.ad(), &s.ad, policy, conv))
+        .collect()
+}
+
+/// How the view and the alarm answered their own query messages: the
+/// query ad against every ad, in input order, through the full evaluator;
+/// projected the way a stored ad is.
+fn reference_over(
+    q: &Query,
+    ads: &[ClassAd],
+    policy: &EvalPolicy,
+    conv: &MatchConventions,
+) -> Vec<ClassAd> {
+    ads.iter()
+        .filter(|ad| constraint_holds(q.ad(), ad, policy, conv))
+        .map(|ad| match &q.projection {
+            None => ad.clone(),
+            Some(attrs) => project(ad, attrs, policy),
+        })
         .collect()
 }
 
@@ -366,9 +387,28 @@ proptest! {
         }
 
         for kind in [EntityKind::Provider, EntityKind::Customer] {
-            if !q.may_select(kind, &conv) {
+            if !q.may_select(kind) {
                 prop_assert!(want.iter().all(|s| s.kind != kind));
             }
         }
+    }
+
+    #[test]
+    fn collection_ads_select_what_evaluating_every_ad_selects(
+        ops in arb_ops(),
+        q in arb_query(),
+    ) {
+        let (policy, conv) = (EvalPolicy::default(), MatchConventions::default());
+        let ads: Vec<ClassAd> = ops
+            .iter()
+            .filter_map(|op| match op {
+                Op::Advertise(spec) => Some(spec.advertisement().ad),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(
+            q.select_from(&ads, &policy, &conv),
+            reference_over(&q, &ads, &policy, &conv)
+        );
     }
 }

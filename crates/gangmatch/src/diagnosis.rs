@@ -74,8 +74,8 @@ pub struct Diagnosis {
     /// ([`classad::traced_symmetric_match`]), ranked by frequency
     /// (descending, ties broken by reason order). Uses the same
     /// [`RejectReason`] taxonomy the negotiator's rejection tables and the
-    /// `Analyze` wire query report, so a gangmatch diagnosis and a live
-    /// `Analyze` reply name failures identically.
+    /// `MatchAnalysis` query report, so a gangmatch diagnosis and a live
+    /// `MatchAnalysis` ad name failures identically.
     pub reasons: Vec<(RejectReason, usize)>,
     /// Human-readable suggestions for never-satisfiable conjuncts.
     pub suggestions: Vec<String>,

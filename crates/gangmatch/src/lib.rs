@@ -1,11 +1,8 @@
-//! # gangmatch — aggregation, co-allocation, and diagnosis
+//! # gangmatch — co-allocation and diagnosis
 //!
-//! The paper's §5 sketches three research directions beyond the core
-//! framework; this crate implements all three:
+//! The paper's §5 sketches research directions beyond the core
+//! framework; this crate implements two of them:
 //!
-//! * [`aggregate`] — detect the structural/value **regularity** of real
-//!   pools and match against aggregated templates ("group matching"),
-//!   trading `O(pool)` constraint evaluations for `O(templates)`;
 //! * [`coalloc`] — **gang matching**: atomic co-allocation of several
 //!   resources to one multi-port request expressed with nested classads;
 //! * [`diagnosis`] — explain **why a request cannot match**: per-conjunct
@@ -15,12 +12,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod aggregate;
 pub mod coalloc;
 pub mod diagnosis;
 pub mod service;
 
-pub use aggregate::{group_match_batch, regularity, AggregatedPool, RegularityReport, Template};
 pub use coalloc::{GangError, GangMatch, GangRequest, GangSolver};
 pub use diagnosis::{conjuncts_of, diagnose, profile_attr, AttrProfile, ConjunctReport, Diagnosis};
 pub use service::{negotiate_gangs, GangCycleOutcome, GangGrant, PortGrant};

@@ -184,7 +184,7 @@ pub enum Event {
     /// with unmatched requests).
     CycleRejections {
         /// The cycle's ordinal (matches the `Cycle` attribute of an
-        /// `Analyze` reply taken after the same cycle).
+        /// `MatchAnalysis` ad taken after the same cycle).
         cycle: u64,
         /// Clusters left with unmatched requests.
         clusters: u64,

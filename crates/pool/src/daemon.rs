@@ -33,9 +33,9 @@ use matchmaker::admanager::Admission;
 use matchmaker::framing::FrameDecoder;
 use matchmaker::negotiate::{NegotiatorConfig, UnmatchedCluster};
 use matchmaker::protocol::{
-    Advertisement, AdvertisingProtocol, EntityKind, MatchNotification, Message,
+    Advertisement, AdvertisingProtocol, EntityKind, MatchNotification, Message, ProtocolError,
 };
-use matchmaker::query::Query;
+use matchmaker::query::{Collection, Query};
 use matchmaker::service::Matchmaker;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -95,9 +95,10 @@ impl Default for HaConfig {
 /// gauges, absent tombstones for departed agents), tails the daemon's
 /// event journal, and — when [`federate`] is on and flocking is
 /// configured — polls each flock peer's matchmaker self-ad so one store
-/// renders a multi-pool picture. [`Message::HistoryQuery`] reads the
-/// store over the wire; in an HA set every member collects (history
-/// survives failover) but standbys redirect queries to the leader.
+/// renders a multi-pool picture. A `Query` of the `HistorySeries`
+/// collection reads the store over the wire; in an HA set every member
+/// collects (history survives failover) but standbys redirect queries to
+/// the leader.
 ///
 /// [`sample_interval`]: ViewConfig::sample_interval
 /// [`federate`]: ViewConfig::federate
@@ -137,7 +138,8 @@ impl Default for ViewConfig {
 /// [`interval`]. Raise/clear transitions are journaled as `AlertRaised` /
 /// `AlertCleared`, the firing set is advertised in the matchmaker
 /// self-ad (`ActiveAlerts`, `ActiveAlertSummary`), and
-/// [`Message::AlertQuery`] reads the full alert state over the wire.
+/// a `Query` of the `AlertState` collection reads the full alert state
+/// over the wire.
 ///
 /// [`interval`]: AlarmConfig::interval
 #[derive(Debug, Clone)]
@@ -222,12 +224,12 @@ pub struct DaemonConfig {
     /// answers peers' queries without ever forwarding its own.
     pub flock: Option<condor_flock::FlockConfig>,
     /// Embedded pool-history collector (CondorView). `None` (the
-    /// default) keeps no history; `HistoryQuery` frames then get the
-    /// service's structured rejection, exactly like a pre-view peer.
+    /// default) keeps no history; a `Query` of the `HistorySeries`
+    /// collection then gets a structured `Error`.
     pub view: Option<ViewConfig>,
     /// Embedded pool health monitor (alerting). `None` (the default)
-    /// evaluates nothing; `AlertQuery` frames then get the service's
-    /// structured rejection, exactly like a pre-alarm peer.
+    /// evaluates nothing; a `Query` of the `AlertState` collection then
+    /// gets a structured `Error`.
     pub alarm: Option<AlarmConfig>,
 }
 
@@ -239,8 +241,8 @@ impl Default for DaemonConfig {
             io: IoConfig::default(),
             cycle_interval: Duration::from_secs(2),
             // Live pools attribute match failures out of the box: the
-            // daemon serves `Analyze` queries, journals `CycleRejections`,
-            // and advertises top reject reasons. (The library-level
+            // daemon serves `MatchAnalysis` queries, journals
+            // `CycleRejections`, and advertises top reject reasons. (The library-level
             // `NegotiatorConfig::default()` keeps attribution off so
             // embedded/benchmark negotiators pay nothing.)
             negotiator: NegotiatorConfig {
@@ -400,11 +402,11 @@ struct Shared {
     flock_tx: Mutex<Option<mpsc::Sender<Vec<UnmatchedCluster>>>>,
     /// The embedded pool-history collector (`None` without
     /// [`DaemonConfig::view`]). Fed by the `mm-view` thread, read by
-    /// `HistoryQuery` connections.
+    /// `HistorySeries` queries.
     view: Option<condor_view::Collector>,
     /// The embedded alert monitor (`None` without
     /// [`DaemonConfig::alarm`]). Swept by the `mm-alarm` thread, read by
-    /// `AlertQuery` connections and the self-ad publisher.
+    /// `AlertState` queries and the self-ad publisher.
     alarm: Option<condor_alarm::Monitor>,
 }
 
@@ -651,13 +653,13 @@ impl MatchmakerDaemon {
     }
 
     /// The embedded history collector, when [`DaemonConfig::view`] is on
-    /// (in-process inspection; remote parties send `HistoryQuery`).
+    /// (in-process inspection; remote parties query `HistorySeries`).
     pub fn view(&self) -> Option<&condor_view::Collector> {
         self.shared.view.as_ref()
     }
 
     /// The embedded alert monitor, when [`DaemonConfig::alarm`] is on
-    /// (in-process inspection; remote parties send `AlertQuery`).
+    /// (in-process inspection; remote parties query `AlertState`).
     pub fn alarm(&self) -> Option<&condor_alarm::Monitor> {
         self.shared.alarm.as_ref()
     }
@@ -745,6 +747,37 @@ impl Shared {
                 .wait_timeout(pending, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
+        }
+    }
+
+    /// Answer a `Query` (standbys were redirected before this, so only the
+    /// leader serves): the `HistorySeries` and `AlertState` collections
+    /// from the view and the alarm, an error when that component is off;
+    /// the ad store and `MatchAnalysis` from the service. A query that can
+    /// see the self-ad (a provider ad) gets it refreshed first, so the
+    /// reply reflects this very moment.
+    fn query_reply(&self, q: &Query, now: u64) -> Result<bytes::Bytes, ProtocolError> {
+        let off = |c: Collection, component: &str| {
+            ProtocolError::BadFrame(format!(
+                "no {} collection: this matchmaker runs without `{component}`",
+                c.my_type()
+            ))
+        };
+        match q.collection() {
+            Some(c @ Collection::HistorySeries) => {
+                let view = self.view.as_ref().ok_or_else(|| off(c, "view"))?;
+                Ok(self.service.collection_reply(q, &view.series_ads()))
+            }
+            Some(c @ Collection::AlertState) => {
+                let alarm = self.alarm.as_ref().ok_or_else(|| off(c, "alarm"))?;
+                Ok(self.service.collection_reply(q, &alarm.state_ads()))
+            }
+            _ => {
+                if q.may_select(EntityKind::Provider) {
+                    self.publish_self_ad();
+                }
+                self.service.query_reply(q, now)
+            }
         }
     }
 
@@ -1113,48 +1146,6 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                             continue;
                         }
                     }
-                    // Pool history: answered from the embedded collector
-                    // (standbys were already redirected above, so only
-                    // the leader serves). With the view off the message
-                    // falls through to the service and earns the same
-                    // structured rejection a pre-view peer produces by
-                    // not decoding the tag at all.
-                    if let Message::HistoryQuery { constraint, limit } = &msg {
-                        if let Some(view) = &shared.view {
-                            let reply = match view.query(constraint, *limit) {
-                                Ok(ads) => Message::HistoryReply { ads },
-                                Err(detail) => {
-                                    shared.metrics.error_replies.inc();
-                                    Message::Error { detail }
-                                }
-                            };
-                            match wire::send(&mut stream, &reply) {
-                                Ok(n) => shared.metrics.wire.sent(n as u64),
-                                Err(_) => return,
-                            }
-                            continue;
-                        }
-                    }
-                    // Alerting: answered from the embedded monitor. With
-                    // the alarm off the message falls through to the
-                    // service and earns the same structured rejection a
-                    // pre-alarm peer produces by not decoding the tag.
-                    if let Message::AlertQuery { constraint } = &msg {
-                        if let Some(monitor) = &shared.alarm {
-                            let reply = match monitor.query(constraint) {
-                                Ok(ads) => Message::AlertReply { ads },
-                                Err(detail) => {
-                                    shared.metrics.error_replies.inc();
-                                    Message::Error { detail }
-                                }
-                            };
-                            match wire::send(&mut stream, &reply) {
-                                Ok(n) => shared.metrics.wire.sent(n as u64),
-                                Err(_) => return,
-                            }
-                            continue;
-                        }
-                    }
                     // Journal context, captured before the message moves.
                     let ad_info = match &msg {
                         Message::Advertise(adv) => Some((
@@ -1186,15 +1177,9 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                             constraint,
                             kind,
                             projection,
-                        } => Query::from_message(&constraint, kind, projection).map(|q| {
-                            // A query that can see the self-ad (a provider
-                            // ad) gets it refreshed, so the reply reflects
-                            // this very moment.
-                            if shared.service.query_may_select(&q, EntityKind::Provider) {
-                                shared.publish_self_ad();
-                            }
-                            (Some(shared.service.query_reply(&q, now)), false)
-                        }),
+                        } => Query::from_message(&constraint, kind, projection)
+                            .and_then(|q| shared.query_reply(&q, now))
+                            .map(|reply| (Some(reply), false)),
                         msg => shared.service.handle_message(msg, now).map(|r| (r, false)),
                     };
                     match handled {
@@ -1679,7 +1664,7 @@ fn daemon_self_ads(shared: &Arc<Shared>, now: u64) -> Vec<ClassAd> {
 }
 
 /// Federated collection: poll each reachable flock peer's matchmaker
-/// self-ad into per-peer pool series, so one `HistoryQuery` renders a
+/// self-ad into per-peer pool series, so one `HistorySeries` query renders a
 /// multi-pool picture. Reuses the flock peer table (and its failure
 /// backoff) but speaks plain `Query` — a pre-view peer serves it anyway.
 fn collect_flock_peers(shared: &Arc<Shared>, view: &condor_view::Collector, now: u64) {
@@ -1892,6 +1877,7 @@ fn ticker_loop(shared: &Arc<Shared>) {
 mod tests {
     use super::*;
     use matchmaker::protocol::{Advertisement, EntityKind};
+    use matchmaker::query::attr_is;
     use std::time::Instant;
 
     fn machine_adv(name: &str, contact: &str) -> Advertisement {
@@ -2040,6 +2026,20 @@ mod tests {
         daemon.shutdown();
     }
 
+    /// A `Query` of one of the matchmaker's collections over TCP.
+    fn collection_query<S: AsRef<str>>(
+        addr: &str,
+        collection: Collection,
+        conjuncts: &[S],
+    ) -> Result<Message, WireError> {
+        let q = Message::Query {
+            constraint: collection.constraint(conjuncts),
+            kind: None,
+            projection: vec![],
+        };
+        wire::request_reply(addr, &q, &IoConfig::default())
+    }
+
     #[test]
     fn history_query_over_tcp_returns_series_ads() {
         let mut daemon = MatchmakerDaemon::spawn(DaemonConfig {
@@ -2056,36 +2056,39 @@ mod tests {
         })
         .unwrap();
         let addr = daemon.addr().to_string();
-        let io = IoConfig::default();
         // Let the collector run a couple of passes over the self-ad.
         let deadline = Instant::now() + Duration::from_secs(10);
         while daemon.view().unwrap().collections() < 2 {
             assert!(Instant::now() < deadline, "collector never ran");
             std::thread::sleep(Duration::from_millis(10));
         }
-        let q = Message::HistoryQuery {
-            constraint: format!(
-                r#"other.Metric == "{}" && other.Tier == 0"#,
-                condor_view::metric::MATCH_RATE
-            ),
-            limit: 0,
-        };
-        let reply = wire::request_reply(&addr, &q, &io).unwrap();
-        let Message::HistoryReply { ads } = reply else {
+        let reply = collection_query(
+            &addr,
+            Collection::HistorySeries,
+            &[
+                attr_is("Metric", condor_view::metric::MATCH_RATE),
+                "other.Tier == 0".into(),
+            ],
+        )
+        .unwrap();
+        let Message::QueryReply { ads } = reply else {
             panic!("{reply:?}")
         };
         assert_eq!(ads.len(), 1);
-        assert_eq!(ads[0].get_string("MyType"), Some("HistorySeries"));
+        assert_eq!(
+            ads[0].get_string("MyType"),
+            Some(condor_view::SERIES_AD_TYPE)
+        );
+        assert_eq!(
+            Collection::HistorySeries.my_type(),
+            condor_view::SERIES_AD_TYPE
+        );
         assert_eq!(ads[0].get_string("Kind"), Some("Counter"));
         // A malformed constraint earns a structured error, which the
         // client surfaces as a remote failure.
-        let bad = Message::HistoryQuery {
-            constraint: "((".into(),
-            limit: 0,
-        };
-        match wire::request_reply(&addr, &bad, &io) {
+        match collection_query(&addr, Collection::HistorySeries, &["(("]) {
             Err(WireError::Remote(detail)) => {
-                assert!(detail.contains("bad history constraint"), "{detail}")
+                assert!(detail.contains("bad query constraint"), "{detail}")
             }
             other => panic!("expected a structured rejection, got {other:?}"),
         }
@@ -2096,18 +2099,11 @@ mod tests {
     fn history_query_without_view_earns_structured_error() {
         let mut daemon = quiet_daemon();
         let addr = daemon.addr().to_string();
-        let q = Message::HistoryQuery {
-            constraint: "true".into(),
-            limit: 0,
-        };
-        let err = wire::request_reply(&addr, &q, &IoConfig::default());
-        match err {
-            Ok(Message::Error { detail }) => {
-                assert!(detail.contains("matchmaker endpoint"), "{detail}")
-            }
-            Err(WireError::Remote(detail)) => {
-                assert!(detail.contains("matchmaker endpoint"), "{detail}")
-            }
+        match collection_query(&addr, Collection::HistorySeries, &["true"]) {
+            Err(WireError::Remote(detail)) => assert!(
+                detail.contains("no HistorySeries collection") && detail.contains("without `view`"),
+                "{detail}"
+            ),
             other => panic!("expected a structured rejection, got {other:?}"),
         }
         daemon.shutdown();
@@ -2141,15 +2137,20 @@ mod tests {
             assert!(Instant::now() < deadline, "monitor never swept");
             std::thread::sleep(Duration::from_millis(10));
         }
-        let q = Message::AlertQuery {
-            constraint: r#"other.State == "firing""#.into(),
-        };
-        let reply = wire::request_reply(&addr, &q, &io).unwrap();
-        let Message::AlertReply { ads } = reply else {
+        let reply =
+            collection_query(&addr, Collection::AlertState, &[attr_is("State", "firing")]).unwrap();
+        let Message::QueryReply { ads } = reply else {
             panic!("{reply:?}")
         };
         assert_eq!(ads.len(), 1, "{ads:?}");
-        assert_eq!(ads[0].get_string("MyType"), Some("AlertState"));
+        assert_eq!(
+            ads[0].get_string("MyType"),
+            Some(condor_alarm::ALERT_AD_TYPE)
+        );
+        assert_eq!(
+            Collection::AlertState.my_type(),
+            condor_alarm::ALERT_AD_TYPE
+        );
         assert_eq!(ads[0].get_string("Rule"), Some("SelfAware"));
         assert_eq!(ads[0].get_string("Severity"), Some("info"));
         // The firing set is advertised in the self-ad too.
@@ -2175,12 +2176,9 @@ mod tests {
             ads[0]
         );
         // A malformed constraint earns a structured error.
-        let bad = Message::AlertQuery {
-            constraint: "((".into(),
-        };
-        match wire::request_reply(&addr, &bad, &io) {
+        match collection_query(&addr, Collection::AlertState, &["(("]) {
             Err(WireError::Remote(detail)) => {
-                assert!(detail.contains("bad alert constraint"), "{detail}")
+                assert!(detail.contains("bad query constraint"), "{detail}")
             }
             other => panic!("expected a structured rejection, got {other:?}"),
         }
@@ -2191,13 +2189,11 @@ mod tests {
     fn alert_query_without_alarm_earns_structured_error() {
         let mut daemon = quiet_daemon();
         let addr = daemon.addr().to_string();
-        let q = Message::AlertQuery {
-            constraint: "true".into(),
-        };
-        match wire::request_reply(&addr, &q, &IoConfig::default()) {
-            Ok(Message::Error { detail }) | Err(WireError::Remote(detail)) => {
-                assert!(detail.contains("matchmaker endpoint"), "{detail}")
-            }
+        match collection_query(&addr, Collection::AlertState, &["true"]) {
+            Err(WireError::Remote(detail)) => assert!(
+                detail.contains("no AlertState collection") && detail.contains("without `alarm`"),
+                "{detail}"
+            ),
             other => panic!("expected a structured rejection, got {other:?}"),
         }
         daemon.shutdown();
@@ -2248,16 +2244,17 @@ mod tests {
             assert!(Instant::now() < deadline, "ads never arrived");
             std::thread::sleep(Duration::from_millis(10));
         }
-        let reply = wire::request_reply(
+        let reply = collection_query(
             &addr,
-            &Message::Analyze {
-                name: "picky".into(),
-            },
-            &io,
+            Collection::MatchAnalysis,
+            &[attr_is("Name", "picky")],
         )
         .unwrap();
-        let Message::AnalyzeReply { ad } = reply else {
+        let Message::QueryReply { ads } = reply else {
             panic!("{reply:?}")
+        };
+        let [ad] = &ads[..] else {
+            panic!("one analysis: {ads:?}")
         };
         assert_eq!(ad.get_string("MyType"), Some("MatchAnalysis"), "{ad}");
         assert_eq!(ad.get("Found").unwrap().to_string(), "true", "{ad}");

@@ -624,16 +624,10 @@ fn message_kind(msg: &Message) -> &'static str {
         Message::Query { .. } => "Query",
         Message::QueryReply { .. } => "QueryReply",
         Message::Error { .. } => "Error",
-        Message::Analyze { .. } => "Analyze",
-        Message::AnalyzeReply { .. } => "AnalyzeReply",
         Message::ElectionBid { .. } => "ElectionBid",
         Message::LeaderLease { .. } => "LeaderLease",
         Message::FlockQuery { .. } => "FlockQuery",
         Message::FlockOffer { .. } => "FlockOffer",
-        Message::HistoryQuery { .. } => "HistoryQuery",
-        Message::HistoryReply { .. } => "HistoryReply",
-        Message::AlertQuery { .. } => "AlertQuery",
-        Message::AlertReply { .. } => "AlertReply",
     }
 }
 

@@ -336,10 +336,10 @@ impl Collector {
             .record_counter(pool, metric, source, unix, total);
     }
 
-    /// Answer a history query: a classad constraint over series metadata
-    /// ads (see [`HistoryStore::query`]).
-    pub fn query(&self, constraint: &str, limit: u32) -> Result<Vec<ClassAd>, String> {
-        self.store.lock().query(constraint, limit)
+    /// Every retained (series, tier) as a `HistorySeries` ad (see
+    /// [`HistoryStore::series_ads`]).
+    pub fn series_ads(&self) -> Vec<ClassAd> {
+        self.store.lock().series_ads()
     }
 
     /// Summarize the newest `window` finest-tier buckets of one series

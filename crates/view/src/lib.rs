@@ -19,10 +19,12 @@
 //!   and checkpoints the whole store into a `condor-obs` journal so a
 //!   restart loses at most one sample interval.
 //! * Queries keep the "stats are just ads" philosophy: each (series,
-//!   tier) renders as a `HistorySeries` classad, an ordinary constraint
-//!   expression selects among them, and the samples travel as attributes
-//!   of the matching ads — over the wire via the `HistoryQuery` /
-//!   `HistoryReply` protocol messages (`docs/protocol.md` §15).
+//!   tier) renders as a `HistorySeries` classad ([`HistoryStore::series_ads`]),
+//!   an ordinary constraint expression selects among them, and the
+//!   samples travel as attributes of the matching ads — over the wire as
+//!   the `HistorySeries` collection of the matchmaker's `Query`
+//!   (`docs/protocol.md` §6, §15). [`keep_newest`] cuts a series ad to
+//!   its newest points for display.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,6 +34,6 @@ pub mod store;
 
 pub use collect::{metric, Collector, Resumption, LOCAL_POOL, POOL_SOURCE};
 pub use store::{
-    Bucket, HistoryConfig, HistoryStore, RecentWindow, SeriesKey, SeriesKind, TierSpec,
-    SERIES_AD_TYPE,
+    keep_newest, Bucket, HistoryConfig, HistoryStore, RecentWindow, SeriesKey, SeriesKind,
+    TierSpec, SERIES_AD_TYPE,
 };

@@ -31,7 +31,7 @@
 //! ordinary classad constraint selects among them, and samples travel as
 //! attributes of the same ad.
 
-use classad::{constraint_holds, parse_expr, ClassAd, EvalPolicy, Expr, MatchConventions};
+use classad::ClassAd;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -390,40 +390,29 @@ impl HistoryStore {
         }
     }
 
-    /// Run a classad constraint over every (series, tier) metadata ad and
-    /// return the matching series ads, samples included. `limit` caps the
-    /// samples returned per series (newest kept); `0` returns whole
-    /// tiers. The constraint references series metadata through `other`,
-    /// e.g. `other.Metric == "Utilization" && other.Tier == 0`.
-    pub fn query(&self, constraint: &str, limit: u32) -> Result<Vec<ClassAd>, String> {
-        let expr = parse_expr(constraint).map_err(|e| format!("bad history constraint: {e}"))?;
-        let mut query_ad = ClassAd::new();
-        query_ad.set("Name", Expr::str("history-query"));
-        query_ad.set("Constraint", expr);
-        let policy = EvalPolicy::default();
-        let conv = MatchConventions::default();
+    /// Every (series, tier) as a `HistorySeries` ad carrying the tier's
+    /// whole retained window, in store order: the collection a `Query`
+    /// pinned to `other.MyType == "HistorySeries"` selects from, by series
+    /// metadata (`Metric`, `Source`, `Pool`, `Tier`, ...).
+    pub fn series_ads(&self) -> Vec<ClassAd> {
         let mut out = Vec::new();
         for ((pool, metric, source), series) in &self.series {
             for (tier_idx, tier) in series.tiers.iter().enumerate() {
-                let ad = self.series_ad(pool, metric, source, series, tier_idx, tier, limit);
-                if constraint_holds(&query_ad, &ad, &policy, &conv) {
-                    out.push(ad);
-                }
+                out.push(Self::series_ad(
+                    pool, metric, source, series, tier_idx, tier,
+                ));
             }
         }
-        Ok(out)
+        out
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn series_ad(
-        &self,
         pool: &str,
         metric: &str,
         source: &str,
         series: &Series,
         tier_idx: usize,
         tier: &Tier,
-        limit: u32,
     ) -> ClassAd {
         let mut ad = ClassAd::new();
         ad.set_str("MyType", SERIES_AD_TYPE);
@@ -439,12 +428,7 @@ impl HistoryStore {
         // protocol's conventions without ever matching anything.
         ad.set_bool("Constraint", false);
         ad.set_int("Rank", 0);
-        let skip = if limit > 0 {
-            tier.buckets.len().saturating_sub(limit as usize)
-        } else {
-            0
-        };
-        let buckets: Vec<&Bucket> = tier.buckets.iter().skip(skip).collect();
+        let buckets: Vec<&Bucket> = tier.buckets.iter().collect();
         ad.set_int("Points", buckets.len() as i64);
         if let (Some(first), Some(last)) = (buckets.first(), buckets.last()) {
             ad.set_int("StartUnix", first.start as i64);
@@ -502,7 +486,7 @@ impl HistoryStore {
     }
 
     /// Direct read access to one series' buckets at one tier (tests and
-    /// in-process consumers; the wire path goes through [`Self::query`]).
+    /// in-process consumers; the wire path goes through [`Self::series_ads`]).
     pub fn buckets(
         &self,
         pool: &str,
@@ -710,6 +694,39 @@ impl HistoryStore {
     }
 }
 
+/// The per-point sample lists of a `HistorySeries` ad, comma-joined in
+/// time order.
+const SAMPLE_LISTS: [&str; 7] = [
+    "Times", "Data", "DataMin", "DataMax", "DataLast", "Counts", "Absent",
+];
+
+/// A `HistorySeries` ad cut to its newest `n` points (`0` keeps them
+/// all): what a client shows for `--limit n`. The sample lists, `Points`
+/// and `StartUnix` describe the kept points; `Integral`, which covers
+/// the whole retained window, is dropped when points are cut.
+pub fn keep_newest(ad: &ClassAd, n: usize) -> ClassAd {
+    let points = ad.get_int("Points").unwrap_or(0).max(0) as usize;
+    if n == 0 || points <= n {
+        return ad.clone();
+    }
+    let mut out = ad.clone();
+    for attr in SAMPLE_LISTS {
+        if let Some(list) = ad.get_string(attr) {
+            let kept: Vec<&str> = list.split(',').collect();
+            out.set_str(attr, &kept[kept.len().saturating_sub(n)..].join(","));
+        }
+    }
+    out.set_int("Points", n as i64);
+    if let Some(start) = out
+        .get_string("Times")
+        .and_then(|t| t.split(',').next()?.parse::<i64>().ok())
+    {
+        out.set_int("StartUnix", start);
+    }
+    out.remove("Integral");
+    out
+}
+
 /// Render an `f64` compactly: integers drop the fraction, everything
 /// else keeps Rust's shortest round-trip form.
 fn trim_f64(v: f64) -> String {
@@ -727,6 +744,7 @@ fn clean(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use classad::{constraint_holds, EvalPolicy, MatchConventions};
 
     fn two_tier() -> HistoryConfig {
         HistoryConfig {
@@ -887,28 +905,46 @@ mod tests {
         assert!(store.recent_window("local", "Nope", "pool", 4).is_none());
     }
 
+    /// The series ads whose constraint `src` holds: how a `Query` of the
+    /// `HistorySeries` collection selects among them.
+    fn select(store: &HistoryStore, src: &str) -> Vec<ClassAd> {
+        let mut query = ClassAd::new();
+        query.set("Constraint", classad::parse_expr(src).unwrap());
+        let (policy, conv) = (EvalPolicy::default(), MatchConventions::default());
+        store
+            .series_ads()
+            .into_iter()
+            .filter(|ad| constraint_holds(&query, ad, &policy, &conv))
+            .collect()
+    }
+
     #[test]
     fn query_selects_series_by_metadata_constraint() {
         let mut store = HistoryStore::new(two_tier());
         store.record_gauge("local", "Utilization", "pool", 100, 0.5);
         store.record_counter("local", "MatchRate", "mm", 100, 0.0);
         store.record_counter("local", "MatchRate", "mm", 110, 4.0);
-        let ads = store
-            .query(r#"other.Metric == "Utilization" && other.Tier == 0"#, 0)
-            .unwrap();
+        let ads = select(
+            &store,
+            r#"other.MyType == "HistorySeries" && other.Metric == "Utilization" && other.Tier == 0"#,
+        );
         assert_eq!(ads.len(), 1);
         let ad = &ads[0];
         assert_eq!(ad.get_string("MyType"), Some(SERIES_AD_TYPE));
+        assert_eq!(ad.get_string("Name"), Some("local/Utilization/pool@0"));
         assert_eq!(ad.get_string("Kind"), Some("Gauge"));
         assert_eq!(ad.get_int("IntervalSecs"), Some(10));
         assert_eq!(ad.get_int("Points"), Some(1));
         assert_eq!(ad.get_string("Data"), Some("0.5"));
         assert_eq!(ad.get_string("Times"), Some("100"));
         // Everything at every tier.
-        let all = store.query("true", 0).unwrap();
-        assert_eq!(all.len(), 4, "two series x two tiers");
-        // A malformed constraint is an error, not a panic.
-        assert!(store.query("((", 0).is_err());
+        assert_eq!(store.series_ads().len(), 4, "two series x two tiers");
+        let rate = select(&store, r#"other.Metric == "MatchRate" && other.Tier == 0"#);
+        assert_eq!(rate[0].get_string("Kind"), Some("Counter"));
+        assert_eq!(
+            rate[0].get("Integral").map(|e| e.to_string()),
+            Some("4.0".into())
+        );
     }
 
     #[test]
@@ -916,13 +952,30 @@ mod tests {
         let mut store = HistoryStore::new(two_tier());
         for i in 0..5 {
             store.record_gauge("local", "Utilization", "pool", 100 + i * 10, i as f64);
+            store.record_counter("local", "MatchRate", "mm", 100 + i * 10, (i * 10) as f64);
         }
-        let ads = store
-            .query(r#"other.Metric == "Utilization" && other.Tier == 0"#, 2)
-            .unwrap();
-        assert_eq!(ads[0].get_int("Points"), Some(2));
-        assert_eq!(ads[0].get_string("Data"), Some("3,4"));
-        assert_eq!(ads[0].get_string("Times"), Some("130,140"));
+        let ads = select(
+            &store,
+            r#"other.Metric == "Utilization" && other.Tier == 0"#,
+        );
+        let whole = &ads[0];
+        assert_eq!(whole.get_int("Points"), Some(5), "the whole tier");
+        let cut = keep_newest(whole, 2);
+        assert_eq!(cut.get_int("Points"), Some(2));
+        assert_eq!(cut.get_string("Data"), Some("3,4"));
+        assert_eq!(cut.get_string("Times"), Some("130,140"));
+        assert_eq!(cut.get_string("Absent"), Some("0,0"));
+        assert_eq!(cut.get_int("StartUnix"), Some(130));
+        assert_eq!(cut.get_int("EndUnix"), whole.get_int("EndUnix"));
+        // `0` and a limit past the retained points keep the ad as it is.
+        assert_eq!(&keep_newest(whole, 0), whole);
+        assert_eq!(&keep_newest(whole, 5), whole);
+        // A cut counter no longer claims the whole window's integral.
+        let rate = &select(&store, r#"other.Metric == "MatchRate" && other.Tier == 0"#)[0];
+        assert!(rate.contains("Integral"));
+        let cut = keep_newest(rate, 1);
+        assert_eq!(cut.get_int("Points"), Some(1));
+        assert!(!cut.contains("Integral"), "{cut}");
     }
 
     #[test]

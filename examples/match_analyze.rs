@@ -9,10 +9,10 @@
 //! 2. machines and two deliberately unmatchable jobs advertise over TCP —
 //!    one job demands more Mips than any machine has, the other references
 //!    an attribute no machine defines;
-//! 3. after a negotiation cycle, the `Analyze` wire query asks the daemon
-//!    why each job is still idle, and the reply names the failing
-//!    constraint clause (or undefined attribute) plus a full rejection
-//!    breakdown;
+//! 3. after a negotiation cycle, a `Query` of the `MatchAnalysis`
+//!    collection asks the daemon why each job is still idle, and the
+//!    reply names the failing constraint clause (or undefined attribute)
+//!    plus a full rejection breakdown;
 //! 4. the matchmaker self-ad carries the same story as
 //!    `RejectionTopReasons`, and the journal's `CycleRejections` events
 //!    preserve it for post-mortem replay.
@@ -24,6 +24,7 @@ use condor_obs::{replay_with_stats, schema, self_ad_constraint, Event, JournalCo
 use condor_pool::wire::{self, IoConfig};
 use condor_pool::{DaemonConfig, MatchmakerDaemon};
 use matchmaker::protocol::{Advertisement, EntityKind, Message};
+use matchmaker::query::{attr_is, Collection};
 use matchmaker::ticket::Ticket;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -135,20 +136,22 @@ fn main() {
         std::thread::sleep(Duration::from_millis(25));
     }
 
-    // The Analyze wire query: one frame out, one MatchAnalysis classad back.
+    // One `Query` of the MatchAnalysis collection per job: one frame out,
+    // one MatchAnalysis classad back.
     for (name, _) in jobs {
-        let reply = wire::request_reply(
-            &addr,
-            &Message::Analyze {
-                name: name.to_string(),
-            },
-            &IoConfig::default(),
-        )
-        .unwrap();
-        let Message::AnalyzeReply { ad } = reply else {
+        let query = Message::Query {
+            constraint: Collection::MatchAnalysis.constraint(&[attr_is("Name", name)]),
+            kind: None,
+            projection: vec![],
+        };
+        let reply = wire::request_reply(&addr, &query, &IoConfig::default()).unwrap();
+        let Message::QueryReply { ads } = reply else {
             panic!("unexpected reply: {reply:?}");
         };
-        print_analysis(name, &ad);
+        let [ad] = &ads[..] else {
+            panic!("expected one MatchAnalysis ad, got {ads:?}");
+        };
+        print_analysis(name, ad);
     }
 
     // The same attribution, one aggregation level up: the matchmaker's

@@ -7,13 +7,13 @@
 //! cargo run --example pool_doctor -- --connect 127.0.0.1:9618
 //! ```
 //!
-//! Every interval (default 2s, `--interval <secs>`) it sends one
-//! `AlertQuery` frame (tag 17) and renders the monitor's full state —
+//! Every interval (default 2s, `--interval <secs>`) it sends one `Query`
+//! of the `AlertState` collection and renders the monitor's full state —
 //! firing alerts first, then the quiet rules with whatever conjunct is
 //! currently holding each back. `--once` renders a single frame;
 //! `--firing` restricts the query to `other.State == "firing"`. A daemon
-//! without the alarm (or predating it) answers with a structured error,
-//! surfaced here as a clean failure.
+//! without the alarm answers with a structured error, surfaced here as a
+//! clean failure.
 //!
 //! `--demo` runs the whole lifecycle offline instead: a monitor loaded
 //! with the default rule pack sweeps a scripted pool timeline — a flock
@@ -25,6 +25,7 @@ use classad::ClassAd;
 use condor_alarm::{severity_rank, Monitor, MonitorConfig};
 use condor_pool::wire::{self, IoConfig};
 use matchmaker::protocol::Message;
+use matchmaker::query::{attr_is, Collection};
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -36,18 +37,20 @@ fn usage() -> ! {
 
 /// Fetch the alert state over the wire.
 fn fetch(addr: &str, constraint: &str) -> Vec<ClassAd> {
-    let msg = Message::AlertQuery {
+    let msg = Message::Query {
         constraint: constraint.to_string(),
+        kind: None,
+        projection: vec![],
     };
     match wire::request_reply(addr, &msg, &IoConfig::default()) {
-        Ok(Message::AlertReply { ads }) => ads,
+        Ok(Message::QueryReply { ads }) => ads,
         Ok(other) => {
             eprintln!("unexpected reply from {addr}: {other:?}");
             std::process::exit(1);
         }
         Err(e) => {
             eprintln!("alerts at {addr} unavailable: {e}");
-            eprintln!("(the daemon may predate alerting, or run without `alarm`)");
+            eprintln!("(the daemon may run without `alarm`)");
             std::process::exit(1);
         }
     }
@@ -179,7 +182,7 @@ fn demo() {
         }
         unix += 10;
     }
-    let mut remaining = monitor.query("true").expect("true parses");
+    let mut remaining = monitor.state_ads();
     remaining.sort_by_key(|ad| {
         std::cmp::Reverse(severity_rank(ad.get_string("Severity").unwrap_or("")))
     });
@@ -207,9 +210,9 @@ fn main() {
         usage();
     };
     let constraint = if args.iter().any(|a| a == "--firing") {
-        r#"other.State == "firing""#
+        Collection::AlertState.constraint(&[attr_is("State", "firing")])
     } else {
-        "true"
+        Collection::AlertState.constraint::<&str>(&[])
     };
     let once = args.iter().any(|a| a == "--once");
     let interval = args
@@ -220,7 +223,7 @@ fn main() {
         .unwrap_or(2.0);
     loop {
         println!("-- pool_doctor @ {addr} --");
-        render(&fetch(&addr, constraint));
+        render(&fetch(&addr, &constraint));
         if once {
             return;
         }

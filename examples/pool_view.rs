@@ -1,6 +1,7 @@
 //! `pool_view` — CondorView for the terminal: sparkline charts of the
-//! pool's retained history, fetched over the wire with `HistoryQuery`
-//! (tag 15, see `docs/protocol.md` §15 and `docs/observability.md` §6).
+//! pool's retained history, fetched over the wire as the matchmaker's
+//! `HistorySeries` query collection (see `docs/protocol.md` §6, §15 and
+//! `docs/observability.md` §6).
 //!
 //! Where `pool_top` shows the pool *now* (live self-ad counters),
 //! `pool_view` shows where it has *been*: the matchmaker's embedded view
@@ -18,8 +19,8 @@
 //! or with `--demo` to spawn a small in-process pool (view enabled, fast
 //! sampling) and watch its history accumulate. Flags: `--metric <name>`
 //! restricts to one metric (default: all), `--tier <n>` picks a
-//! resolution tier (default 0, the finest), `--limit <n>` caps samples
-//! per series, `--once` renders a single frame, `--interval <secs>` sets
+//! resolution tier (default 0, the finest), `--limit <n>` shows only the
+//! newest n samples of each series, `--once` renders a single frame, `--interval <secs>` sets
 //! the refresh period, `--no-color` strips ANSI color (CI logs), and
 //! `--csv` dumps the raw samples as CSV instead of charts.
 
@@ -28,6 +29,7 @@ use condor_pool::wire::{self, IoConfig};
 use condor_pool::{PoolBuilder, ViewConfig};
 use condor_view::HistoryConfig;
 use matchmaker::protocol::Message;
+use matchmaker::query::{attr_is, Collection};
 use std::time::Duration;
 
 const SPARKS: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -71,16 +73,22 @@ fn absent_flags(ad: &ClassAd) -> Vec<bool> {
         .unwrap_or_default()
 }
 
-/// Fetch the matching series over the wire. A pre-view daemon (or one
-/// running without `DaemonConfig::view`) rejects the tag with a
-/// structured error — surfaced here as a clean exit, not a hang.
-fn fetch(addr: &str, constraint: &str, limit: u32) -> Vec<ClassAd> {
-    let msg = Message::HistoryQuery {
+/// Fetch the matching series over the wire, each cut to its newest
+/// `limit` samples (`0` = all). A daemon running without
+/// `DaemonConfig::view` answers with a structured error — surfaced here as
+/// a clean exit, not a hang.
+fn fetch(addr: &str, constraint: &str, limit: usize) -> Vec<ClassAd> {
+    let msg = Message::Query {
         constraint: constraint.to_string(),
-        limit,
+        kind: None,
+        projection: vec![],
     };
     match wire::request_reply(addr, &msg, &IoConfig::default()) {
-        Ok(Message::HistoryReply { mut ads }) => {
+        Ok(Message::QueryReply { ads }) => {
+            let mut ads: Vec<ClassAd> = ads
+                .iter()
+                .map(|ad| condor_view::keep_newest(ad, limit))
+                .collect();
             ads.sort_by(|a, b| a.get_string("Name").cmp(&b.get_string("Name")));
             ads
         }
@@ -90,7 +98,7 @@ fn fetch(addr: &str, constraint: &str, limit: u32) -> Vec<ClassAd> {
         }
         Err(e) => {
             eprintln!("history at {addr} unavailable: {e}");
-            eprintln!("(the daemon may predate pool history, or run without `view`)");
+            eprintln!("(the daemon may run without `view`)");
             std::process::exit(1);
         }
     }
@@ -208,12 +216,13 @@ fn main() {
         .map(|s| s.parse::<i64>().expect("--tier takes a tier index"))
         .unwrap_or(0);
     let limit = flag_value("--limit")
-        .map(|s| s.parse::<u32>().expect("--limit takes a sample count"))
+        .map(|s| s.parse::<usize>().expect("--limit takes a sample count"))
         .unwrap_or(0);
-    let constraint = match flag_value("--metric") {
-        Some(m) => format!(r#"other.Metric == "{m}" && other.Tier == {tier}"#),
-        None => format!("other.Tier == {tier}"),
-    };
+    let mut conjuncts = vec![format!("other.Tier == {tier}")];
+    if let Some(m) = flag_value("--metric") {
+        conjuncts.push(attr_is("Metric", &m));
+    }
+    let constraint = Collection::HistorySeries.constraint(&conjuncts);
 
     let (addr, _demo) = match flag_value("--connect") {
         Some(addr) => (addr, None),

@@ -37,32 +37,34 @@
 //! `Checkpoint` plus the tail a restarting or newly elected matchmaker
 //! would replay (see `docs/protocol.md` §13).
 //!
-//! `--history <metric>` reads the pool-history subsystem instead: a
-//! `HistoryQuery` frame (tag 15, a classad constraint over series
-//! metadata) fetches the matching retained time series and prints each
-//! tier's samples (`docs/observability.md` §6). Use a metric name like
-//! `Utilization` or `MatchRate`, or `all` for every series; `--limit N`
-//! caps samples per series. A daemon running without the view — or
-//! predating it — rejects the tag with a structured error, which
-//! surfaces here as a clean failure. Without `--connect` a demo store
+//! The next three modes read the matchmaker's own collections with the
+//! same `Query` message, pinned by `other.MyType` (`docs/protocol.md` §6):
+//!
+//! `--history <metric>` reads the pool-history subsystem: the
+//! `HistorySeries` collection, selected by series metadata, fetches the
+//! matching retained time series and prints each tier's samples
+//! (`docs/observability.md` §6). Use a metric name like `Utilization` or
+//! `MatchRate`, or `all` for every series; `--limit N` shows only the
+//! newest N samples of each series. A daemon running without the view
+//! answers with a structured error, which surfaces here as a clean
+//! failure. Without `--connect` a demo store shows the format.
+//!
+//! `--alerts [constraint]` reads the pool health monitor: the
+//! `AlertState` collection holds the monitor's per-(rule, subject) state
+//! — firing and quiet — printed one row per alert
+//! (`docs/observability.md` §7). The optional constraint defaults to
+//! `true`; try `'other.State == "firing"'` or
+//! `'other.Severity == "critical"'`. A daemon running without the alarm
+//! answers with a structured error. Without `--connect` a demo monitor
 //! shows the format.
 //!
-//! `--alerts [constraint]` reads the pool health monitor instead: an
-//! `AlertQuery` frame (tag 17, a classad constraint over alert-state
-//! ads) fetches the monitor's per-(rule, subject) state — firing and
-//! quiet — and prints one row per alert (`docs/observability.md` §7).
-//! The optional constraint defaults to `true`; try
-//! `'other.State == "firing"'` or `'other.Severity == "critical"'`. A
-//! daemon running without the alarm — or predating it — rejects the tag
-//! with a structured error, which surfaces here as a clean failure.
-//! Without `--connect` a demo monitor shows the format.
-//!
 //! `--analyze <job>` asks "why doesn't my job run?" — the paper §5
-//! diagnosis question. Against a live daemon it sends the `Analyze` wire
-//! message and renders the `MatchAnalysis` reply; locally it runs the same
-//! analysis against the demo pool through an attribution-enabled
-//! matchmaker. Either way the answer names the failing constraint clause
-//! and breaks the pool down by rejection reason.
+//! diagnosis question. Against a live daemon it queries the
+//! `MatchAnalysis` collection for that request name and renders the
+//! reply; locally it runs the same analysis against the demo pool through
+//! an attribution-enabled matchmaker. Either way the answer names the
+//! failing constraint clause and breaks the pool down by rejection
+//! reason.
 
 use classad::{ClassAd, EvalPolicy, MatchConventions, Value};
 use condor_obs::trace::format_id;
@@ -70,6 +72,7 @@ use condor_obs::Record;
 use condor_pool::wire::{self, IoConfig};
 use matchmaker::prelude::*;
 use matchmaker::protocol::{Message, Timestamp};
+use matchmaker::query::{attr_is, Collection};
 use std::io::{Read as _, Seek, SeekFrom};
 use std::time::{Duration, Instant};
 
@@ -294,12 +297,17 @@ fn demo_flock_self_ad() -> ClassAd {
     ad
 }
 
-/// Run one query against a live daemon over TCP.
-fn query_remote(addr: &str, constraint: &str, kind: Option<EntityKind>) -> Vec<ClassAd> {
+/// Run one query against a live daemon over TCP; exit on failure.
+fn query_remote(
+    addr: &str,
+    constraint: &str,
+    kind: Option<EntityKind>,
+    projection: &[&str],
+) -> Vec<ClassAd> {
     let msg = Message::Query {
         constraint: constraint.to_string(),
         kind,
-        projection: COLUMNS.iter().map(|s| s.to_string()).collect(),
+        projection: projection.iter().map(|s| s.to_string()).collect(),
     };
     match wire::request_reply(addr, &msg, &IoConfig::default()) {
         Ok(Message::QueryReply { ads }) => ads,
@@ -355,38 +363,18 @@ fn print_analysis(name: &str, ad: &ClassAd) {
     println!();
 }
 
-/// `--history`: fetch and render retained time series. Live mode sends
-/// the `HistoryQuery` wire message; local mode fabricates a small store
-/// so the output format is inspectable offline.
-fn history_mode(connect: Option<&str>, metric: &str, limit: u32) {
-    let constraint = if metric == "all" {
-        "true".to_string()
-    } else {
-        format!(r#"other.Metric == "{metric}""#)
+/// `--history`: fetch and render retained time series, the newest
+/// `limit` samples of each (`0` = all). Local mode fabricates a small
+/// store so the output format is inspectable offline.
+fn history_mode(connect: Option<&str>, metric: &str, limit: usize) {
+    let conjuncts = match metric {
+        "all" => vec![],
+        m => vec![attr_is("Metric", m)],
     };
+    let constraint = Collection::HistorySeries.constraint(&conjuncts);
     let ads = match connect {
-        Some(addr) => {
-            let msg = Message::HistoryQuery {
-                constraint: constraint.clone(),
-                limit,
-            };
-            match wire::request_reply(addr, &msg, &IoConfig::default()) {
-                Ok(Message::HistoryReply { ads }) => ads,
-                Ok(other) => {
-                    eprintln!("unexpected reply from {addr}: {other:?}");
-                    std::process::exit(1);
-                }
-                // A pre-view daemon rejects tag 15 itself ("unknown tag
-                // 15"); a view-less daemon rejects the message at the
-                // service. Either way: a clean refusal, not a hang.
-                Err(e) => {
-                    eprintln!("history at {addr} unavailable: {e}");
-                    eprintln!("(the daemon may predate pool history, or run without `view`)");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => demo_history_ads(&constraint, limit),
+        Some(addr) => query_remote(addr, &constraint, None, &[]),
+        None => demo_history_ads(&constraint),
     };
     println!("$ condor_view -constraint '{constraint}'");
     if ads.is_empty() {
@@ -394,7 +382,7 @@ fn history_mode(connect: Option<&str>, metric: &str, limit: u32) {
         return;
     }
     for ad in &ads {
-        print_series(ad);
+        print_series(&condor_view::keep_newest(ad, limit));
     }
 }
 
@@ -441,9 +429,19 @@ fn print_series(ad: &ClassAd) {
     }
 }
 
+/// Answer `constraint` over a collection's ads in process, as a daemon
+/// would.
+fn select_local(constraint: &str, ads: &[ClassAd]) -> Vec<ClassAd> {
+    let q = Query::from_constraint(constraint).unwrap_or_else(|e| {
+        eprintln!("bad constraint: {e}");
+        std::process::exit(2);
+    });
+    q.select_from(ads, &EvalPolicy::default(), &MatchConventions::default())
+}
+
 /// The `--history` demo without a daemon: a minute of a small pool's
 /// life, downsampled by a real store.
-fn demo_history_ads(constraint: &str, limit: u32) -> Vec<ClassAd> {
+fn demo_history_ads(constraint: &str) -> Vec<ClassAd> {
     use condor_view::{metric, HistoryConfig, HistoryStore, LOCAL_POOL, POOL_SOURCE};
     let mut store = HistoryStore::new(HistoryConfig::single(10, 32));
     let mut matches = 0.0;
@@ -457,41 +455,19 @@ fn demo_history_ads(constraint: &str, limit: u32) -> Vec<ClassAd> {
     // One machine left the pool mid-window: an absent tombstone.
     store.record_gauge(LOCAL_POOL, metric::CLAIMED, "ra-splinter", 946684800, 1.0);
     store.record_absent(LOCAL_POOL, "ra-splinter", 946684830);
-    store.query(constraint, limit).unwrap_or_else(|e| {
-        eprintln!("bad constraint: {e}");
-        std::process::exit(2);
-    })
+    select_local(constraint, &store.series_ads())
 }
 
 /// `--alerts`: fetch and render the pool health monitor's alert state.
-/// Live mode sends the `AlertQuery` wire message; local mode runs a demo
-/// monitor over a synthetic dead flock peer so the output format is
-/// inspectable offline.
-fn alerts_mode(connect: Option<&str>, constraint: &str) {
+/// Local mode runs a demo monitor over a synthetic dead flock peer so the
+/// output format is inspectable offline.
+fn alerts_mode(connect: Option<&str>, user: &str) {
+    let constraint = Collection::AlertState.constraint(&[user]);
     let ads = match connect {
-        Some(addr) => {
-            let msg = Message::AlertQuery {
-                constraint: constraint.to_string(),
-            };
-            match wire::request_reply(addr, &msg, &IoConfig::default()) {
-                Ok(Message::AlertReply { ads }) => ads,
-                Ok(other) => {
-                    eprintln!("unexpected reply from {addr}: {other:?}");
-                    std::process::exit(1);
-                }
-                // A pre-alarm daemon rejects tag 17 itself ("unknown tag
-                // 17"); an alarm-less daemon rejects the message at the
-                // service. Either way: a clean refusal, not a hang.
-                Err(e) => {
-                    eprintln!("alerts at {addr} unavailable: {e}");
-                    eprintln!("(the daemon may predate alerting, or run without `alarm`)");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => demo_alert_ads(constraint),
+        Some(addr) => query_remote(addr, &constraint, None, &[]),
+        None => demo_alert_ads(&constraint),
     };
-    println!("$ condor_alerts -constraint '{constraint}'");
+    println!("$ condor_alerts -constraint '{user}'");
     if ads.is_empty() {
         println!("  (no alerts matched)");
         return;
@@ -539,30 +515,22 @@ fn demo_alert_ads(constraint: &str) -> Vec<ClassAd> {
     peer.set_int("AbsentTail", 3);
     peer.set_int("AbsentCount", 3);
     monitor.evaluate(&[peer], 946684800);
-    monitor.query(constraint).unwrap_or_else(|e| {
-        eprintln!("bad constraint: {e}");
-        std::process::exit(2);
-    })
+    select_local(constraint, &monitor.state_ads())
 }
 
-/// `--analyze` against a live daemon: one `Analyze` frame, one
-/// `AnalyzeReply`. A pre-analysis daemon replies with a structured error
-/// (`unknown tag 9`), which surfaces here as a remote failure.
+/// `--analyze` against a live daemon: the `MatchAnalysis` collection's
+/// ad for `name`. A daemon that predates the collection answers with no
+/// ad at all.
 fn analyze_remote(addr: &str, name: &str) -> ClassAd {
-    let msg = Message::Analyze {
-        name: name.to_string(),
+    let constraint = Collection::MatchAnalysis.constraint(&[attr_is("Name", name)]);
+    let Some(ad) = query_remote(addr, &constraint, None, &[])
+        .into_iter()
+        .next()
+    else {
+        eprintln!("{addr} returned no MatchAnalysis for {name:?}");
+        std::process::exit(1);
     };
-    match wire::request_reply(addr, &msg, &IoConfig::default()) {
-        Ok(Message::AnalyzeReply { ad }) => ad,
-        Ok(other) => {
-            eprintln!("unexpected reply from {addr}: {other:?}");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("analyze at {addr} failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    ad
 }
 
 /// `--analyze` without a daemon: stand up an attribution-enabled
@@ -742,24 +710,16 @@ fn main() {
     if args.iter().any(|a| a == "--peers") {
         let ad = match &connect {
             Some(addr) => {
-                let msg = Message::Query {
-                    constraint: condor_obs::self_ad_constraint(
-                        condor_obs::schema::MATCHMAKER_STATS,
-                    ),
-                    kind: None,
-                    projection: vec![],
+                let constraint =
+                    condor_obs::self_ad_constraint(condor_obs::schema::MATCHMAKER_STATS);
+                let Some(ad) = query_remote(addr, &constraint, None, &[])
+                    .into_iter()
+                    .next()
+                else {
+                    eprintln!("no matchmaker self-ad published yet at {addr}");
+                    std::process::exit(1);
                 };
-                match wire::request_reply(addr, &msg, &IoConfig::default()) {
-                    Ok(Message::QueryReply { ads }) if !ads.is_empty() => ads[0].clone(),
-                    Ok(_) => {
-                        eprintln!("no matchmaker self-ad published yet at {addr}");
-                        std::process::exit(1);
-                    }
-                    Err(e) => {
-                        eprintln!("query to {addr} failed: {e}");
-                        std::process::exit(1);
-                    }
-                }
+                ad
             }
             None => demo_flock_self_ad(),
         };
@@ -858,24 +818,7 @@ fn main() {
         ] {
             let constraint = condor_obs::self_ad_constraint(my_type);
             let ads: Vec<ClassAd> = match (&connect, &local_store) {
-                (Some(addr), _) => {
-                    let msg = Message::Query {
-                        constraint,
-                        kind: None,
-                        projection: vec![],
-                    };
-                    match wire::request_reply(addr, &msg, &IoConfig::default()) {
-                        Ok(Message::QueryReply { ads }) => ads,
-                        Ok(other) => {
-                            eprintln!("unexpected reply from {addr}: {other:?}");
-                            std::process::exit(1);
-                        }
-                        Err(e) => {
-                            eprintln!("query to {addr} failed: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
+                (Some(addr), _) => query_remote(addr, &constraint, None, &[]),
                 (None, Some(store)) => Query::from_constraint(&constraint)
                     .unwrap()
                     .run(store, 0, &policy, &conv)
@@ -891,7 +834,7 @@ fn main() {
 
     let run = |title: &str, constraint: &str, kind: Option<EntityKind>| {
         let results = match (&connect, &local_store) {
-            (Some(addr), _) => query_remote(addr, constraint, kind),
+            (Some(addr), _) => query_remote(addr, constraint, kind, &COLUMNS),
             (None, Some(store)) => query_local(store, constraint, kind),
             (None, None) => unreachable!(),
         };

@@ -17,9 +17,8 @@
 //! * [`condor_sim`] — a deterministic discrete-event simulation of a
 //!   Condor-like pool (Resource-owner Agents, Customer Agents, pool
 //!   manager) that drives the real protocol end to end.
-//! * [`gangmatch`] — the paper's §5 directions, implemented: regularity
-//!   aggregation / group matching, gang co-allocation, and
-//!   unsatisfiable-constraint diagnosis.
+//! * [`gangmatch`] — two of the paper's §5 directions, implemented: gang
+//!   co-allocation and unsatisfiable-constraint diagnosis.
 //! * [`condor_pool`] — the live runtime: the matchmaker as a TCP daemon
 //!   plus resource/customer agent runtimes with soft-state leases,
 //!   deadlines, and bounded retry, speaking the same wire format over

@@ -1,8 +1,8 @@
 //! Acceptance tests for ClassAd-native alerting (`crates/alarm`): a pool
 //! health monitor embedded in the matchmaker, matching alert rules —
 //! themselves classads — against live telemetry every sweep, queried
-//! over the wire with `AlertQuery`/`AlertReply` (tags 17/18,
-//! `docs/protocol.md` §16).
+//! over the wire as the `AlertState` collection of `Query`
+//! (`docs/protocol.md` §6, §16).
 //!
 //! The headline scenario runs a live pool with the view collector and
 //! the alarm both on, kills the only resource agent, and requires the
@@ -15,10 +15,11 @@
 //! The remaining tests pin the degradation and error paths: a federated
 //! pool whose flock peer dies must raise `MatchmakerDown` (which only
 //! works because the collector tombstones unreachable peers instead of
-//! leaving their rollups silently stale); `HistoryQuery` abuse —
-//! malformed constraint, zero-series constraint, out-of-range limit —
-//! must answer structured replies, never hang; and a pre-alarm daemon
-//! (one running without `DaemonConfig::alarm`) must answer tag 17 with
+//! leaving their rollups silently stale); `HistorySeries` query abuse —
+//! malformed constraint, zero-series constraint — must answer structured
+//! replies, never hang, and every series reply is bounded by its tier's
+//! capacity; and a daemon running without `DaemonConfig::alarm` must
+//! answer an `AlertState` query, and an older tool's retired tag 17, with
 //! the structured `Error`, surfaced as `WireError::Remote`.
 
 mod util;
@@ -30,6 +31,7 @@ use condor_pool::wire::{self, IoConfig, WireError};
 use condor_pool::{AlarmConfig, DaemonConfig, ViewConfig};
 use condor_view::{HistoryConfig, TierSpec};
 use matchmaker::protocol::Message;
+use matchmaker::query::{attr_is, Collection};
 use std::path::PathBuf;
 use std::time::Duration;
 use util::{machine_ad, wait_until};
@@ -69,20 +71,9 @@ fn alarm_config() -> AlarmConfig {
     }
 }
 
-/// Fetch alert-state ads over the wire (tag 17 → tag 18).
+/// Fetch the `AlertState` ads `constraint` selects over the wire.
 fn alerts(addr: &str, constraint: &str) -> Vec<ClassAd> {
-    let reply = wire::request_reply(
-        addr,
-        &Message::AlertQuery {
-            constraint: constraint.into(),
-        },
-        &IoConfig::default(),
-    )
-    .unwrap();
-    let Message::AlertReply { ads } = reply else {
-        panic!("unexpected reply: {reply:?}")
-    };
-    ads
+    util::collection_ads(addr, Collection::AlertState, &[constraint])
 }
 
 /// The headline scenario: agent dies → deadman alert with conjunct
@@ -285,9 +276,10 @@ fn dead_flock_peer_raises_matchmaker_down() {
     drop(mm_a);
 }
 
-/// `HistoryQuery` abuse answers structured replies, never a hang or a
-/// torn connection: malformed constraint → structured error; constraint
-/// matching no series → empty reply; out-of-range limit → bounded reply.
+/// `HistorySeries` query abuse answers structured replies, never a hang or
+/// a torn connection: malformed constraint → structured error; constraint
+/// matching no series → empty reply; every series → whole tiers, bounded
+/// by their capacity.
 #[test]
 fn history_query_error_paths_answer_structured_replies() {
     let (mm, addr) = util::spawn_daemon(DaemonConfig {
@@ -297,54 +289,44 @@ fn history_query_error_paths_answer_structured_replies() {
     wait_until("the collector takes a pass", || {
         mm.view().is_some_and(|v| v.collections() >= 1)
     });
-    let io = IoConfig::default();
 
     // Malformed constraint: structured error, surfaced as Remote.
-    let bad = Message::HistoryQuery {
-        constraint: "((".into(),
-        limit: 0,
-    };
-    match wire::request_reply(&addr, &bad, &io) {
+    match util::collection_query(&addr, Collection::HistorySeries, &["(("]) {
         Err(WireError::Remote(detail)) => {
-            assert!(detail.contains("bad history constraint"), "{detail}")
+            assert!(detail.contains("bad query constraint"), "{detail}")
         }
         other => panic!("expected a structured rejection, got {other:?}"),
     }
 
     // A constraint matching zero series: an empty reply, not an error.
-    let none = Message::HistoryQuery {
-        constraint: r#"other.Metric == "NoSuchMetric""#.into(),
-        limit: 0,
-    };
-    match wire::request_reply(&addr, &none, &io) {
-        Ok(Message::HistoryReply { ads }) => assert!(ads.is_empty(), "{ads:?}"),
-        other => panic!("expected an empty HistoryReply, got {other:?}"),
+    let none = [attr_is("Metric", "NoSuchMetric")];
+    match util::collection_query(&addr, Collection::HistorySeries, &none) {
+        Ok(Message::QueryReply { ads }) => assert!(ads.is_empty(), "{ads:?}"),
+        other => panic!("expected an empty QueryReply, got {other:?}"),
     }
 
-    // An out-of-range sample limit: clamped server-side, answered.
-    let huge = Message::HistoryQuery {
-        constraint: "true".into(),
-        limit: u32::MAX,
-    };
-    match wire::request_reply(&addr, &huge, &io) {
-        Ok(Message::HistoryReply { ads }) => assert!(!ads.is_empty()),
-        other => panic!("expected a HistoryReply, got {other:?}"),
+    // Everything: whole tiers, never more points than a tier keeps.
+    let all = util::collection_ads(&addr, Collection::HistorySeries, &["true"]);
+    assert!(!all.is_empty());
+    for ad in &all {
+        let (points, capacity) = (ad.get_int("Points"), ad.get_int("Capacity"));
+        assert!(points.unwrap() <= capacity.unwrap(), "{ad}");
+        assert_eq!(&condor_view::keep_newest(ad, u32::MAX as usize), ad);
     }
 }
 
-/// Mixed-pool degradation: a daemon running without the alarm answers
-/// tag 17 with the service's structured rejection — a pre-alarm peer
-/// (which cannot decode the tag at all) degrades the same way.
+/// Mixed-pool degradation: a daemon running without the alarm answers an
+/// `AlertState` query with a structured error, and an older tool's
+/// retired `AlertQuery` frame (tag 17) decodes as an unknown tag.
 #[test]
 fn alert_query_against_pre_alarm_daemon_fails_cleanly() {
     let (_mm, addr) = util::spawn_daemon(util::daemon_config("mmOld"));
-    let q = Message::AlertQuery {
-        constraint: "true".into(),
-    };
-    match wire::request_reply(&addr, &q, &IoConfig::default()) {
-        Ok(Message::Error { detail }) | Err(WireError::Remote(detail)) => {
-            assert!(detail.contains("matchmaker endpoint"), "{detail}")
-        }
+    match util::collection_query(&addr, Collection::AlertState, &["true"]) {
+        Err(WireError::Remote(detail)) => assert!(detail.contains("without `alarm`"), "{detail}"),
+        other => panic!("expected a structured rejection, got {other:?}"),
+    }
+    match util::raw_request_reply(&addr, &util::retired_frame(17, "true", &[])) {
+        Err(WireError::Remote(detail)) => assert!(detail.contains("unknown tag 17"), "{detail}"),
         other => panic!("expected a structured rejection, got {other:?}"),
     }
 }

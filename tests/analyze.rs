@@ -1,22 +1,20 @@
 //! Acceptance test for live match-failure attribution: a job whose
-//! `Constraint` can never match is submitted to a live pool, `Analyze`
-//! goes over the wire, and the reply must
+//! `Constraint` can never match is submitted to a live pool, a `Query` of
+//! the `MatchAnalysis` collection goes over the wire, and the reply must
 //!
 //! 1. name the failing clause and the side it belongs to;
 //! 2. carry per-autocluster rejection counts that agree with what the
 //!    matchmaker's journal preserved in `CycleRejections` events;
-//! 3. degrade cleanly against a pre-`Analyze` peer, which answers the
-//!    unknown tag with a structured error instead of hanging or crashing
-//!    the connection.
+//! 3. leave an older tool that still sends the retired `Analyze` tag (9)
+//!    with a structured error instead of a hang or a torn connection.
+
+mod util;
 
 use classad::{parse_classad, ClassAd};
 use condor_obs::{replay_with_stats, Event, JournalConfig};
-use condor_pool::wire::{self, IoConfig, WireError};
+use condor_pool::wire::WireError;
 use condor_pool::PoolBuilder;
-use matchmaker::framing::encode_framed;
-use matchmaker::protocol::Message;
-use std::io::{Read, Write};
-use std::net::TcpListener;
+use matchmaker::query::{attr_is, Collection};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -49,18 +47,11 @@ fn journal_dir() -> PathBuf {
 }
 
 fn analyze(addr: &str, name: &str) -> ClassAd {
-    let reply = wire::request_reply(
-        addr,
-        &Message::Analyze {
-            name: name.to_string(),
-        },
-        &IoConfig::default(),
-    )
-    .unwrap();
-    match reply {
-        Message::AnalyzeReply { ad } => ad,
-        other => panic!("unexpected reply: {other:?}"),
-    }
+    let ads = util::collection_ads(addr, Collection::MatchAnalysis, &[attr_is("Name", name)]);
+    let [ad] = &ads[..] else {
+        panic!("expected one MatchAnalysis ad, got {ads:?}")
+    };
+    ad.clone()
 }
 
 #[test]
@@ -86,7 +77,7 @@ fn analyze_names_the_clause_and_agrees_with_the_journal() {
         }
         assert!(
             Instant::now() < deadline,
-            "Analyze never saw an attributed cycle; last reply: {ad}"
+            "MatchAnalysis never saw an attributed cycle; last reply: {ad}"
         );
         std::thread::sleep(Duration::from_millis(25));
     };
@@ -138,7 +129,7 @@ fn analyze_names_the_clause_and_agrees_with_the_journal() {
         .unwrap_or_else(|| panic!("no CycleRejections for cycle {cycle} in {records:?}"));
     assert!(
         journaled.0.contains(&segment),
-        "journal breakdown {:?} does not contain the Analyze reply's segment {:?}",
+        "journal breakdown {:?} does not contain the MatchAnalysis segment {:?}",
         journaled.0,
         segment
     );
@@ -147,43 +138,21 @@ fn analyze_names_the_clause_and_agrees_with_the_journal() {
 
 #[test]
 fn analyze_against_a_pre_analyze_peer_fails_cleanly() {
-    // A daemon that predates tag 9 cannot decode the Analyze frame; its
-    // decoder raises BadFrame("unknown tag 9") and the serving loop
-    // answers with a structured Message::Error. Simulate that peer
-    // byte-for-byte: read one frame, reply the way an old daemon does.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let server = std::thread::spawn(move || {
-        let (mut sock, _) = listener.accept().unwrap();
-        // Read one length-prefixed frame by hand — this build's
-        // FrameDecoder understands tag 9, the peer under simulation
-        // doesn't.
-        let mut len_buf = [0u8; 4];
-        sock.read_exact(&mut len_buf).unwrap();
-        let len = u32::from_be_bytes(len_buf) as usize;
-        let mut body = vec![0u8; len];
-        sock.read_exact(&mut body).unwrap();
-        // An old peer's Message::decode stops at tag 8 and raises
-        // BadFrame("unknown tag 9"); its serving loop turns that into a
-        // structured error reply.
-        assert_eq!(body[0], 9, "Analyze should arrive as tag 9");
-        let reply = Message::Error {
-            detail: "malformed frame: unknown tag 9".into(),
-        };
-        sock.write_all(&encode_framed(&reply)).unwrap();
-    });
-
-    let err = wire::request_reply(
-        &addr,
-        &Message::Analyze { name: "x".into() },
-        &IoConfig::default(),
-    )
-    .expect_err("an old peer must reject the Analyze tag");
-    match err {
-        WireError::Remote(detail) => {
+    // Tag 9 is retired: this daemon decodes it as an unknown tag, exactly
+    // as a peer predating it did, and answers a structured Error.
+    let (mut mm, addr) = util::spawn_daemon(util::daemon_config("mmRetired9"));
+    match util::raw_request_reply(&addr, &util::retired_frame(9, "x", &[])) {
+        Err(WireError::Remote(detail)) => {
             assert!(detail.contains("unknown tag 9"), "{detail}");
         }
         other => panic!("expected a structured remote error, got {other:?}"),
     }
-    server.join().unwrap();
+    // A new tool asks the collection instead, on a new connection.
+    let ad = analyze(&addr, "x");
+    assert_eq!(ad.get_string("Name"), Some("x"));
+    assert_eq!(
+        ad.get("Found").map(|e| e.to_string()).as_deref(),
+        Some("false")
+    );
+    mm.shutdown();
 }

@@ -1,7 +1,7 @@
 //! Acceptance tests for the pool-history subsystem (`crates/view`): a
 //! CondorView-style time-series store embedded in the matchmaker,
-//! queried over the wire with `HistoryQuery`/`HistoryReply` (tags
-//! 15/16, `docs/protocol.md` §15).
+//! queried over the wire as the `HistorySeries` collection of `Query`
+//! (`docs/protocol.md` §6, §15).
 //!
 //! The headline scenario runs a live federated pool for 30+ seconds of
 //! activity — local matches and claims, one resource-agent death, one
@@ -13,10 +13,11 @@
 //! same checkpoint journal, and the recovered history must be missing
 //! at most one interval.
 //!
-//! The second test pins the mixed-pool degradation path: a pre-view
-//! daemon (one running without `DaemonConfig::view`) answers tags 15
-//! and 16 with the structured `Error`, surfaced to the client as
-//! `WireError::Remote` — never a hang or a torn connection.
+//! The second test pins the degradation paths: an older tool's retired
+//! `HistoryQuery` frame (tag 15) and a `HistorySeries` query to a daemon
+//! running without `DaemonConfig::view` both get the structured `Error`,
+//! surfaced to the client as `WireError::Remote` — never a hang or a torn
+//! connection — and the daemon keeps serving queries.
 
 mod util;
 
@@ -26,9 +27,10 @@ use condor_pool::wire::{self, IoConfig, WireError};
 use condor_pool::{DaemonConfig, ViewConfig};
 use condor_view::{HistoryConfig, Resumption, TierSpec};
 use matchmaker::protocol::Message;
+use matchmaker::query::Collection;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use util::{fast_io, job_ad, machine_ad, wait_until};
+use util::{job_ad, machine_ad, wait_until};
 
 /// Journal directory shared with CI's view smoke run.
 fn journal_dir() -> PathBuf {
@@ -48,21 +50,10 @@ fn real(ad: &ClassAd, attr: &str) -> Option<f64> {
     }
 }
 
-/// Fetch history series over the wire (tag 15 → tag 16).
+/// Fetch history series over the wire: the `HistorySeries` ads
+/// `constraint` selects.
 fn history(addr: &str, constraint: &str) -> Vec<ClassAd> {
-    let reply = wire::request_reply(
-        addr,
-        &Message::HistoryQuery {
-            constraint: constraint.into(),
-            limit: 0,
-        },
-        &IoConfig::default(),
-    )
-    .unwrap();
-    let Message::HistoryReply { ads } = reply else {
-        panic!("unexpected reply: {reply:?}")
-    };
-    ads
+    util::collection_ads(addr, Collection::HistorySeries, &[constraint])
 }
 
 /// Live self-ads of one daemon type, via the ordinary query path.
@@ -324,35 +315,37 @@ fn history_tracks_live_pool_and_survives_view_server_restart() {
     mm_a2.shutdown();
 }
 
-/// A pre-view daemon must answer both history tags with the structured
-/// `Error`, and the client must see it as a clean `WireError::Remote`.
+/// A daemon must answer an older tool's history tags, and a history query
+/// when it runs without the view, with the structured `Error`; the client
+/// sees a clean `WireError::Remote` and the daemon keeps serving.
 #[test]
 fn pre_view_daemon_rejects_history_tags_with_structured_error() {
     let (mut mm, addr) = util::spawn_daemon(util::daemon_config("no-view"));
     assert!(mm.view().is_none());
 
-    let query = Message::HistoryQuery {
-        constraint: "true".into(),
-        limit: 0,
-    };
-    match wire::request_reply(&addr, &query, &fast_io()) {
+    // Tag 15 is retired: an old `HistoryQuery { "true", limit 0 }` frame
+    // decodes as an unknown tag, and so does tag 16.
+    for (tag, frame) in [
+        (15, util::retired_frame(15, "true", &[0; 4])),
+        (16, vec![16, 0, 0, 0, 0]),
+    ] {
+        match util::raw_request_reply(&addr, &frame) {
+            Err(WireError::Remote(detail)) => {
+                assert!(detail.contains(&format!("unknown tag {tag}")), "{detail}");
+            }
+            other => panic!("expected a structured remote error, got {other:?}"),
+        }
+    }
+
+    // The collection itself, on a daemon without the view.
+    match util::collection_query(&addr, Collection::HistorySeries, &["true"]) {
         Err(WireError::Remote(detail)) => {
-            assert!(
-                detail.contains("matchmaker endpoint"),
-                "error names what the endpoint accepts: {detail}"
-            );
+            assert!(detail.contains("without `view`"), "{detail}");
         }
         other => panic!("expected a structured remote error, got {other:?}"),
     }
 
-    // Tag 16 (a reply arriving as a request) earns the same rejection.
-    let reply = Message::HistoryReply { ads: vec![] };
-    match wire::request_reply(&addr, &reply, &fast_io()) {
-        Err(WireError::Remote(_)) => {}
-        other => panic!("expected a structured remote error, got {other:?}"),
-    }
-
-    // The daemon is unharmed: ordinary queries still work.
+    // The daemon is unharmed: ordinary queries on a new connection work.
     let ads = stats_ads(&addr, schema::MATCHMAKER_STATS);
     assert_eq!(ads.len(), 1);
     mm.shutdown();

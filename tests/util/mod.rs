@@ -9,10 +9,14 @@
 #![allow(dead_code)] // each test binary uses its own subset
 
 use classad::{parse_classad, ClassAd};
+use condor_pool::wire::{self, WireError};
 use condor_pool::{
     CustomerAgent, CustomerConfig, DaemonConfig, IoConfig, MatchmakerDaemon, ResourceAgent,
     ResourceConfig,
 };
+use matchmaker::framing::FrameDecoder;
+use matchmaker::protocol::Message;
+use matchmaker::query::Collection;
 use std::time::{Duration, Instant};
 
 /// Generous convergence bound: loopback pools settle in well under a
@@ -131,4 +135,50 @@ pub fn spawn_customer(
         jobs,
     )
     .unwrap()
+}
+
+/// A `Query` of one of the matchmaker's collections: the `other.MyType`
+/// pin `&&` each of `conjuncts`.
+pub fn collection_query<S: AsRef<str>>(
+    addr: &str,
+    collection: Collection,
+    conjuncts: &[S],
+) -> Result<Message, WireError> {
+    let q = Message::Query {
+        constraint: collection.constraint(conjuncts),
+        kind: None,
+        projection: vec![],
+    };
+    wire::request_reply(addr, &q, &IoConfig::default())
+}
+
+/// The ads of a collection query that must succeed.
+pub fn collection_ads<S: AsRef<str>>(
+    addr: &str,
+    collection: Collection,
+    conjuncts: &[S],
+) -> Vec<ClassAd> {
+    match collection_query(addr, collection, conjuncts) {
+        Ok(Message::QueryReply { ads }) => ads,
+        other => panic!("unexpected reply: {other:?}"),
+    }
+}
+
+/// Send one raw frame body (tag byte + payload) — a frame only an older
+/// tool still produces — and await the single reply.
+pub fn raw_request_reply(addr: &str, body: &[u8]) -> Result<Message, WireError> {
+    let mut stream = wire::connect(addr, &fast_io())?;
+    wire::send_body(&mut stream, body)?;
+    wire::recv(&mut stream, &mut FrameDecoder::new(), Instant::now() + WAIT)
+}
+
+/// A body as the retired request tags carried it: the tag, then one
+/// length-prefixed string (`Analyze`'s name, `HistoryQuery`'s and
+/// `AlertQuery`'s constraint), then `extra` bytes.
+pub fn retired_frame(tag: u8, text: &str, extra: &[u8]) -> Vec<u8> {
+    let mut body = vec![tag];
+    body.extend_from_slice(&(text.len() as u32).to_be_bytes());
+    body.extend_from_slice(text.as_bytes());
+    body.extend_from_slice(extra);
+    body
 }
