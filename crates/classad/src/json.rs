@@ -12,13 +12,17 @@
 //! The JSON reader/writer here is self-contained (no external crates),
 //! handles `\uXXXX` escapes including surrogate pairs, and rejects malformed
 //! input with positioned errors.
+//!
+//! What every ad of a pool shares is decoded once per process: top-level
+//! attribute names and `$expr` trees, each under a fixed bound
+//! (`NAME_CAP_BYTES`, `INTERN_CAP_BYTES`).
 
 use crate::ast::{AttrName, Expr, Literal};
 use crate::classad::ClassAd;
 use crate::error::{ParseError, Span};
 use crate::parser::parse_expr;
 use crate::pretty::escape_string as classad_escape;
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
@@ -119,9 +123,10 @@ fn write_json_string(out: &mut String, s: &str) {
 /// Parse a JSON document (in the mapping produced by [`to_json`]) into a
 /// classad. The top-level value must be an object.
 ///
-/// An attribute whose value is an `{"$expr": "<source>"}` marker is parsed
+/// Top-level attribute names and `{"$expr": "<source>"}` values resolve
 /// through a process-wide interner: ads carrying the same `Constraint` or
-/// `Rank` text share one `Arc<Expr>` and the text is parsed once.
+/// `Rank` text share one `Arc<Expr>`, parsed once, and ads spelling a name
+/// the same way share one [`AttrName`].
 pub fn from_json(src: &str) -> Result<ClassAd, ParseError> {
     let mut p = JsonParser {
         src: src.as_bytes(),
@@ -130,7 +135,18 @@ pub fn from_json(src: &str) -> Result<ClassAd, ParseError> {
     };
     p.skip_ws();
     let fields = if p.peek() == Some(b'{') {
-        let fields = p.members(JsonParser::attr_value)?;
+        let mut attrs = Vec::new();
+        if let Err(e) = p.members(JsonParser::attr_value, &mut attrs) {
+            // A one-pass reader would have parsed every `$expr` before the
+            // failure, so a malformed one among them is the error to report.
+            for (_, v) in &attrs {
+                if let Pending::Source(s) = v {
+                    interned_expr(s)?;
+                }
+            }
+            return Err(e);
+        }
+        let fields = resolve(attrs)?;
         match p.marker(&fields)? {
             None => Some(fields),
             // A document that is itself a marker object.
@@ -157,6 +173,37 @@ pub fn from_json(src: &str) -> Result<ClassAd, ParseError> {
     Ok(ad)
 }
 
+/// Names and sources of one document's top-level attributes, resolved under
+/// one lock. A source the interner lacks is parsed after the lock is
+/// released, in document order, so the first malformed one is the error.
+fn resolve(
+    attrs: Vec<(Cow<'_, str>, Pending<'_>)>,
+) -> Result<Vec<(AttrName, Arc<Expr>)>, ParseError> {
+    let mut fields = Vec::with_capacity(attrs.len());
+    let mut misses = Vec::new();
+    {
+        let mut it = interner();
+        for (key, value) in attrs {
+            let expr = match value {
+                Pending::Parsed(e) => e,
+                Pending::Source(src) => match it.tree(src) {
+                    Some(e) => e,
+                    None => {
+                        misses.push((fields.len(), src));
+                        // A placeholder, replaced below.
+                        Arc::new(Expr::Lit(Literal::Undefined))
+                    }
+                },
+            };
+            fields.push((it.name(&key), expr));
+        }
+    }
+    for (i, src) in misses {
+        fields[i].1 = interned_expr(src)?;
+    }
+    Ok(fields)
+}
+
 /// `$expr` sources longer than this are parsed but not interned.
 const INTERN_MAX_SOURCE: usize = 4 * 1024;
 
@@ -167,19 +214,69 @@ const INTERN_MAX_SOURCE: usize = 4 * 1024;
 #[doc(hidden)]
 pub const INTERN_CAP_BYTES: usize = 1024 * 1024;
 
-/// Source text → parsed tree, shared by every decoder in the process.
-/// Sharing is sound because an `Arc<Expr>` is never mutated in place.
+/// Attribute names longer than this are decoded but not interned.
+const INTERN_MAX_NAME: usize = 128;
+
+/// Cap on what the name table is charged ([`name_cost`]); an insert that
+/// would pass it empties the table first.
+#[doc(hidden)]
+pub const NAME_CAP_BYTES: usize = 256 * 1024;
+
+/// What one interned name costs: its spelling three times (the key, the
+/// display form and at worst a separate case-folded form) plus the
+/// reference-count headers, pointers, map slot and allocator overhead.
+fn name_cost(spelling: &str) -> usize {
+    3 * spelling.len() + 128
+}
+
+/// What decoders share, process-wide. Sharing is sound because neither an
+/// `Arc<Expr>` nor an `AttrName` is ever mutated in place.
 #[derive(Default)]
 struct Interner {
+    /// Source text → parsed tree.
     exprs: HashMap<Box<str>, Arc<Expr>>,
+    /// Source text held.
     bytes: usize,
+    /// Exact spelling → name. Keyed by spelling, not by the case-folded
+    /// form `AttrName` compares by, so `Memory` never decodes as `MEMORY`.
+    names: HashMap<Box<str>, AttrName>,
+    /// Sum of [`name_cost`] over `names`.
+    name_bytes: usize,
+}
+
+impl Interner {
+    /// The tree interned for `src`, if any.
+    fn tree(&self, src: &str) -> Option<Arc<Expr>> {
+        if src.len() > INTERN_MAX_SOURCE {
+            return None;
+        }
+        self.exprs.get(src).cloned()
+    }
+
+    fn name(&mut self, spelling: &str) -> AttrName {
+        if spelling.len() > INTERN_MAX_NAME {
+            return AttrName::new(spelling);
+        }
+        if let Some(name) = self.names.get(spelling) {
+            return name.clone();
+        }
+        let cost = name_cost(spelling);
+        if self.name_bytes + cost > NAME_CAP_BYTES {
+            self.names.clear();
+            self.name_bytes = 0;
+        }
+        let name = AttrName::new(spelling);
+        self.name_bytes += cost;
+        self.names.insert(spelling.into(), name.clone());
+        name
+    }
 }
 
 static INTERNER: LazyLock<Mutex<Interner>> = LazyLock::new(Mutex::default);
 
 fn interner() -> MutexGuard<'static, Interner> {
-    // The map is consistent at every unlock, so a panic elsewhere while it
-    // was held leaves nothing to repair.
+    // The maps are consistent at every unlock, so a panic elsewhere while
+    // they were held leaves nothing to repair.
     INTERNER.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -189,6 +286,13 @@ pub fn interned_bytes() -> usize {
     interner().bytes
 }
 
+/// What the interned names are charged against [`NAME_CAP_BYTES`] (for
+/// bound tests).
+#[doc(hidden)]
+pub fn interned_name_bytes() -> usize {
+    interner().name_bytes
+}
+
 /// Parse `src`, or return the tree an earlier call parsed from the same
 /// text. Errors are not cached: a malformed source is re-parsed and fails
 /// the same way every time.
@@ -196,8 +300,8 @@ fn interned_expr(src: &str) -> Result<Arc<Expr>, ParseError> {
     if src.len() > INTERN_MAX_SOURCE {
         return parse_expr(src).map(Arc::new);
     }
-    if let Some(e) = interner().exprs.get(src) {
-        return Ok(Arc::clone(e));
+    if let Some(e) = interner().tree(src) {
+        return Ok(e);
     }
     let parsed = Arc::new(parse_expr(src)?);
     let mut guard = interner();
@@ -213,6 +317,13 @@ fn interned_expr(src: &str) -> Result<Arc<Expr>, ParseError> {
         parsed
     });
     Ok(Arc::clone(e))
+}
+
+/// A top-level attribute value as first read: a tree, or the source of a
+/// compact `$expr` marker still to resolve through the interner.
+enum Pending<'a> {
+    Parsed(Arc<Expr>),
+    Source(&'a str),
 }
 
 /// A one-member object whose key is `$error` or `$expr` stands for a
@@ -313,7 +424,7 @@ impl<'a> JsonParser<'a> {
             }
             Some(b'"') => {
                 let s = self.string()?;
-                Ok(Expr::Lit(Literal::Str(Arc::from(s.as_str()))))
+                Ok(Expr::Lit(Literal::Str(Arc::from(&*s))))
             }
             Some(b'[') => {
                 self.pos += 1;
@@ -340,38 +451,81 @@ impl<'a> JsonParser<'a> {
 
     /// A nested object: a record, or a marker parsed without the interner.
     fn object(&mut self) -> Result<Expr, ParseError> {
-        let fields = self.members(JsonParser::value)?;
+        let fields = self.record()?;
         match self.marker(&fields)? {
             None => Ok(Expr::Record(fields)),
             Some(m) => m.into_expr(),
         }
     }
 
-    /// The value of a top-level attribute: an `$expr` marker resolves
-    /// through the interner, anything else parses as [`Self::value`].
-    fn attr_value(&mut self) -> Result<Arc<Expr>, ParseError> {
-        self.skip_ws();
-        if self.peek() != Some(b'{') {
-            return self.value().map(Arc::new);
-        }
-        let fields = self.members(JsonParser::value)?;
-        match self.marker(&fields)? {
-            None => Ok(Arc::new(Expr::Record(fields))),
-            Some(Marker::Expr(src)) => interned_expr(&src),
-            Some(m) => m.into_expr().map(Arc::new),
-        }
+    /// The fields of a nested object.
+    fn record(&mut self) -> Result<Vec<(AttrName, Expr)>, ParseError> {
+        let mut members = Vec::new();
+        self.members(JsonParser::value, &mut members)?;
+        Ok(members
+            .into_iter()
+            .map(|(k, v)| (AttrName::new(&k), v))
+            .collect())
     }
 
-    /// The `"key": value` members of an object, each value read by `value`.
+    /// The value of a top-level attribute: an `$expr` marker resolves
+    /// through the interner (the compact form after the whole document is
+    /// read), anything else parses as [`Self::value`].
+    fn attr_value(&mut self) -> Result<Pending<'a>, ParseError> {
+        self.skip_ws();
+        if self.peek() != Some(b'{') {
+            return self.value().map(|e| Pending::Parsed(Arc::new(e)));
+        }
+        if let Some(src) = self.compact_marker() {
+            return Ok(Pending::Source(src));
+        }
+        let fields = self.record()?;
+        let tree = match self.marker(&fields)? {
+            None => Arc::new(Expr::Record(fields)),
+            Some(Marker::Expr(src)) => interned_expr(&src)?,
+            Some(m) => Arc::new(m.into_expr()?),
+        };
+        Ok(Pending::Parsed(tree))
+    }
+
+    /// `{"$expr":"<source>"}` exactly as [`write_expr`] emits it, with no
+    /// escape in the source: consumes the marker and returns the source.
+    /// Any other shape consumes nothing and returns `None`.
+    fn compact_marker(&mut self) -> Option<&'a str> {
+        const OPEN: &[u8] = b"{\"$expr\":\"";
+        if !self.src[self.pos..].starts_with(OPEN) {
+            return None;
+        }
+        let start = self.pos + OPEN.len();
+        let end = self.plain_string_end(start)?;
+        if self.src.get(end + 1) != Some(&b'}') {
+            return None;
+        }
+        self.pos = end + 2;
+        let text = self.text;
+        Some(&text[start..end])
+    }
+
+    /// Where the string body starting at `start` closes, if it has no
+    /// escape: such a body is its own value and can be borrowed.
+    fn plain_string_end(&self, start: usize) -> Option<usize> {
+        let n = self.src[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')?;
+        (self.src[start + n] == b'"').then_some(start + n)
+    }
+
+    /// The `"key": value` members of an object, each value read by `value`,
+    /// appended to `out` (so a caller keeps what was read before an error).
     fn members<V>(
         &mut self,
         value: fn(&mut Self) -> Result<V, ParseError>,
-    ) -> Result<Vec<(AttrName, V)>, ParseError> {
+        out: &mut Vec<(Cow<'a, str>, V)>,
+    ) -> Result<(), ParseError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.eat(b'}') {
-            return Ok(fields);
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -379,13 +533,12 @@ impl<'a> JsonParser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             let val = value(self)?;
-            fields.push((AttrName::new(&key), val));
+            out.push((key, val));
             self.skip_ws();
             if self.eat(b',') {
                 continue;
             }
-            self.expect(b'}')?;
-            return Ok(fields);
+            return self.expect(b'}');
         }
     }
 
@@ -406,8 +559,20 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// A string, borrowed from the document unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
+        let start = self.pos;
+        if let Some(end) = self.plain_string_end(start) {
+            self.pos = end + 1;
+            let text = self.text;
+            return Ok(Cow::Borrowed(&text[start..end]));
+        }
+        self.escaped_string().map(Cow::Owned)
+    }
+
+    /// The body of a string holding an escape, decoded char by char.
+    fn escaped_string(&mut self) -> Result<String, ParseError> {
         let mut out = String::new();
         loop {
             let Some(b) = self.peek() else {

@@ -1,12 +1,14 @@
-//! The `$expr` interner behind `from_json`: identical policy text decodes
-//! to one shared tree, errors are never cached, and hostile input cannot
-//! grow it past its cap.
+//! The interner behind `from_json`: identical policy text decodes to one
+//! shared tree and identical spellings to one shared name, errors are never
+//! cached, and hostile input cannot grow either table past its cap.
 //!
-//! The interner is process-wide and the bound test empties it, so every
+//! The interner is process-wide and the bound tests empty it, so every
 //! test here holds `SERIAL`.
 
-use classad::json::{from_json, interned_bytes, INTERN_CAP_BYTES};
-use classad::{parse_expr, Expr};
+use classad::json::{
+    from_json, interned_bytes, interned_name_bytes, to_json, INTERN_CAP_BYTES, NAME_CAP_BYTES,
+};
+use classad::{parse_expr, ClassAd, Expr};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -75,4 +77,53 @@ fn interner_stays_under_its_cap_against_a_flood() {
     }
     assert_eq!(interned_bytes(), before);
     assert!(interned_bytes() <= INTERN_CAP_BYTES);
+}
+
+#[test]
+fn identical_spellings_share_one_name() {
+    let _g = serial();
+    let decode = |json: &str| from_json(json).unwrap_or_else(|e| panic!("{json}: {e}"));
+    let a = decode(r#"{"Memory":64,"Arch":"INTEL"}"#);
+    let b = decode(r#"{"Arch":"SPARC","Memory":128}"#);
+    let ptr = |ad: &ClassAd, name: &str| {
+        let n = ad.names().find(|n| n.as_str() == name).expect(name);
+        n.as_str().as_ptr()
+    };
+    assert_eq!(ptr(&a, "Memory"), ptr(&b, "Memory"));
+    assert_eq!(ptr(&a, "Arch"), ptr(&b, "Arch"));
+    // Case folds for lookup, never for spelling.
+    let upper = decode(r#"{"MEMORY":64}"#);
+    let lower = decode(r#"{"memory":64}"#);
+    let spelled = |ad: &ClassAd| ad.names().next().unwrap().as_str().to_owned();
+    assert_eq!(spelled(&upper), "MEMORY");
+    assert_eq!(spelled(&lower), "memory");
+    assert_eq!(spelled(&decode(r#"{"Memory":64}"#)), "Memory");
+    assert_eq!(upper.get_int("Memory"), Some(64));
+    assert_eq!(to_json(&upper), r#"{"MEMORY":64}"#);
+}
+
+#[test]
+fn name_table_stays_under_its_cap() {
+    let _g = serial();
+    for i in 0..100_000 {
+        let json = format!(r#"{{"Attribute_{i:06}":{i}}}"#);
+        let ad = from_json(&json).unwrap();
+        assert_eq!(
+            ad.names().next().unwrap().as_str(),
+            format!("Attribute_{i:06}")
+        );
+        assert!(interned_name_bytes() <= NAME_CAP_BYTES, "after name {i}");
+    }
+    // A name over the length limit decodes but is never interned.
+    let long = "L".repeat(4096);
+    let before = interned_name_bytes();
+    let ad = from_json(&format!(r#"{{"{long}":1}}"#)).unwrap();
+    assert_eq!(ad.get_int(&long), Some(1));
+    assert_eq!(interned_name_bytes(), before);
+    // A name is charged for more than its spelling: the table's memory,
+    // not just its text, stays under the cap.
+    let short = "Fresh_name";
+    from_json(&format!(r#"{{"{short}":1}}"#)).unwrap();
+    let after = interned_name_bytes();
+    assert!(after < before || after - before > 3 * short.len());
 }

@@ -443,6 +443,204 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// JSON decode paths: borrowed strings and compact `$expr` markers read in one
+// pass must agree with the escaped and spaced forms that take the
+// char-by-char path, and interned names must keep their spelling
+// ---------------------------------------------------------------------------
+
+/// Names drawn from a small pool so they repeat across ads and cases, in
+/// several spellings of one canonical name, plus keys that need escaping.
+fn arb_wire_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        3 => prop_oneof![
+            Just("Memory"), Just("MEMORY"), Just("memory"), Just("MeMoRy"),
+            Just("Arch"), Just("ARCH"), Just("Rank"), Just("rank"),
+            Just("Requirements"), Just("Name"), Just("name"),
+        ]
+        .prop_map(str::to_owned),
+        1 => prop_oneof![Just("Na\"me"), Just("back\\slash"), Just("tab\tkey"), Just("Ünï_Ω"), Just("ünï_Ω")]
+            .prop_map(str::to_owned),
+        2 => arb_attr_name(),
+    ]
+}
+
+fn arb_wire_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        prop_oneof![
+            proptest::char::range('a', 'z'),
+            proptest::char::range('A', 'Z'),
+            Just('"'),
+            Just('\\'),
+            Just('/'),
+            Just('\n'),
+            Just('\r'),
+            Just('\t'),
+            Just('\u{1}'),
+            Just('\u{1f}'),
+            Just('\u{7f}'),
+            Just('é'),
+            Just('∀'),
+            Just('😀'),
+        ],
+        0..10,
+    )
+    .prop_map(|cs| cs.into_iter().collect())
+}
+
+fn arb_wire_ad() -> impl Strategy<Value = ClassAd> {
+    let value = prop_oneof![
+        arb_wire_string().prop_map(|s| Expr::str(&s)),
+        proptest::collection::vec(arb_wire_string().prop_map(|s| Expr::str(&s)), 0..3)
+            .prop_map(Expr::List),
+        arb_expr(),
+    ];
+    proptest::collection::vec((arb_wire_name(), value), 0..8).prop_map(|fields| {
+        let mut ad = ClassAd::new();
+        for (n, e) in fields {
+            ad.set(n.as_str(), e);
+        }
+        ad
+    })
+}
+
+/// Where the JSON string body starting at `from` closes.
+fn string_body_end(js: &str, from: usize) -> usize {
+    let b = js.as_bytes();
+    let mut i = from;
+    while b[i] != b'"' {
+        i += if b[i] == b'\\' { 2 } else { 1 };
+    }
+    i
+}
+
+/// `js` with the first character of every string, keys and `$expr`
+/// sources included, written as a `\uXXXX` escape.
+fn escape_first_chars(js: &str) -> String {
+    let mut out = String::with_capacity(js.len() * 2);
+    let mut i = 0;
+    while let Some(open) = js[i..].find('"').map(|o| i + o) {
+        out.push_str(&js[i..=open]);
+        let end = string_body_end(js, open + 1);
+        let body = &js[open + 1..end];
+        let (first, rest) = match body.strip_prefix('\\') {
+            None => match body.chars().next() {
+                Some(c) => (Some(c), &body[c.len_utf8()..]),
+                None => (None, body),
+            },
+            Some(esc) if esc.starts_with('u') => {
+                let code = u32::from_str_radix(&esc[1..5], 16).unwrap();
+                (char::from_u32(code), &esc[5..])
+            }
+            Some(esc) => {
+                let c = match esc.as_bytes()[0] {
+                    b'n' => '\n',
+                    b't' => '\t',
+                    b'r' => '\r',
+                    other => other as char,
+                };
+                (Some(c), &esc[1..])
+            }
+        };
+        if let Some(c) = first {
+            for unit in c.encode_utf16(&mut [0; 2]) {
+                out.push_str(&format!("\\u{unit:04X}"));
+            }
+        }
+        out.push_str(rest);
+        out.push('"');
+        i = end + 1;
+    }
+    out.push_str(&js[i..]);
+    out
+}
+
+/// `js` with whitespace inside every `$expr` marker.
+fn space_markers(js: &str) -> String {
+    // Only a marker can hold `{"$expr":` outside a string, and no string
+    // can hold it: its quotes would be escaped.
+    const OPEN: &str = "{\"$expr\":\"";
+    let mut out = String::new();
+    let mut i = 0;
+    while let Some(at) = js[i..].find(OPEN).map(|o| i + o) {
+        let end = string_body_end(js, at + OPEN.len());
+        assert_eq!(&js[end..end + 2], "\"}");
+        out.push_str(&js[i..at]);
+        out.push_str("{ \"$expr\" : \"");
+        out.push_str(&js[at + OPEN.len()..=end]);
+        out.push_str(" }");
+        i = end + 2;
+    }
+    out.push_str(&js[i..]);
+    out
+}
+
+fn spellings(ad: &ClassAd) -> Vec<String> {
+    ad.names().map(|n| n.as_str().to_owned()).collect()
+}
+
+#[test]
+fn json_rewriters_reach_the_slow_paths() {
+    let js = r#"{"Ab":"\\x","R":{"$expr":"a + b"},"E":"","L":["😀"]}"#;
+    assert_eq!(
+        escape_first_chars(js),
+        r#"{"\u0041b":"\u005Cx","\u0052":{"\u0024expr":"\u0061 + b"},"\u0045":"","\u004C":["\uD83D\uDE00"]}"#
+    );
+    assert_eq!(
+        space_markers(js),
+        r#"{"Ab":"\\x","R":{ "$expr" : "a + b" },"E":"","L":["😀"]}"#
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn json_decode_paths_agree(ads in proptest::collection::vec(arb_wire_ad(), 1..4)) {
+        for ad in &ads {
+            let js = to_json(ad);
+            for form in [js.clone(), escape_first_chars(&js), space_markers(&js)] {
+                let back = from_json(&form)
+                    .unwrap_or_else(|err| panic!("json `{form}` failed to decode: {err}"));
+                prop_assert_eq!(&back, ad, "json was `{}`", form);
+                prop_assert_eq!(spellings(&back), spellings(ad), "json was `{}`", form);
+                prop_assert_eq!(to_json(&back), js.clone(), "json was `{}`", form);
+            }
+        }
+    }
+
+    #[test]
+    fn json_decoder_never_panics_on_damaged_ads(
+        ad in arb_wire_ad(),
+        at in any::<usize>(),
+        splice in prop_oneof![Just("\\"), Just("\\ud800"), Just("\\udfff"), Just("\\ud83d\\u0041")],
+    ) {
+        let js = to_json(&ad);
+        for (i, _) in js.char_indices() {
+            let _ = from_json(&js[..i]);
+        }
+        // Char boundaries inside string bodies, where the fast path reads.
+        let mut inside = Vec::new();
+        let mut in_string = false;
+        let mut escaped = false;
+        for (i, c) in js.char_indices() {
+            if in_string && !escaped {
+                inside.push(i);
+            }
+            match c {
+                '\\' if in_string => escaped = !escaped,
+                '"' if !escaped => in_string = !in_string,
+                _ => escaped = false,
+            }
+        }
+        if !inside.is_empty() {
+            let p = inside[at % inside.len()];
+            let damaged = format!("{}{splice}{}", &js[..p], &js[p..]);
+            let _ = from_json(&damaged);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Deterministic regression corpus (found by earlier proptest runs or
 // interesting by construction)
 // ---------------------------------------------------------------------------

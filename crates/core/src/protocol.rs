@@ -478,18 +478,26 @@ impl Reader {
         Ok(self.buf.get_u128())
     }
 
-    fn string(&mut self) -> Result<String, ProtocolError> {
+    /// Hand the next length-prefixed UTF-8 field to `f`, read in place in
+    /// the frame, then step past it.
+    fn with_str<T>(&mut self, f: impl FnOnce(&str) -> T) -> Result<T, ProtocolError> {
         self.need(4)?;
         let len = self.buf.get_u32() as usize;
         self.need(len)?;
-        let bytes = self.buf.copy_to_bytes(len);
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| ProtocolError::BadFrame(format!("invalid utf-8: {e}")))
+        let s = std::str::from_utf8(&self.buf.chunk()[..len])
+            .map_err(|e| ProtocolError::BadFrame(format!("invalid utf-8: {e}")))?;
+        let out = f(s);
+        self.buf.advance(len);
+        Ok(out)
+    }
+
+    fn string(&mut self) -> Result<String, ProtocolError> {
+        self.with_str(str::to_owned)
     }
 
     fn ad(&mut self) -> Result<ClassAd, ProtocolError> {
-        let js = self.string()?;
-        from_json(&js).map_err(|e| ProtocolError::BadFrame(format!("bad ad json: {e}")))
+        self.with_str(from_json)?
+            .map_err(|e| ProtocolError::BadFrame(format!("bad ad json: {e}")))
     }
 
     fn opt_ticket(&mut self) -> Result<Option<Ticket>, ProtocolError> {
@@ -876,18 +884,76 @@ mod tests {
 
     #[test]
     fn decoded_ads_share_one_policy_tree() {
-        let decode_constraint = |name: &str| {
+        let decode = |name: &str| {
             let mut adv = sample_adv();
             adv.ad.set_str("Name", name);
             let Ok(Message::Advertise(back)) = Message::decode(Message::Advertise(adv).encode())
             else {
                 panic!("advertise did not round-trip");
             };
-            Arc::clone(back.ad.get("Constraint").unwrap())
+            back.ad
         };
-        let a = decode_constraint("leonardo");
-        let b = decode_constraint("raphael");
-        assert!(Arc::ptr_eq(&a, &b), "one Constraint text, one parsed tree");
+        let a = decode("leonardo");
+        let b = decode("raphael");
+        let tree = |ad: &ClassAd| Arc::clone(ad.get("Constraint").unwrap());
+        assert!(
+            Arc::ptr_eq(&tree(&a), &tree(&b)),
+            "one Constraint text, one parsed tree"
+        );
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.names().zip(b.names()) {
+            assert_eq!(x.as_str(), y.as_str());
+            assert_eq!(
+                x.as_str().as_ptr(),
+                y.as_str().as_ptr(),
+                "one spelling of `{x}`, one allocation"
+            );
+        }
+    }
+
+    /// Invalid UTF-8 in an ad or a string field is rejected with the
+    /// decoder's `Utf8Error` text, whether the field is read in place or
+    /// copied out.
+    #[test]
+    fn invalid_utf8_fields_are_bad_frames() {
+        let frame = |tag: u8, field: &[u8]| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(tag);
+            if tag == tag::ADVERTISE {
+                buf.put_u8(0);
+            }
+            buf.put_u32(field.len() as u32);
+            buf.put_slice(field);
+            buf.freeze()
+        };
+        let cases: [(u8, &[u8], &str); 4] = [
+            (
+                tag::ADVERTISE,
+                b"{\"A\":\"\xff\"}",
+                "invalid utf-8: invalid utf-8 sequence of 1 bytes from index 6",
+            ),
+            (
+                tag::ADVERTISE,
+                b"{\"A\":\"\xe2\x88",
+                "invalid utf-8: incomplete utf-8 byte sequence from index 6",
+            ),
+            (
+                tag::ERROR,
+                b"detail \xc3\x28",
+                "invalid utf-8: invalid utf-8 sequence of 1 bytes from index 7",
+            ),
+            (
+                tag::ERROR,
+                b"\xf0\x9f\x98",
+                "invalid utf-8: incomplete utf-8 byte sequence from index 0",
+            ),
+        ];
+        for (t, field, want) in cases {
+            match Message::decode(frame(t, field)) {
+                Err(ProtocolError::BadFrame(m)) => assert_eq!(m, want, "tag {t}"),
+                other => panic!("tag {t}: expected BadFrame, got {other:?}"),
+            }
+        }
     }
 
     #[test]
