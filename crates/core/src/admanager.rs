@@ -5,34 +5,34 @@
 //! respect to matches (paper §3.2): losing the store loses nothing that the
 //! next round of periodic advertisements does not restore.
 //!
-//! ## Shards and dirtiness
+//! ## One table per kind, and a change feed
 //!
-//! Provider (resource) ads are partitioned into **shared-nothing shards**
-//! by a stable hash of the ad's name, so negotiation scans can fan out
-//! across shards with no shared mutable state and — more importantly — so
-//! cycles can be *incremental*: every mutation of a shard's contents
-//! (insert, content change, withdraw, lease expiry) bumps that shard's
-//! **version**, so a consumer that remembers the version it last read a
-//! shard at knows, by one integer compare, whether anything in it changed
-//! (the negotiator then diffs the shard against its per-ad table, see
-//! [`crate::negotiate`]). A pure lease **renewal** — a re-advertisement
-//! whose ad content, contact, and ticket are unchanged — updates the lease
-//! *without* bumping the version (and without assigning a new sequence
-//! number), which is what keeps a heartbeating 100k-machine pool almost
-//! entirely clean between cycles.
+//! Provider (resource) and customer (request) ads live in one table type:
+//! a dense vector of ads plus an index from canonical (lowercase) name to
+//! position. Removal is a `swap_remove` that fixes up one index entry.
 //!
-//! Shard count is stable-hash-partitioned and **auto-scales**: when the
-//! average shard grows past twice the target size the shard count doubles
-//! and every ad is redistributed (all versions bump, every ad keeps its
-//! identity — a rare re-read that re-derives nothing).
-//! [`AdStore::with_shards`] pins an explicit count instead. Match outcomes
-//! never depend on the shard count (see [`crate::matcher::Candidate`] for
-//! the intrinsic tie-break that guarantees this).
+//! Every change to the live *provider* set — an insert, a replacement, a
+//! withdrawal, a sweep by [`AdStore::expire`], a renewal that brings a
+//! lapsed ad back — appends the ad's canonical name to a **change feed**.
+//! A consumer that keeps a [`FeedCursor`] reads only the names that moved
+//! since ([`AdStore::changes_since`]); the negotiator diffs each against
+//! its per-ad table (see [`crate::negotiate`]). A pure lease **renewal** —
+//! a re-advertisement whose ad content, contact, and ticket are unchanged
+//! and whose lease does not shorten — updates the lease *without* a feed
+//! entry (and without a new sequence number), which is what keeps a
+//! heartbeating 100k-machine pool almost entirely quiet between cycles.
 //!
-//! Customer (request) ads are not sharded — request-side incrementality
-//! comes from autocluster signatures, not partitioning — but they get the
-//! same renewal treatment so a re-submitted identical job keeps its
-//! queue position.
+//! The feed never holds more entries than the provider table holds ads,
+//! plus a small constant: a reader further behind than that would read
+//! more names than a diff of the whole table costs. Such a cursor, or one
+//! from another store (a store rebuilt by [`AdStore::restore_state`] is
+//! another store), reads as "re-read everything". Match outcomes never
+//! depend on table order (see [`crate::matcher::Candidate`] for the
+//! intrinsic tie-break that guarantees this).
+//!
+//! Customer ads get no feed — request-side incrementality comes from
+//! autocluster signatures — but they get the same renewal treatment so a
+//! re-submitted identical job keeps its queue position.
 
 use crate::protocol::{
     Advertisement, AdvertisingProtocol, EntityKind, ProtocolError, Timestamp, TraceContext,
@@ -40,30 +40,18 @@ use crate::protocol::{
 use crate::ticket::Ticket;
 use classad::ast::{Expr, Literal};
 use classad::{ClassAd, EvalPolicy, Value};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Source of shard versions. Process-wide rather than per store, so a
-/// version names one state of one shard of one store: a store rebuilt by
-/// [`AdStore::restore_state`] can never present a version a consumer has
-/// already seen on the store it replaces.
-static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+/// Source of store ids. Process-wide, so a [`FeedCursor`] names one feed
+/// of one store: a store rebuilt by [`AdStore::restore_state`] never
+/// continues a cursor taken on the store it replaces.
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Default initial shard count for provider ads.
-pub const DEFAULT_SHARDS: usize = 8;
-
-/// The most provider shards a store restored from outside input may have.
-/// Far above anything auto-resharding at [`TARGET_SHARD_SIZE`] reaches:
-/// 65 536 shards is about 67 M provider ads. A larger count in a
-/// checkpoint is corruption, not a pool, and would only make the
-/// recovering daemon allocate itself to death.
-pub const MAX_SHARDS: usize = 65_536;
-
-/// Auto-scaling target: when the mean shard size exceeds twice this, the
-/// shard count doubles. Chosen so the unit of incremental re-read work (one
-/// shard) stays small and roughly constant as the pool grows.
-pub const TARGET_SHARD_SIZE: usize = 512;
+/// How many feed entries beyond the provider count the change feed keeps.
+const FEED_SLACK: usize = 8;
 
 /// A stored advertisement, frozen behind `Arc` so match scans can snapshot
 /// the pool without copying ads.
@@ -86,9 +74,10 @@ pub struct StoredAd {
     /// across pure lease renewals, so it doubles as the deterministic
     /// rank tie-break key (see [`crate::matcher::Candidate::tie`]).
     pub seq: u64,
-    /// The trace this ad's match lifecycle belongs to, carried into every
-    /// [`crate::negotiate::MatchRecord`] the ad produces. `None` for ads
-    /// from pre-tracing peers or paths that never minted a context.
+    /// The trace this ad's match lifecycle belongs to. A request's trace
+    /// rides into every [`crate::negotiate::MatchRecord`] it produces.
+    /// `None` for ads from pre-tracing peers or paths that never minted a
+    /// context.
     pub trace: Option<TraceContext>,
     /// The ad's wire encoding ([`classad::json::to_json`]), filled by the
     /// first whole-ad query reply that returns it ([`StoredAd::json`]).
@@ -116,84 +105,68 @@ impl StoredAd {
     }
 }
 
-/// FNV-1a over the canonical (lowercase) name: a stable hash — identical
-/// across processes and runs — so an ad's shard is a pure function of its
-/// name and the shard count.
-fn stable_hash(name_lower: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name_lower.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// One shared-nothing partition of the provider ads.
-///
-/// Ads live in a dense `order` vector (position is stable while the
-/// version is stable — removal is `swap_remove`, which bumps the version);
-/// `by_key` maps canonical names to positions.
-#[derive(Debug)]
-struct Shard {
-    order: Vec<StoredAd>,
-    by_key: HashMap<String, usize>,
-    version: u64,
-    /// Smallest `expires_at` in the shard (`u64::MAX` when empty). May be
-    /// conservatively *stale low* after renewals; [`Shard::refresh_min`]
-    /// recomputes it.
-    min_expiry: Timestamp,
-}
-
-impl Default for Shard {
-    fn default() -> Self {
-        Shard {
-            order: Vec::new(),
-            by_key: HashMap::new(),
-            version: 0,
-            min_expiry: u64::MAX,
-        }
+/// The canonical (lowercase) store key of a name, borrowed when the name
+/// already is one.
+fn canonical(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
     }
 }
 
-impl Shard {
-    fn touch(&mut self) {
-        self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
+/// The ads of one kind: a dense vector, and an index from canonical name
+/// to position.
+#[derive(Debug, Default)]
+struct Table {
+    ads: Vec<StoredAd>,
+    /// `keys[i]` is the canonical name of `ads[i]`, sharing its allocation
+    /// with the index key and any change-feed entry.
+    keys: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, usize>,
+}
+
+impl Table {
+    fn get(&self, key: &str) -> Option<&StoredAd> {
+        self.index.get(key).map(|&i| &self.ads[i])
     }
 
-    fn refresh_min(&mut self) {
-        self.min_expiry = self
-            .order
-            .iter()
-            .map(|s| s.expires_at)
-            .min()
-            .unwrap_or(u64::MAX);
-    }
-
-    /// Store `stored` under `key`, returning the ad it replaced.
-    fn insert(&mut self, key: String, stored: StoredAd) -> Option<StoredAd> {
-        self.min_expiry = self.min_expiry.min(stored.expires_at);
-        let replaced = match self.by_key.get(&key) {
-            Some(&i) => Some(std::mem::replace(&mut self.order[i], stored)),
+    /// Store `stored` under `key`, returning the key's shared spelling and
+    /// the ad it replaced.
+    fn insert(&mut self, key: &str, stored: StoredAd) -> (Arc<str>, Option<StoredAd>) {
+        match self.index.get(key) {
+            Some(&i) => (
+                self.keys[i].clone(),
+                Some(std::mem::replace(&mut self.ads[i], stored)),
+            ),
             None => {
-                self.by_key.insert(key, self.order.len());
-                self.order.push(stored);
-                None
+                let key: Arc<str> = Arc::from(key);
+                self.index.insert(key.clone(), self.ads.len());
+                self.keys.push(key.clone());
+                self.ads.push(stored);
+                (key, None)
             }
-        };
-        self.touch();
-        replaced
+        }
     }
 
-    fn remove(&mut self, key: &str) -> Option<StoredAd> {
-        let i = self.by_key.remove(key)?;
-        let removed = self.order.swap_remove(i);
-        if let Some(moved) = self.order.get(i) {
-            self.by_key.insert(moved.name.to_ascii_lowercase(), i);
+    /// Remove the ad at position `i`; the last ad takes its place.
+    fn remove_at(&mut self, i: usize) -> (Arc<str>, StoredAd) {
+        let key = self.keys.swap_remove(i);
+        let removed = self.ads.swap_remove(i);
+        self.index.remove(&*key);
+        if let Some(moved) = self.keys.get(i) {
+            self.index.insert(moved.clone(), i);
         }
-        self.touch();
-        self.refresh_min();
-        Some(removed)
+        (key, removed)
     }
+}
+
+/// A reader's place in an [`AdStore`]'s change feed. The default cursor
+/// belongs to no store: it reads as "re-read everything" anywhere.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FeedCursor {
+    store: u64,
+    pos: u64,
 }
 
 /// How [`AdStore::admit`] took an advertisement.
@@ -202,22 +175,28 @@ pub enum Admission {
     /// A new ad, new content, contact or ticket under a stored name, or a
     /// renewal that brings a lapsed ad back: what a cycle matches changed.
     Changed,
-    /// A pure lease renewal of a live ad.
+    /// A lease renewal of a live ad.
     Renewed,
 }
 
-/// In-memory ad store keyed by `(kind, lowercase name)`, with provider ads
-/// sharded by a stable hash of the name (see the module docs).
+/// In-memory ad store keyed by `(kind, lowercase name)`, with a change
+/// feed over the provider ads (see the module docs).
 ///
 /// Re-advertising under the same name *replaces* the old ad (and renews the
 /// lease); ads whose lease lapses are dropped by [`AdStore::expire`].
 #[derive(Debug)]
 pub struct AdStore {
-    shards: Vec<Shard>,
-    /// `true` when the shard count was pinned by [`AdStore::with_shards`];
-    /// auto-scaling is disabled.
-    pinned: bool,
-    customers: HashMap<String, StoredAd>,
+    providers: Table,
+    customers: Table,
+    /// Canonical names of changed providers, oldest first; `feed[0]` is
+    /// at absolute position `feed_base`.
+    feed: VecDeque<Arc<str>>,
+    feed_base: u64,
+    /// This store's identity in a [`FeedCursor`].
+    id: u64,
+    /// No stored lease ends before this (`u64::MAX` when empty). Stale low
+    /// after renewals and removals; [`AdStore::expire`] recomputes it.
+    min_expiry: Timestamp,
     next_seq: u64,
     eval_policy: EvalPolicy,
     /// Stored ads (lapsed or not) whose `Name` is not a string literal
@@ -228,9 +207,12 @@ pub struct AdStore {
 impl Default for AdStore {
     fn default() -> Self {
         AdStore {
-            shards: (0..DEFAULT_SHARDS).map(|_| Shard::default()).collect(),
-            pinned: false,
-            customers: HashMap::new(),
+            providers: Table::default(),
+            customers: Table::default(),
+            feed: VecDeque::new(),
+            feed_base: 0,
+            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
+            min_expiry: Timestamp::MAX,
             next_seq: 0,
             eval_policy: EvalPolicy::default(),
             computed_names: 0,
@@ -239,59 +221,68 @@ impl Default for AdStore {
 }
 
 impl AdStore {
-    /// Create an empty store with the default (auto-scaling) shard layout.
+    /// Create an empty store.
     pub fn new() -> Self {
         AdStore::default()
     }
 
-    /// Create an empty store with a pinned provider shard count (`n >= 1`);
-    /// auto-scaling is disabled. `with_shards(1)` is the unsharded layout.
-    pub fn with_shards(n: usize) -> Self {
-        let n = n.max(1);
-        AdStore {
-            shards: (0..n).map(|_| Shard::default()).collect(),
-            pinned: true,
-            ..AdStore::default()
+    fn table(&self, kind: EntityKind) -> &Table {
+        match kind {
+            EntityKind::Provider => &self.providers,
+            EntityKind::Customer => &self.customers,
         }
     }
 
-    /// Number of provider shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+    fn table_mut(&mut self, kind: EntityKind) -> &mut Table {
+        match kind {
+            EntityKind::Provider => &mut self.providers,
+            EntityKind::Customer => &mut self.customers,
+        }
     }
 
-    /// The shard a provider ad with this name lives in (a pure function of
-    /// the name and the shard count).
-    pub fn shard_of(&self, name: &str) -> usize {
-        (stable_hash(&name.to_ascii_lowercase()) % self.shards.len() as u64) as usize
+    /// Record a change to the provider set under `key`, dropping the
+    /// oldest entries past the feed's bound.
+    fn changed(&mut self, kind: EntityKind, key: Arc<str>) {
+        if kind != EntityKind::Provider {
+            return;
+        }
+        self.feed.push_back(key);
+        let bound = self.providers.ads.len() + FEED_SLACK;
+        while self.feed.len() > bound {
+            self.feed.pop_front();
+            self.feed_base += 1;
+        }
     }
 
-    /// Mutation version of one provider shard (`0` = never mutated, hence
-    /// empty). Anything computed from the shard's contents is valid exactly
-    /// while this is unchanged; versions are unique across stores, so that
-    /// holds across [`AdStore::restore_state`] too.
-    pub fn shard_version(&self, shard: usize) -> u64 {
-        self.shards[shard].version
+    /// The cursor just past the newest feed entry.
+    pub fn feed_end(&self) -> FeedCursor {
+        FeedCursor {
+            store: self.id,
+            pos: self.feed_base + self.feed.len() as u64,
+        }
     }
 
-    /// The provider ads of one shard, in slot order (stable while the
-    /// shard's version is stable). May include ads whose lease has lapsed
-    /// but which [`AdStore::expire`] has not yet swept — consumers filter
-    /// with [`AdStore::shard_min_expiry`] or per ad.
-    pub fn shard_ads(&self, shard: usize) -> &[StoredAd] {
-        &self.shards[shard].order
+    /// The canonical names of the providers changed since `cursor`, oldest
+    /// first (a name may repeat), or `None` for "re-read everything": the
+    /// cursor is from another store, or older than the oldest entry kept.
+    pub fn changes_since(&self, cursor: FeedCursor) -> Option<impl Iterator<Item = &Arc<str>>> {
+        let end = self.feed_end();
+        if cursor.store != self.id || cursor.pos < self.feed_base || cursor.pos > end.pos {
+            return None;
+        }
+        Some(self.feed.range((cursor.pos - self.feed_base) as usize..))
     }
 
-    /// Lower bound on the earliest lease expiry in the shard (`u64::MAX`
-    /// when empty). If this is `> now`, no ad in the shard has lapsed.
-    pub fn shard_min_expiry(&self, shard: usize) -> Timestamp {
-        self.shards[shard].min_expiry
+    /// Every stored provider ad with its canonical name, lapsed or not, in
+    /// table order.
+    pub(crate) fn providers(&self) -> impl Iterator<Item = (&Arc<str>, &StoredAd)> {
+        self.providers.keys.iter().zip(&self.providers.ads)
     }
 
     /// Number of live ads (including any whose lease has lapsed but which
     /// have not yet been swept by [`AdStore::expire`]).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.order.len()).sum::<usize>() + self.customers.len()
+        self.providers.ads.len() + self.customers.ads.len()
     }
 
     /// `true` if no ads are stored.
@@ -331,14 +322,13 @@ impl AdStore {
     /// Returns the entity's name key and how the store took the ad.
     ///
     /// A re-advertisement whose ad content, contact, and ticket all equal
-    /// the stored ad's is a **pure lease renewal** ([`Admission::Renewed`]):
-    /// the lease (and trace) update in place, the sequence number is kept,
-    /// and — for providers — the shard's version does *not* change, so
-    /// everything cached against the shard stays valid. The one exception
-    /// is a renewal that arrives after the lease had already lapsed (and
-    /// before a sweep): the ad re-enters the live set, which is a visible
-    /// change ([`Admission::Changed`]), so the version bumps (the sequence
-    /// number is still kept).
+    /// the stored ad's is a **lease renewal** ([`Admission::Renewed`]):
+    /// the lease (and trace) update in place and the sequence number is
+    /// kept. A renewal that arrives after the lease had already lapsed
+    /// (and before a sweep) brings the ad back into the live set, which
+    /// is a visible change ([`Admission::Changed`]; the sequence number is
+    /// still kept). A provider renewal is a feed entry when it brings the
+    /// ad back or shortens its lease, and only then.
     pub fn admit(
         &mut self,
         adv: Advertisement,
@@ -352,56 +342,36 @@ impl AdStore {
             _ => return Err(ProtocolError::MissingAttribute("Name".into())),
         };
         let key = name.to_ascii_lowercase();
-        match adv.kind {
-            EntityKind::Provider => {
-                let shard = self.shard_of(&name);
-                if let Some(&slot) = self.shards[shard].by_key.get(&key) {
-                    let existing = &mut self.shards[shard].order[slot];
-                    if *existing.ad == adv.ad
-                        && existing.contact == adv.contact
-                        && existing.ticket == adv.ticket
-                    {
-                        let lapsed = existing.expires_at <= now;
-                        existing.expires_at = adv.expires_at;
-                        existing.trace = trace;
-                        self.shards[shard].min_expiry =
-                            self.shards[shard].min_expiry.min(adv.expires_at);
-                        if !lapsed {
-                            return Ok((name, Admission::Renewed));
-                        }
-                        self.shards[shard].touch();
-                        return Ok((name, Admission::Changed));
-                    }
+        let kind = adv.kind;
+        self.min_expiry = self.min_expiry.min(adv.expires_at);
+        let table = self.table_mut(kind);
+        if let Some(&i) = table.index.get(key.as_str()) {
+            let existing = &mut table.ads[i];
+            if *existing.ad == adv.ad
+                && existing.contact == adv.contact
+                && existing.ticket == adv.ticket
+            {
+                let lapsed = existing.expires_at <= now;
+                let shortened = adv.expires_at < existing.expires_at;
+                existing.expires_at = adv.expires_at;
+                existing.trace = trace;
+                if lapsed || shortened {
+                    let key = table.keys[i].clone();
+                    self.changed(kind, key);
                 }
-                let stored = self.fresh(name.clone(), adv, trace);
-                self.recount(Some(&stored), None);
-                let replaced = self.shards[shard].insert(key, stored);
-                self.recount(None, replaced.as_ref());
-                self.maybe_split();
-            }
-            EntityKind::Customer => {
-                if let Some(existing) = self.customers.get_mut(&key) {
-                    if *existing.ad == adv.ad
-                        && existing.contact == adv.contact
-                        && existing.ticket == adv.ticket
-                    {
-                        let lapsed = existing.expires_at <= now;
-                        existing.expires_at = adv.expires_at;
-                        existing.trace = trace;
-                        let admission = if lapsed {
-                            Admission::Changed
-                        } else {
-                            Admission::Renewed
-                        };
-                        return Ok((name, admission));
-                    }
-                }
-                let stored = self.fresh(name.clone(), adv, trace);
-                self.recount(Some(&stored), None);
-                let replaced = self.customers.insert(key, stored);
-                self.recount(None, replaced.as_ref());
+                let admission = if lapsed {
+                    Admission::Changed
+                } else {
+                    Admission::Renewed
+                };
+                return Ok((name, admission));
             }
         }
+        let stored = self.fresh(name.clone(), adv, trace);
+        self.recount(Some(&stored), None);
+        let (key, replaced) = self.table_mut(kind).insert(&key, stored);
+        self.recount(None, replaced.as_ref());
+        self.changed(kind, key);
         Ok((name, Admission::Changed))
     }
 
@@ -421,43 +391,21 @@ impl AdStore {
         }
     }
 
-    /// Double the shard count and redistribute when the mean shard size
-    /// outgrows the target. Every version bumps (the world moved); the ads
-    /// themselves move, keeping their `seq` and `Arc`, so per-ad consumers
-    /// recognize every one of them.
-    fn maybe_split(&mut self) {
-        if self.pinned {
-            return;
-        }
-        let providers: usize = self.shards.iter().map(|s| s.order.len()).sum();
-        if providers <= self.shards.len() * TARGET_SHARD_SIZE * 2 {
-            return;
-        }
-        let new_count = self.shards.len() * 2;
-        let old = std::mem::take(&mut self.shards);
-        self.shards = (0..new_count).map(|_| Shard::default()).collect();
-        for shard in old {
-            for stored in shard.order {
-                let key = stored.name.to_ascii_lowercase();
-                let idx = (stable_hash(&key) % new_count as u64) as usize;
-                self.shards[idx].insert(key, stored);
-            }
-        }
+    /// Remove the ad at position `i` of one kind's table.
+    fn remove_at(&mut self, kind: EntityKind, i: usize) {
+        let (key, removed) = self.table_mut(kind).remove_at(i);
+        self.recount(None, Some(&removed));
+        self.changed(kind, key);
     }
 
     /// Remove an entity's ad (e.g. clean shutdown). Returns `true` if it
     /// was present.
     pub fn withdraw(&mut self, kind: EntityKind, name: &str) -> bool {
-        let key = name.to_ascii_lowercase();
-        let removed = match kind {
-            EntityKind::Provider => {
-                let shard = self.shard_of(name);
-                self.shards[shard].remove(&key)
-            }
-            EntityKind::Customer => self.customers.remove(&key),
+        let Some(&i) = self.table(kind).index.get(&*canonical(name)) else {
+            return false;
         };
-        self.recount(None, removed.as_ref());
-        removed.is_some()
+        self.remove_at(kind, i);
+        true
     }
 
     /// Remove an entity's ad only if the stored ad is still the very ad
@@ -478,72 +426,46 @@ impl AdStore {
 
     /// Look up an ad by kind and name.
     pub fn get(&self, kind: EntityKind, name: &str) -> Option<&StoredAd> {
-        let key = name.to_ascii_lowercase();
-        match kind {
-            EntityKind::Provider => {
-                let shard = self.shard_of(name);
-                let slot = *self.shards[shard].by_key.get(&key)?;
-                self.shards[shard].order.get(slot)
-            }
-            EntityKind::Customer => self.customers.get(&key),
-        }
+        self.table(kind).get(&canonical(name))
     }
 
-    /// Drop all ads whose lease has lapsed. Returns how many were dropped.
-    /// Provider shards that lose ads get their version bumped — an expired
-    /// resource is a dirty resource.
+    /// Drop all ads whose lease has lapsed, one by one, each provider onto
+    /// the change feed. Returns how many were dropped. Returns at once
+    /// while no lease can have lapsed.
     pub fn expire(&mut self, now: Timestamp) -> usize {
-        let mut dropped = 0;
-        let mut computed_dropped = 0;
-        let mut keep = |s: &StoredAd| {
-            let live = s.expires_at > now;
-            if !live && !s.name_is_literal() {
-                computed_dropped += 1;
-            }
-            live
-        };
-        for shard in &mut self.shards {
-            if shard.min_expiry > now {
-                continue;
-            }
-            let before = shard.order.len();
-            shard.order.retain(&mut keep);
-            let removed = before - shard.order.len();
-            if removed > 0 {
-                dropped += removed;
-                shard.by_key.clear();
-                for (i, s) in shard.order.iter().enumerate() {
-                    shard.by_key.insert(s.name.to_ascii_lowercase(), i);
-                }
-                shard.touch();
-            }
-            shard.refresh_min();
+        if self.min_expiry > now {
+            return 0;
         }
-        let before = self.customers.len();
-        self.customers.retain(|_, s| keep(s));
-        dropped += before - self.customers.len();
-        self.computed_names -= computed_dropped;
+        let mut dropped = 0;
+        let mut min_expiry = Timestamp::MAX;
+        for kind in [EntityKind::Provider, EntityKind::Customer] {
+            let mut i = 0;
+            while let Some(ad) = self.table(kind).ads.get(i) {
+                if ad.expires_at > now {
+                    min_expiry = min_expiry.min(ad.expires_at);
+                    i += 1;
+                } else {
+                    self.remove_at(kind, i);
+                    dropped += 1;
+                }
+            }
+        }
+        self.min_expiry = min_expiry;
         dropped
     }
 
-    /// The live ads of one kind, by reference, in storage order (shard by
-    /// shard for providers; unordered for customers).
+    /// The live ads of one kind, by reference, in table order.
     pub(crate) fn live(&self, kind: EntityKind, now: Timestamp) -> impl Iterator<Item = &StoredAd> {
-        let (shards, customers) = match kind {
-            EntityKind::Provider => (&self.shards[..], None),
-            EntityKind::Customer => (&[][..], Some(&self.customers)),
-        };
-        shards
+        self.table(kind)
+            .ads
             .iter()
-            .flat_map(|sh| sh.order.iter())
-            .chain(customers.into_iter().flat_map(|c| c.values()))
             .filter(move |s| s.expires_at > now)
     }
 
     /// Snapshot the live ads of one kind, freshest first (by sequence
     /// number). The `Arc`s make this cheap; match scans work on the
     /// snapshot while new ads arrive. O(pool) — the incremental
-    /// negotiation path reads shards directly instead.
+    /// negotiation path reads the change feed instead.
     pub fn snapshot(&self, kind: EntityKind, now: Timestamp) -> Vec<StoredAd> {
         let mut v: Vec<StoredAd> = self.live(kind, now).cloned().collect();
         v.sort_by_key(|s| std::cmp::Reverse(s.seq));
@@ -552,51 +474,37 @@ impl AdStore {
 
     /// Iterate over all stored ads.
     pub fn iter(&self) -> impl Iterator<Item = &StoredAd> {
-        self.shards
-            .iter()
-            .flat_map(|sh| sh.order.iter())
-            .chain(self.customers.values())
+        self.providers.ads.iter().chain(&self.customers.ads)
     }
 
     /// Capture the store's **full** state — every ad of both kinds
-    /// (lapsed or not), the shard layout, and the sequence counter — for
-    /// checkpointing (HA recovery). Unlike [`AdStore::snapshot`], which
-    /// is a match-scan view of live ads of one kind, this is the
-    /// everything-needed-to-rebuild-me view: restoring it with
-    /// [`AdStore::restore_state`] yields a store that answers every
-    /// query, match, and renewal exactly as this one would.
+    /// (lapsed or not) and the sequence counter — for checkpointing (HA
+    /// recovery). Unlike [`AdStore::snapshot`], which is a match-scan view
+    /// of live ads of one kind, this is the everything-needed-to-rebuild-me
+    /// view: restoring it with [`AdStore::restore_state`] yields a store
+    /// that answers every query, match, and renewal exactly as this one
+    /// would.
     pub fn snapshot_state(&self) -> StoreSnapshot {
         StoreSnapshot {
-            shards: self.shards.len(),
-            pinned: self.pinned,
             next_seq: self.next_seq,
             ads: self.iter().cloned().collect(),
         }
     }
 
-    /// Rebuild a store from a [`StoreSnapshot`]. Every ad lands in the
-    /// shard its name hashes to under the snapshot's shard count, keeping
-    /// its sequence number, lease, ticket, contact, and trace; the
-    /// sequence counter resumes where the snapshot left it, so ads
-    /// admitted after a restore sort strictly fresher than everything
-    /// checkpointed.
+    /// Rebuild a store from a [`StoreSnapshot`]. Every ad keeps its
+    /// sequence number, lease, ticket, contact, and trace; the sequence
+    /// counter resumes where the snapshot left it, so ads admitted after a
+    /// restore sort strictly fresher than everything checkpointed. The
+    /// rebuilt store is a new store: its change feed continues no cursor.
     pub fn restore_state(snap: &StoreSnapshot) -> AdStore {
-        let n = snap.shards.max(1);
         let mut store = AdStore {
-            shards: (0..n).map(|_| Shard::default()).collect(),
-            pinned: snap.pinned,
             next_seq: snap.next_seq,
             ..AdStore::default()
         };
         for stored in &snap.ads {
+            store.min_expiry = store.min_expiry.min(stored.expires_at);
             let key = stored.name.to_ascii_lowercase();
-            let replaced = match stored.kind {
-                EntityKind::Provider => {
-                    let shard = store.shard_of(&stored.name);
-                    store.shards[shard].insert(key, stored.clone())
-                }
-                EntityKind::Customer => store.customers.insert(key, stored.clone()),
-            };
+            let (_, replaced) = store.table_mut(stored.kind).insert(&key, stored.clone());
             store.recount(Some(stored), replaced.as_ref());
         }
         store
@@ -606,14 +514,10 @@ impl AdStore {
 /// Full recoverable state of an [`AdStore`], produced by
 /// [`AdStore::snapshot_state`] and consumed by [`AdStore::restore_state`].
 /// This is what an HA checkpoint freezes into the journal stream (see
-/// `condor-ha`): the shard layout, the monotone sequence counter, and
-/// every stored ad with its lease, ticket, and trace intact.
+/// `condor-ha`): the monotone sequence counter and every stored ad with
+/// its lease, ticket, and trace intact.
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot {
-    /// Provider shard count at snapshot time.
-    pub shards: usize,
-    /// Whether the shard count was pinned (auto-scaling disabled).
-    pub pinned: bool,
     /// The sequence counter; the restored store resumes from here.
     pub next_seq: u64,
     /// Every stored ad, providers and customers alike, lapsed or not
@@ -658,6 +562,15 @@ mod tests {
         AdvertisingProtocol::default()
     }
 
+    /// The feed entries after `cursor`.
+    fn changes(store: &AdStore, cursor: FeedCursor) -> Vec<String> {
+        store
+            .changes_since(cursor)
+            .expect("cursor is current")
+            .map(|k| k.to_string())
+            .collect()
+    }
+
     #[test]
     fn advertise_and_get() {
         let mut store = AdStore::new();
@@ -689,12 +602,11 @@ mod tests {
         store
             .advertise(adv_with_attr("m", EntityKind::Provider, 50, 1), 0, &proto())
             .unwrap();
-        let shard = store.shard_of("m");
         let first_seq = store.get(EntityKind::Provider, "m").unwrap().seq;
-        let first_version = store.shard_version(shard);
+        let cursor = store.feed_end();
         store
             .advertise(
-                adv_with_attr("m", EntityKind::Provider, 150, 2),
+                adv_with_attr("M", EntityKind::Provider, 150, 2),
                 10,
                 &proto(),
             )
@@ -703,7 +615,7 @@ mod tests {
         let s = store.get(EntityKind::Provider, "m").unwrap();
         assert!(s.seq > first_seq, "content change takes a new seq");
         assert_eq!(s.expires_at, 150);
-        assert!(store.shard_version(shard) > first_version);
+        assert_eq!(changes(&store, cursor), ["m"], "one canonical entry");
     }
 
     #[test]
@@ -712,40 +624,38 @@ mod tests {
         store
             .advertise(adv("m", EntityKind::Provider, 50), 0, &proto())
             .unwrap();
-        let shard = store.shard_of("m");
         let first_seq = store.get(EntityKind::Provider, "m").unwrap().seq;
-        let first_version = store.shard_version(shard);
+        let cursor = store.feed_end();
         store
             .advertise(adv("m", EntityKind::Provider, 150), 10, &proto())
             .unwrap();
         let s = store.get(EntityKind::Provider, "m").unwrap();
         assert_eq!(s.seq, first_seq, "identical re-ad is a pure renewal");
         assert_eq!(s.expires_at, 150, "lease still renews");
-        assert_eq!(
-            store.shard_version(shard),
-            first_version,
-            "renewal leaves the shard clean"
-        );
+        assert!(changes(&store, cursor).is_empty(), "renewal is no change");
+        // A renewal that shortens the lease is one a reader must see.
+        store
+            .advertise(adv("m", EntityKind::Provider, 120), 20, &proto())
+            .unwrap();
+        assert_eq!(changes(&store, cursor), ["m"]);
+        assert_eq!(store.get(EntityKind::Provider, "m").unwrap().seq, first_seq);
     }
 
     #[test]
     fn renewal_after_the_lease_lapsed_bumps_the_version() {
         // Unswept, the lapsed ad was invisible to a cycle at t=60; the
-        // renewal makes it visible again, so the shard must read as changed.
+        // renewal makes it visible again, so the feed must name it.
         let mut store = AdStore::new();
         store
             .advertise(adv("m", EntityKind::Provider, 50), 0, &proto())
             .unwrap();
-        let shard = store.shard_of("m");
-        let (seq, version) = (
-            store.get(EntityKind::Provider, "m").unwrap().seq,
-            store.shard_version(shard),
-        );
+        let seq = store.get(EntityKind::Provider, "m").unwrap().seq;
+        let cursor = store.feed_end();
         store
             .advertise(adv("m", EntityKind::Provider, 150), 70, &proto())
             .unwrap();
         assert_eq!(store.get(EntityKind::Provider, "m").unwrap().seq, seq);
-        assert_ne!(store.shard_version(shard), version);
+        assert_eq!(changes(&store, cursor), ["m"]);
     }
 
     #[test]
@@ -770,18 +680,35 @@ mod tests {
     }
 
     #[test]
-    fn restored_store_never_reuses_a_shard_version() {
-        let mut store = AdStore::with_shards(1);
+    fn customers_never_enter_the_feed() {
+        let mut store = AdStore::new();
+        let cursor = store.feed_end();
+        store
+            .advertise(adv("j", EntityKind::Customer, 50), 0, &proto())
+            .unwrap();
+        store.withdraw(EntityKind::Customer, "j");
+        assert!(changes(&store, cursor).is_empty());
+    }
+
+    #[test]
+    fn a_restored_store_never_continues_an_old_cursor() {
+        let mut store = AdStore::new();
         store
             .advertise(adv("a", EntityKind::Provider, 50), 0, &proto())
             .unwrap();
         let restored = AdStore::restore_state(&store.snapshot_state());
-        assert_ne!(restored.shard_version(0), store.shard_version(0));
-        assert_eq!(AdStore::with_shards(1).shard_version(0), 0, "empty");
+        assert!(restored.changes_since(store.feed_end()).is_none());
+        assert!(store.changes_since(restored.feed_end()).is_none());
+        assert!(
+            AdStore::new()
+                .changes_since(FeedCursor::default())
+                .is_none(),
+            "the default cursor reads everything, even on an empty store"
+        );
     }
 
     #[test]
-    fn expire_sweeps_lapsed_leases_and_dirties_shards() {
+    fn expire_sweeps_lapsed_leases_into_the_feed() {
         let mut store = AdStore::new();
         store
             .advertise(adv("a", EntityKind::Provider, 50), 0, &proto())
@@ -789,16 +716,15 @@ mod tests {
         store
             .advertise(adv("b", EntityKind::Provider, 150), 0, &proto())
             .unwrap();
-        let shard_a = store.shard_of("a");
-        let v_before = store.shard_version(shard_a);
-        assert_eq!(store.expire(100), 1);
+        store
+            .advertise(adv("j", EntityKind::Customer, 60), 0, &proto())
+            .unwrap();
+        let cursor = store.feed_end();
+        assert_eq!(store.expire(100), 2);
         assert_eq!(store.len(), 1);
         assert!(store.get(EntityKind::Provider, "a").is_none());
         assert!(store.get(EntityKind::Provider, "b").is_some());
-        assert!(
-            store.shard_version(shard_a) > v_before,
-            "expiry dirties the shard"
-        );
+        assert_eq!(changes(&store, cursor), ["a"], "expiry is a change");
     }
 
     #[test]
@@ -827,9 +753,11 @@ mod tests {
         store
             .advertise(adv("m", EntityKind::Provider, 100), 0, &proto())
             .unwrap();
+        let cursor = store.feed_end();
         assert!(store.withdraw(EntityKind::Provider, "M"));
         assert!(!store.withdraw(EntityKind::Provider, "M"));
         assert!(store.is_empty());
+        assert_eq!(changes(&store, cursor), ["m"]);
     }
 
     #[test]
@@ -859,89 +787,67 @@ mod tests {
     }
 
     #[test]
-    fn sharding_is_stable_and_total() {
-        let store = AdStore::with_shards(8);
-        assert_eq!(store.num_shards(), 8);
-        for name in ["alpha", "beta", "GAMMA", "Gamma"] {
-            let s = store.shard_of(name);
-            assert!(s < 8);
-            assert_eq!(s, store.shard_of(name), "shard_of is a pure function");
-        }
-        // Case-insensitive: same key, same shard.
-        assert_eq!(store.shard_of("GAMMA"), store.shard_of("gamma"));
-    }
-
-    #[test]
-    fn shard_ads_cover_every_provider_exactly_once() {
-        let mut store = AdStore::with_shards(4);
+    fn removals_keep_every_other_ad_findable() {
+        let mut store = AdStore::new();
         for i in 0..50 {
             store
                 .advertise(
-                    adv(&format!("m{i}"), EntityKind::Provider, 100),
+                    adv(&format!("M{i}"), EntityKind::Provider, 100 + i),
                     0,
                     &proto(),
                 )
                 .unwrap();
         }
-        let mut names: Vec<String> = (0..store.num_shards())
-            .flat_map(|s| store.shard_ads(s).iter().map(|a| a.name.clone()))
-            .collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), 50);
-        // And every ad sits in the shard its name hashes to.
-        for s in 0..store.num_shards() {
-            for ad in store.shard_ads(s) {
-                assert_eq!(store.shard_of(&ad.name), s);
-            }
+        // Withdrawals and a sweep move the table's tail into the holes.
+        for i in (0..50).step_by(7) {
+            assert!(store.withdraw(EntityKind::Provider, &format!("m{i}")));
         }
-    }
-
-    #[test]
-    fn auto_resharding_doubles_and_redistributes() {
-        let mut store = AdStore::new();
-        let initial = store.num_shards();
-        let enough = initial * TARGET_SHARD_SIZE * 2 + 1;
-        for i in 0..enough {
-            store
-                .advertise(
-                    adv(&format!("m{i}"), EntityKind::Provider, u64::MAX),
-                    0,
-                    &proto(),
-                )
-                .unwrap();
-        }
-        assert!(store.num_shards() > initial, "shard count grew");
-        // Every ad still findable and in the right shard.
-        for i in (0..enough).step_by(997) {
+        assert_eq!(store.expire(110), 9, "m1..m10, less the withdrawn m7");
+        assert_eq!(store.providers().count(), 50 - 8 - 9);
+        for i in 0..50u64 {
             let name = format!("m{i}");
-            let s = store.get(EntityKind::Provider, &name).unwrap();
-            assert_eq!(s.name, name);
+            let want = i % 7 != 0 && i > 10;
+            assert_eq!(
+                store.get(EntityKind::Provider, &name).is_some(),
+                want,
+                "{name}"
+            );
         }
-        let total: usize = (0..store.num_shards())
-            .map(|s| store.shard_ads(s).len())
-            .sum();
-        assert_eq!(total, enough);
+        for (key, s) in store.providers() {
+            assert_eq!(**key, s.name.to_ascii_lowercase());
+        }
     }
 
     #[test]
-    fn pinned_shard_count_never_changes() {
-        let mut store = AdStore::with_shards(2);
-        for i in 0..(2 * TARGET_SHARD_SIZE * 2 + 10) {
+    fn the_feed_stays_within_its_bound_without_a_reader() {
+        let mut store = AdStore::new();
+        let start = store.feed_end();
+        for i in 0..10_000i64 {
+            let name = format!("m{}", i % 10);
             store
                 .advertise(
-                    adv(&format!("m{i}"), EntityKind::Provider, u64::MAX),
+                    adv_with_attr(&name, EntityKind::Provider, 1_000, i),
                     0,
                     &proto(),
                 )
                 .unwrap();
+            assert!(store.feed.len() <= store.providers.ads.len() + FEED_SLACK);
         }
-        assert_eq!(store.num_shards(), 2);
+        assert!(
+            store.changes_since(start).is_none(),
+            "the first reader fell off"
+        );
+        for i in 0..10 {
+            store.withdraw(EntityKind::Provider, &format!("m{i}"));
+        }
+        assert_eq!(store.feed.len(), FEED_SLACK);
+        let last = store.feed_end();
+        assert_eq!(store.changes_since(last).unwrap().count(), 0);
     }
 
     #[test]
     fn snapshot_state_roundtrips_ads_seq_and_layout() {
-        let mut store = AdStore::with_shards(4);
+        let mut store = AdStore::new();
         for i in 0..20 {
             store
                 .advertise(
@@ -955,11 +861,8 @@ mod tests {
             .advertise(adv("job-1", EntityKind::Customer, 150), 0, &proto())
             .unwrap();
         let snap = store.snapshot_state();
-        assert_eq!(snap.shards, 4);
-        assert!(snap.pinned);
         assert_eq!(snap.ads.len(), 21);
         let restored = AdStore::restore_state(&snap);
-        assert_eq!(restored.num_shards(), store.num_shards());
         assert_eq!(restored.len(), store.len());
         for i in 0..20 {
             let name = format!("m{i}");
@@ -999,16 +902,19 @@ mod tests {
 
     #[test]
     fn min_expiry_tracks_the_earliest_lease() {
-        let mut store = AdStore::with_shards(1);
-        assert_eq!(store.shard_min_expiry(0), u64::MAX);
+        let mut store = AdStore::new();
+        assert_eq!(store.min_expiry, u64::MAX);
         store
             .advertise(adv("a", EntityKind::Provider, 80), 0, &proto())
             .unwrap();
         store
-            .advertise(adv("b", EntityKind::Provider, 50), 0, &proto())
+            .advertise(adv("b", EntityKind::Customer, 50), 0, &proto())
             .unwrap();
-        assert_eq!(store.shard_min_expiry(0), 50);
+        assert_eq!(store.min_expiry, 50);
+        assert_eq!(store.expire(40), 0, "nothing can have lapsed");
         store.expire(60);
-        assert_eq!(store.shard_min_expiry(0), 80);
+        assert_eq!(store.min_expiry, 80);
+        let restored = AdStore::restore_state(&store.snapshot_state());
+        assert_eq!(restored.min_expiry, 80);
     }
 }

@@ -9,7 +9,7 @@
 //! scans pass the ad's admission sequence number, which is a property of
 //! the ad itself rather than of any particular scan order; that is what
 //! makes full scans and *incrementally maintained* candidate lists (any
-//! shard count, any insertion order) return byte-identical results.
+//! table order, any insertion order) return byte-identical results.
 //! Standalone scans default the key to the offer's slice index, preserving
 //! the classic lowest-index-wins behavior.
 
@@ -23,7 +23,7 @@ pub struct Candidate {
     pub index: usize,
     /// Intrinsic tie-break key: lower wins on equal ranks. Store-driven
     /// scans use the ad's admission sequence number (so the winner is
-    /// independent of scan partitioning and shard count); standalone scans
+    /// independent of scan and table order); standalone scans
     /// use the slice index.
     pub tie: u64,
     /// The request's rank of this offer.

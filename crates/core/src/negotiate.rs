@@ -23,7 +23,7 @@
 //! strictly exceeds its rank of the current claimant (advertised as
 //! `CurrentRank`).
 
-use crate::admanager::{AdStore, StoredAd};
+use crate::admanager::{AdStore, FeedCursor, StoredAd};
 use crate::autocluster::{
     cluster_requests, offer_external_refs, request_signature, MatchList, OfferMeta,
 };
@@ -292,13 +292,14 @@ pub struct CycleStats {
     /// service layer, which owns the sweep; zero when negotiating against
     /// a store directly).
     pub expired_ads: usize,
-    /// Store shards whose delta the incremental path read this cycle —
-    /// the store version moved or a lease watermark passed, so the shard
-    /// was diffed against the offer table (integer compares; 0 on the
-    /// full-scan path).
+    /// The store is one partition: 1 if the incremental path read any
+    /// change this cycle — a change-feed entry, the whole table, or its
+    /// held leases because their watermark passed — else 0 (0 on the
+    /// full-scan path). Kept under this name for the benchmark ledger's
+    /// `core.negotiate.shards_*` rows.
     pub shards_scanned: usize,
-    /// Store shards the incremental path did not read at all this cycle:
-    /// version and lease watermark both unchanged.
+    /// The converse of [`CycleStats::shards_scanned`]: 1 if the
+    /// incremental path read nothing from the store this cycle.
     pub shards_skipped: usize,
     /// Provider ads whose cached state (claim metadata, external refs) was
     /// derived this cycle: the ads added or changed since the last cycle
@@ -361,12 +362,6 @@ impl CycleStats {
         registry
             .counter(schema::ADS_EXPIRED)
             .add(self.expired_ads as u64);
-        registry
-            .counter(schema::SHARDS_SCANNED)
-            .add(self.shards_scanned as u64);
-        registry
-            .counter(schema::SHARDS_SKIPPED)
-            .add(self.shards_skipped as u64);
         registry
             .counter(schema::DIRTY_RESOURCES)
             .add(self.dirty_resources as u64);
@@ -467,30 +462,12 @@ pub struct UnmatchedCluster {
 /// again, never an old pointer.
 #[derive(Debug)]
 struct OfferSlot {
+    /// The ad's canonical name, its key in [`OfferTable::by_key`].
+    key: Arc<str>,
     stored: StoredAd,
     /// Request-side attribute names this ad can read — its contribution to
     /// the signature seed set, reference-counted in [`OfferTable::external`].
     external: Vec<Arc<str>>,
-}
-
-/// What the negotiator remembers of one store shard: the version and
-/// earliest lease it last read it at, and which slots it found there.
-#[derive(Debug)]
-struct ShardMark {
-    version: u64,
-    min_expiry: Timestamp,
-    slots: Vec<usize>,
-}
-
-impl Default for ShardMark {
-    /// A never-mutated shard: version 0, empty, nothing to lapse.
-    fn default() -> Self {
-        ShardMark {
-            version: 0,
-            min_expiry: Timestamp::MAX,
-            slots: Vec::new(),
-        }
-    }
 }
 
 /// One cluster signature's rank-ordered candidate list over the whole pool
@@ -526,11 +503,19 @@ struct OfferTable {
     /// [`MatchList::pop_next`] reads).
     meta: Vec<OfferMeta>,
     free: Vec<usize>,
-    by_seq: HashMap<u64, usize>,
+    /// The slot of each held ad, by canonical name.
+    by_key: HashMap<Arc<str>, usize>,
     live: usize,
     /// The signature seed set, with how many live ads read each name.
     external: BTreeMap<Arc<str>, usize>,
-    shards: Vec<ShardMark>,
+    /// Where this table last read the store's change feed.
+    cursor: FeedCursor,
+    /// No held lease ends before this. Stale low: a pure renewal moves a
+    /// lease without a feed entry, so held leases lag the store's.
+    min_expiry: Timestamp,
+    /// Slots whose ad left or was replaced this sync, evicted once every
+    /// new ad has a slot (kept between syncs for its allocation).
+    leaving: Vec<usize>,
     /// Slot of every ad admitted or evicted, oldest first; `log[0]` is at
     /// absolute position `log_base`. Trimmed to what the list furthest
     /// behind still needs.
@@ -547,11 +532,13 @@ struct OfferTable {
 }
 
 impl OfferTable {
-    /// Bring the table up to the store's state at `now`. Integer work
-    /// only for everything unchanged: a shard whose version and lease
-    /// watermark both hold is not read at all; a shard that is read is
-    /// diffed by `(seq, Arc pointer, expires_at)`, and classads are
-    /// evaluated only for ads the table has not seen.
+    /// Bring the table up to the store's state at `now`. A cycle reads
+    /// the provider names the store's change feed lists since the last
+    /// sync and diffs each against its slot by `(seq, Arc pointer)`; a
+    /// cursor the feed cannot continue diffs the whole table instead.
+    /// Classads are evaluated only for ads the table has not seen. When
+    /// the held leases' watermark passes, every held lease is refreshed
+    /// from the store and the lapsed ads leave, swept or not.
     fn sync(
         &mut self,
         engine: &MatchEngine,
@@ -565,55 +552,78 @@ impl OfferTable {
                 ..OfferTable::default()
             };
         }
-        let mut unconfirmed: Vec<usize> = Vec::new();
-        if self.shards.len() != store.num_shards() {
-            // First cycle or a reshard. Ads keep their identity across a
-            // reshard, so slots survive; only their shard changes.
-            for shard in &mut self.shards {
-                unconfirmed.append(&mut shard.slots);
+        let mut read = false;
+        let mut refresh = self.min_expiry <= now;
+        match store.changes_since(self.cursor) {
+            Some(changes) => {
+                for key in changes {
+                    read = true;
+                    let ad = store.get(EntityKind::Provider, key);
+                    self.diff(engine, key, ad, now, stats);
+                }
             }
-            self.shards.clear();
-            self.shards
-                .resize_with(store.num_shards(), ShardMark::default);
+            None => {
+                // The first sync, a restored store, or a reader the feed
+                // left behind: diff every stored provider, then let the
+                // lease pass drop the slots no stored ad confirms. Ads
+                // keep their identity, so slots survive.
+                for (key, ad) in store.providers() {
+                    self.diff(engine, key, Some(ad), now, stats);
+                }
+                refresh = true;
+            }
         }
-        self.mark += 1;
-        for s in 0..store.num_shards() {
-            let version = store.shard_version(s);
-            if self.shards[s].version == version && self.shards[s].min_expiry > now {
-                stats.shards_skipped += 1;
-                continue;
-            }
-            stats.shards_scanned += 1;
-            unconfirmed.append(&mut self.shards[s].slots);
+        self.cursor = store.feed_end();
+        if refresh {
+            read = true;
             let mut min_expiry = Timestamp::MAX;
-            for ad in store.shard_ads(s).iter().filter(|a| a.expires_at > now) {
-                let known = self.by_seq.get(&ad.seq).copied().filter(
-                    |&i| matches!(&self.slots[i], Some(o) if Arc::ptr_eq(&o.stored.ad, &ad.ad)),
-                );
-                let slot = match known {
-                    Some(i) => i,
-                    None if condor_obs::is_daemon_ad(&ad.ad) => continue,
-                    None => {
-                        stats.dirty_resources += 1;
-                        self.admit(engine, ad)
+            for (slot, held) in self.slots.iter_mut().enumerate() {
+                let Some(held) = held else { continue };
+                match store.get(EntityKind::Provider, &held.key) {
+                    Some(ad) if ad.expires_at > now => {
+                        held.stored.expires_at = ad.expires_at;
+                        min_expiry = min_expiry.min(ad.expires_at);
                     }
-                };
-                // A pure renewal moves only the lease (and the trace).
-                let held = &mut self.slots[slot].as_mut().expect("slot is live").stored;
-                held.expires_at = ad.expires_at;
-                held.trace = ad.trace;
-                self.marks[slot] = self.mark;
-                self.shards[s].slots.push(slot);
-                min_expiry = min_expiry.min(ad.expires_at);
+                    _ => self.leaving.push(slot),
+                }
             }
-            self.shards[s].version = version;
-            self.shards[s].min_expiry = min_expiry;
+            self.min_expiry = min_expiry;
         }
         // Withdrawn, replaced, lapsed or swept: no evaluation needed.
-        for slot in unconfirmed {
-            if self.marks[slot] != self.mark {
-                self.evict(slot);
+        for i in 0..self.leaving.len() {
+            self.evict(self.leaving[i]);
+        }
+        self.leaving.clear();
+        stats.shards_scanned = usize::from(read);
+        stats.shards_skipped = usize::from(!read);
+    }
+
+    /// Bring the slot held under `key` in line with `ad`, the store's ad
+    /// under it: a new or changed live ad is admitted, and a slot whose ad
+    /// left or changed joins [`OfferTable::leaving`].
+    fn diff(
+        &mut self,
+        engine: &MatchEngine,
+        key: &Arc<str>,
+        ad: Option<&StoredAd>,
+        now: Timestamp,
+        stats: &mut CycleStats,
+    ) {
+        let held = self.by_key.get(key).copied();
+        let ad = ad.filter(|a| a.expires_at > now);
+        if let (Some(i), Some(ad)) = (held, ad) {
+            let o = self.slots[i].as_mut().expect("indexed slots are live");
+            if o.stored.seq == ad.seq && Arc::ptr_eq(&o.stored.ad, &ad.ad) {
+                // A renewal moves only the lease.
+                o.stored.expires_at = ad.expires_at;
+                self.min_expiry = self.min_expiry.min(ad.expires_at);
+                return;
             }
+        }
+        self.leaving.extend(held);
+        if let Some(ad) = ad.filter(|a| !condor_obs::is_daemon_ad(&a.ad)) {
+            stats.dirty_resources += 1;
+            self.admit(engine, key, ad);
         }
     }
 
@@ -636,7 +646,7 @@ impl OfferTable {
 
     /// Derive a new ad's cached state (claim metadata, external refs) and
     /// give it a slot.
-    fn admit(&mut self, engine: &MatchEngine, ad: &StoredAd) -> usize {
+    fn admit(&mut self, engine: &MatchEngine, key: &Arc<str>, ad: &StoredAd) {
         let external: Vec<Arc<str>> =
             offer_external_refs(&engine.conventions, std::slice::from_ref(&ad.ad))
                 .into_iter()
@@ -645,6 +655,7 @@ impl OfferTable {
             *self.external.entry(name.clone()).or_insert(0) += 1;
         }
         let slot = Some(OfferSlot {
+            key: key.clone(),
             stored: ad.clone(),
             external,
         });
@@ -662,10 +673,10 @@ impl OfferTable {
                 self.slots.len() - 1
             }
         };
-        self.by_seq.insert(ad.seq, i);
+        self.by_key.insert(key.clone(), i);
+        self.min_expiry = self.min_expiry.min(ad.expires_at);
         self.live += 1;
         self.log.push(i);
-        i
     }
 
     fn evict(&mut self, i: usize) {
@@ -680,9 +691,9 @@ impl OfferTable {
                 }
             }
         }
-        // A restored store may already have re-bound this seq to a new slot.
-        if self.by_seq.get(&slot.stored.seq) == Some(&i) {
-            self.by_seq.remove(&slot.stored.seq);
+        // The name may already hold the ad that replaced this one.
+        if self.by_key.get(&slot.key) == Some(&i) {
+            self.by_key.remove(&slot.key);
         }
         self.free.push(i);
         self.live -= 1;
@@ -947,7 +958,7 @@ impl Negotiator {
         // Oldest first, so that a scan's index order is seq order and the
         // lowest-index tie-break coincides with the intrinsic lowest-seq
         // (oldest ad wins) rule the incremental path uses — equal ranks
-        // must resolve identically on every path and shard count.
+        // must resolve identically on every path and in any table order.
         offers.sort_by_key(|o| o.seq);
         let requests = Self::eligible_requests(store, now);
 
@@ -1058,7 +1069,7 @@ impl Negotiator {
     /// once and is scored once per cluster list that is actually used.
     /// The candidate order is the intrinsic (rank, rank, seq) total order,
     /// so the grants are byte-identical to [`Negotiator::negotiate_full`]'s
-    /// for any shard count and any history — the equivalence proptests in
+    /// for any table order and any history — the equivalence proptests in
     /// `tests/proptests.rs` hold the two to that.
     ///
     /// This is a *tick*: the periodic cycle, which also runs the

@@ -133,8 +133,6 @@ impl Matchmaker {
 
     /// Create a service with an explicit advertising protocol (e.g. one
     /// that demands real `host:port` contact addresses for live pools).
-    /// The ad store auto-scales its shard count with the pool
-    /// ([`AdStore::new`]).
     pub fn with_protocol(config: NegotiatorConfig, protocol: AdvertisingProtocol) -> Self {
         let negotiator = Negotiator::new(config.clone());
         Matchmaker {
@@ -245,9 +243,9 @@ impl Matchmaker {
         self.store.read().len()
     }
 
-    /// Checkpoint the ad store's full state — every ad, the shard layout,
-    /// and the sequence counter (see [`AdStore::snapshot_state`]). Taken
-    /// under the read lock, so ingest continues while HA checkpoints.
+    /// Checkpoint the ad store's full state — every ad and the sequence
+    /// counter (see [`AdStore::snapshot_state`]). Taken under the read
+    /// lock, so ingest continues while HA checkpoints.
     pub fn snapshot_state(&self) -> StoreSnapshot {
         self.store.read().snapshot_state()
     }

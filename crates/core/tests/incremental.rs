@@ -2,7 +2,6 @@
 //! a warm cycle derives and scores the ads that changed, nothing else.
 //! (That its *matches* equal the full scan's is the proptests' job.)
 
-use matchmaker::admanager::TARGET_SHARD_SIZE;
 use matchmaker::negotiate::{CycleOutcome, FullScan, MATCH_LIST_TTL_TICKS};
 use matchmaker::prelude::*;
 
@@ -68,7 +67,7 @@ fn full_scan(store: &AdStore, now: u64) -> CycleOutcome {
 fn a_warm_cycle_derives_and_scores_only_the_changed_ads() {
     const N: usize = 300;
     const SHAPES: usize = 5;
-    let mut store = AdStore::with_shards(4);
+    let mut store = AdStore::new();
     for i in 0..N {
         machine(&mut store, i, 0.0, 0);
     }
@@ -84,9 +83,9 @@ fn a_warm_cycle_derives_and_scores_only_the_changed_ads() {
     assert_eq!(cold.pairs_evaluated, SHAPES * N);
     assert_eq!((cold.full_scans, cold.incremental_cycles), (SHAPES, 0));
 
-    // Nothing changed: nothing read, nothing derived, nothing scored.
+    // Nothing changed: no feed entry read, nothing derived, nothing scored.
     let idle = neg.negotiate(&store, 1).stats;
-    assert_eq!((idle.shards_scanned, idle.shards_skipped), (0, 4));
+    assert_eq!((idle.shards_scanned, idle.shards_skipped), (0, 1));
     assert_eq!((idle.dirty_resources, idle.pairs_evaluated), (0, 0));
     assert_eq!((idle.full_scans, idle.incremental_cycles), (0, 1));
     assert_eq!(idle.matches, cold.matches);
@@ -112,7 +111,7 @@ fn a_warm_cycle_derives_and_scores_only_the_changed_ads() {
 
 #[test]
 fn a_cluster_that_sat_out_cycles_catches_up_on_its_next_use() {
-    let mut store = AdStore::with_shards(2);
+    let mut store = AdStore::new();
     for i in 0..50 {
         machine(&mut store, i, 0.0, 0);
     }
@@ -141,7 +140,7 @@ fn a_cluster_that_sat_out_cycles_catches_up_on_its_next_use() {
 fn match_lists_outlive_a_burst_of_short_cycles() {
     const N: usize = 512;
     const SHAPES: usize = 64;
-    let mut store = AdStore::with_shards(8);
+    let mut store = AdStore::new();
     for i in 0..N {
         machine(&mut store, i, 0.0, 0);
     }
@@ -174,7 +173,7 @@ fn match_lists_outlive_a_burst_of_short_cycles() {
 #[test]
 fn a_list_two_log_entries_per_slot_behind_is_rebuilt() {
     const N: usize = 50;
-    let mut store = AdStore::with_shards(2);
+    let mut store = AdStore::new();
     for i in 0..N {
         machine(&mut store, i, 0.0, 0);
     }
@@ -215,7 +214,7 @@ fn a_list_two_log_entries_per_slot_behind_is_rebuilt() {
 
 #[test]
 fn a_list_unused_past_its_ttl_in_ticks_is_rebuilt() {
-    let mut store = AdStore::with_shards(2);
+    let mut store = AdStore::new();
     for i in 0..20 {
         machine(&mut store, i, 0.0, 0);
     }
@@ -246,25 +245,42 @@ fn a_list_unused_past_its_ttl_in_ticks_is_rebuilt() {
 }
 
 #[test]
-fn a_reshard_rereads_every_shard_and_rederives_nothing() {
+fn a_restored_store_or_a_trimmed_feed_rediffs_everything_and_rederives_nothing() {
+    const N: usize = 200;
     let mut store = AdStore::new();
-    let threshold = store.num_shards() * TARGET_SHARD_SIZE * 2;
-    for i in 0..threshold {
+    for i in 0..N {
         machine(&mut store, i, 0.0, 0);
     }
     job(&mut store, 0, 1);
     let mut neg = Negotiator::default();
-    assert_eq!(neg.negotiate(&store, 0).stats.dirty_resources, threshold);
-    let before = store.num_shards();
-    machine(&mut store, threshold, 0.0, 0);
+    assert_eq!(neg.negotiate(&store, 0).stats.dirty_resources, N);
+
+    // A restored store is another store: the negotiator's cursor names
+    // the old one, so the whole table is diffed. Every ad keeps its
+    // identity; only the one new machine is derived and scored.
+    store = AdStore::restore_state(&store.snapshot_state());
+    machine(&mut store, N, 0.0, 0);
+    let out = neg.negotiate(&store, 0);
+    assert_eq!(out.stats.shards_scanned, 1);
+    assert_eq!(out.stats.offers_considered, N + 1);
     assert_eq!(
-        store.num_shards(),
-        2 * before,
-        "the last ad split the shards"
+        (out.stats.dirty_resources, out.stats.pairs_evaluated),
+        (1, 1)
+    );
+    assert_eq!(pairs(&out), pairs(&full_scan(&store, 0)));
+
+    // One machine changes more often than the feed keeps entries: the
+    // reader falls off the feed and diffs the whole table instead.
+    let cursor = store.feed_end();
+    for round in 1..=2 * N {
+        machine(&mut store, 0, round as f64, 0);
+    }
+    assert!(
+        store.changes_since(cursor).is_none(),
+        "the feed was trimmed"
     );
     let out = neg.negotiate(&store, 0);
-    assert_eq!(out.stats.shards_scanned, 2 * before);
-    assert_eq!(out.stats.offers_considered, threshold + 1);
+    assert_eq!(out.stats.offers_considered, N + 1);
     assert_eq!(
         (out.stats.dirty_resources, out.stats.pairs_evaluated),
         (1, 1)
@@ -274,7 +290,7 @@ fn a_reshard_rereads_every_shard_and_rederives_nothing() {
 
 #[test]
 fn lapsed_leases_leave_and_late_renewals_return_without_a_sweep() {
-    let mut store = AdStore::with_shards(1);
+    let mut store = AdStore::new();
     machine(&mut store, 1, 0.0, 0); // the faster machine, lease to 1000
     machine(&mut store, 0, 0.0, 500); // lease to 1500
     job(&mut store, 0, 1);
@@ -283,8 +299,8 @@ fn lapsed_leases_leave_and_late_renewals_return_without_a_sweep() {
         pairs(&neg.negotiate(&store, 600)),
         [("j0".into(), "m1".into())]
     );
-    // m1's lease lapses, unswept: the watermark makes the cycle re-read
-    // the shard (its version never moved) and drop m1 unevaluated.
+    // m1's lease lapses, unswept: the lease watermark makes the cycle
+    // refresh its held leases (the feed is empty) and drop m1 unevaluated.
     let out = neg.negotiate(&store, 1_200);
     assert_eq!(pairs(&out), [("j0".into(), "m0".into())]);
     assert_eq!(
@@ -297,4 +313,24 @@ fn lapsed_leases_leave_and_late_renewals_return_without_a_sweep() {
     assert_eq!(pairs(&out), pairs(&full_scan(&store, 1_300)));
     assert_eq!(pairs(&out), [("j0".into(), "m1".into())]);
     assert_eq!(out.stats.dirty_resources, 1);
+}
+
+#[test]
+fn a_renewal_that_shortens_a_lease_is_read_from_the_feed() {
+    let mut store = AdStore::new();
+    machine(&mut store, 1, 0.0, 500); // the faster machine, lease to 1500
+    machine(&mut store, 0, 0.0, 500);
+    job(&mut store, 0, 1);
+    let mut neg = Negotiator::default();
+    assert_eq!(
+        pairs(&neg.negotiate(&store, 510)),
+        [("j0".into(), "m1".into())]
+    );
+    // An identical re-advertisement under a shorter lease (to 1020): no
+    // new seq and nothing to derive, but the held lease must follow it.
+    machine(&mut store, 1, 0.0, 20);
+    let out = neg.negotiate(&store, 1_100);
+    assert_eq!(pairs(&out), pairs(&full_scan(&store, 1_100)));
+    assert_eq!(pairs(&out), [("j0".into(), "m0".into())]);
+    assert_eq!(out.stats.dirty_resources, 0);
 }

@@ -433,6 +433,10 @@ enum Delta {
     /// An existing machine re-advertises (possibly with changed attributes;
     /// when the spec happens to be identical this is a pure lease renewal).
     UpdateMachine(usize, MachineSpec),
+    /// An existing machine re-advertises exactly what it last advertised:
+    /// a lease renewal, which brings the machine back if its lease had
+    /// lapsed unswept, and re-adds it if it was claimed.
+    RenewMachine(usize),
     /// A machine is claimed and its offer withdrawn.
     ClaimMachine(usize),
     /// A new job is submitted.
@@ -441,13 +445,13 @@ enum Delta {
     /// lapsed leases are only filtered at negotiation time (exercising the
     /// negotiator's lease watermarks).
     AdvanceClock(u64, bool),
-    /// An HA checkpoint: every store's full state is saved.
+    /// An HA checkpoint: the store's full state is saved.
     Checkpoint,
-    /// Every store is replaced by one rebuilt from the last checkpoint
-    /// (or from its present state, if none was taken) while the negotiators
-    /// live on: shard versions restart, and after an older checkpoint the
-    /// sequence counter rewinds, so new ads reuse numbers the negotiators
-    /// have seen on other ads.
+    /// The store is replaced by one rebuilt from the last checkpoint (or
+    /// from its present state, if none was taken) while the negotiators
+    /// live on: their feed cursors name the old store, and after an older
+    /// checkpoint the sequence counter rewinds, so new ads reuse numbers
+    /// the negotiators have seen on other ads.
     Restore,
 }
 
@@ -456,6 +460,7 @@ fn arb_delta() -> impl Strategy<Value = Delta> {
         3 => arb_machine().prop_map(Delta::AddMachine),
         2 => (any::<usize>(), arb_machine())
             .prop_map(|(i, m)| Delta::UpdateMachine(i, m)),
+        2 => any::<usize>().prop_map(Delta::RenewMachine),
         1 => any::<usize>().prop_map(Delta::ClaimMachine),
         1 => arb_job().prop_map(Delta::AddJob),
         2 => (1u64..120, any::<bool>())
@@ -468,65 +473,64 @@ fn arb_delta() -> impl Strategy<Value = Delta> {
 const MACHINE_LEASE: u64 = 100;
 const JOB_LEASE: u64 = 250;
 
-fn advertise_machine_everywhere(
-    stores: &mut [AdStore],
+fn advertise_machine(
+    store: &mut AdStore,
     proto: &AdvertisingProtocol,
     id: usize,
     m: &MachineSpec,
     clock: u64,
 ) {
-    for store in stores.iter_mut() {
-        store
-            .advertise(
-                Advertisement {
-                    kind: EntityKind::Provider,
-                    ad: machine_ad(id, m),
-                    contact: format!("m{id}:1"),
-                    ticket: Some(Ticket::from_raw(id as u128)),
-                    expires_at: clock + MACHINE_LEASE,
-                },
-                clock,
-                proto,
-            )
-            .unwrap();
-    }
+    store
+        .advertise(
+            Advertisement {
+                kind: EntityKind::Provider,
+                ad: machine_ad(id, m),
+                contact: format!("m{id}:1"),
+                ticket: Some(Ticket::from_raw(id as u128)),
+                expires_at: clock + MACHINE_LEASE,
+            },
+            clock,
+            proto,
+        )
+        .unwrap();
 }
 
-fn advertise_job_everywhere(
-    stores: &mut [AdStore],
+fn advertise_job(
+    store: &mut AdStore,
     proto: &AdvertisingProtocol,
     id: usize,
     j: &JobSpec,
     clock: u64,
 ) {
-    for store in stores.iter_mut() {
-        store
-            .advertise(
-                Advertisement {
-                    kind: EntityKind::Customer,
-                    ad: job_ad(id, j),
-                    contact: format!("ca{}:1", j.owner),
-                    ticket: None,
-                    expires_at: clock + JOB_LEASE,
-                },
-                clock,
-                proto,
-            )
-            .unwrap();
-    }
+    store
+        .advertise(
+            Advertisement {
+                kind: EntityKind::Customer,
+                ad: job_ad(id, j),
+                contact: format!("ca{}:1", j.owner),
+                ticket: None,
+                expires_at: clock + JOB_LEASE,
+            },
+            clock,
+            proto,
+        )
+        .unwrap();
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The tentpole's correctness contract: a persistent incremental
     /// negotiator fed an arbitrary sequence of ad add / update / renew /
     /// expire / claim / checkpoint-restore deltas — including machines
     /// that widen and narrow the set of job attributes offers read —
     /// produces exactly the same grant sequence as a from-scratch full-scan
-    /// negotiator at every cycle, and forms exactly the clusters a
-    /// from-scratch clustered cycle forms, at shard counts 1, 2, 8 and
-    /// auto-scaled.
+    /// negotiator at every cycle it runs, and forms exactly the clusters a
+    /// from-scratch clustered cycle forms. Two readers share one store:
+    /// one negotiates after every batch, the other after every third (and
+    /// the last), so it reads up to three batches of changes at once and
+    /// sometimes finds that the change feed no longer reaches back to its
+    /// cursor.
     #[test]
     fn incremental_negotiation_matches_full_scan_oracle(
         initial in proptest::collection::vec(arb_machine(), 0..10),
@@ -536,34 +540,28 @@ proptest! {
         preemption in any::<bool>(),
     ) {
         let proto = AdvertisingProtocol::default();
-        let layouts = ["1", "2", "8", "auto"];
-        let mut stores: Vec<AdStore> = vec![
-            AdStore::with_shards(1),
-            AdStore::with_shards(2),
-            AdStore::with_shards(8),
-            AdStore::new(),
-        ];
-        let mut incrementals: Vec<Negotiator> = layouts
+        let cadences = [1usize, 3];
+        let mut store = AdStore::new();
+        let mut incrementals: Vec<Negotiator> = cadences
             .iter()
             .map(|_| Negotiator::new(NegotiatorConfig {
                 preemption,
                 ..Default::default()
             }))
             .collect();
-        let mut checkpoint: Option<Vec<matchmaker::StoreSnapshot>> = None;
+        let mut checkpoint: Option<matchmaker::StoreSnapshot> = None;
 
         let mut clock = 0u64;
-        let mut machine_ids: Vec<usize> = Vec::new();
-        let mut next_machine = 0usize;
+        // Every machine ever advertised, with what it last advertised.
+        let mut machines: Vec<MachineSpec> = Vec::new();
         let mut next_job = 0usize;
 
         for m in &initial {
-            advertise_machine_everywhere(&mut stores, &proto, next_machine, m, clock);
-            machine_ids.push(next_machine);
-            next_machine += 1;
+            advertise_machine(&mut store, &proto, machines.len(), m, clock);
+            machines.push(m.clone());
         }
         for j in &jobs {
-            advertise_job_everywhere(&mut stores, &proto, next_job, j, clock);
+            advertise_job(&mut store, &proto, next_job, j, clock);
             next_job += 1;
         }
 
@@ -582,53 +580,48 @@ proptest! {
                 .collect::<Vec<_>>()
         };
 
-        for batch in &batches {
+        for (b, batch) in batches.iter().enumerate() {
             for delta in batch {
                 match delta {
                     Delta::AddMachine(m) => {
-                        advertise_machine_everywhere(
-                            &mut stores, &proto, next_machine, m, clock);
-                        machine_ids.push(next_machine);
-                        next_machine += 1;
+                        advertise_machine(&mut store, &proto, machines.len(), m, clock);
+                        machines.push(m.clone());
                     }
                     Delta::UpdateMachine(i, m) => {
-                        if !machine_ids.is_empty() {
-                            let id = machine_ids[i % machine_ids.len()];
-                            advertise_machine_everywhere(
-                                &mut stores, &proto, id, m, clock);
+                        if !machines.is_empty() {
+                            let id = i % machines.len();
+                            advertise_machine(&mut store, &proto, id, m, clock);
+                            machines[id] = m.clone();
+                        }
+                    }
+                    Delta::RenewMachine(i) => {
+                        if !machines.is_empty() {
+                            let id = i % machines.len();
+                            advertise_machine(&mut store, &proto, id, &machines[id], clock);
                         }
                     }
                     Delta::ClaimMachine(i) => {
-                        if !machine_ids.is_empty() {
-                            let id = machine_ids[i % machine_ids.len()];
-                            let name = format!("m{id}");
-                            for store in &mut stores {
-                                store.withdraw(EntityKind::Provider, &name);
-                            }
+                        if !machines.is_empty() {
+                            let id = i % machines.len();
+                            store.withdraw(EntityKind::Provider, &format!("m{id}"));
                         }
                     }
                     Delta::AddJob(j) => {
-                        advertise_job_everywhere(
-                            &mut stores, &proto, next_job, j, clock);
+                        advertise_job(&mut store, &proto, next_job, j, clock);
                         next_job += 1;
                     }
                     Delta::AdvanceClock(dt, sweep) => {
                         clock += dt;
                         if *sweep {
-                            for store in &mut stores {
-                                store.expire(clock);
-                            }
+                            store.expire(clock);
                         }
                     }
                     Delta::Checkpoint => {
-                        checkpoint = Some(stores.iter().map(AdStore::snapshot_state).collect());
+                        checkpoint = Some(store.snapshot_state());
                     }
                     Delta::Restore => {
-                        for (k, store) in stores.iter_mut().enumerate() {
-                            let present = store.snapshot_state();
-                            let snap = checkpoint.as_ref().map_or(&present, |saved| &saved[k]);
-                            *store = AdStore::restore_state(snap);
-                        }
+                        let present = store.snapshot_state();
+                        store = AdStore::restore_state(checkpoint.as_ref().unwrap_or(&present));
                     }
                 }
             }
@@ -640,21 +633,24 @@ proptest! {
                 preemption,
                 ..Default::default()
             });
-            let want = records(&oracle().negotiate_full(&stores[0], clock, FullScan::PerRequest));
+            let want = records(&oracle().negotiate_full(&store, clock, FullScan::PerRequest));
             let want_clusters = oracle()
-                .negotiate_full(&stores[0], clock, FullScan::Clustered)
+                .negotiate_full(&store, clock, FullScan::Clustered)
                 .stats
                 .clusters_formed;
 
-            for (k, neg) in incrementals.iter_mut().enumerate() {
-                let out = neg.negotiate(&stores[k], clock);
+            for (neg, &cadence) in incrementals.iter_mut().zip(&cadences) {
+                if b % cadence != 0 && b + 1 != batches.len() {
+                    continue;
+                }
+                let out = neg.negotiate(&store, clock);
                 prop_assert_eq!(
                     records(&out), want.clone(),
-                    "shards={} diverged from full-scan oracle", layouts[k]
+                    "reader every {} batches diverged from full-scan oracle", cadence
                 );
                 prop_assert_eq!(
                     out.stats.clusters_formed, want_clusters,
-                    "shards={}: seed set differs from a rebuild's", layouts[k]
+                    "reader every {} batches: seed set differs from a rebuild's", cadence
                 );
             }
         }
@@ -724,7 +720,7 @@ proptest! {
             .collect();
         let external = offer_external_refs(&conv, &offers);
         // Request order is seq order — the same sort the negotiator
-        // applies before clustering (the snapshot itself is shard order).
+        // applies before clustering.
         let mut requests = store.snapshot(EntityKind::Customer, 0);
         requests.sort_by_key(|r| r.seq);
         let matched: std::collections::HashSet<String> =
@@ -790,64 +786,75 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Rank tie-breaking is shard-count-independent
+// Rank tie-breaking is independent of table order
 // ---------------------------------------------------------------------------
 
 /// With every rank equal, the match outcome is decided purely by the
 /// tie-break rule: the oldest ad (lowest store sequence number) wins.
-/// That ordering must not depend on how the pool happens to be sharded or
-/// on which negotiation path runs.
+/// That ordering must not depend on where the ads sit in the store's
+/// table or on which negotiation path runs. Withdrawing filler ads moves
+/// the table's tail into their places; each layout permutes the machines
+/// differently.
 #[test]
-fn rank_ties_break_by_ad_age_regardless_of_shard_count() {
+fn rank_ties_break_by_ad_age_regardless_of_table_order() {
     let proto = AdvertisingProtocol::default();
+    let advertise = |store: &mut AdStore, kind, ad: &str, i: usize| {
+        store
+            .advertise(
+                Advertisement {
+                    kind,
+                    ad: classad::parse_classad(ad).unwrap(),
+                    contact: format!("c{i}:1"),
+                    ticket: Some(Ticket::from_raw(i as u128)),
+                    expires_at: u64::MAX,
+                },
+                0,
+                &proto,
+            )
+            .unwrap();
+    };
+    let filler = |store: &mut AdStore, i: usize| {
+        let ad = format!(r#"[ Name = "f{i}"; Type = "Filler"; Constraint = false ]"#);
+        advertise(store, EntityKind::Provider, &ad, i);
+    };
     let mut baseline: Option<Vec<(String, String)>> = None;
-    for shards in [1usize, 2, 8] {
-        let mut store = AdStore::with_shards(shards);
+    for fillers in [0usize, 3, 12] {
+        let mut store = AdStore::new();
+        for i in 0..fillers {
+            filler(&mut store, i);
+        }
         // Twelve indistinguishable machines: jobs rank them all equally
         // (same Mips) and each machine ranks every job equally.
         for i in 0..12 {
-            let ad = classad::parse_classad(&format!(
+            let ad = format!(
                 r#"[ Name = "m{i}"; Type = "Machine"; Mips = 100; Memory = 128;
                      State = "Unclaimed";
                      Constraint = other.Type == "Job" && other.Memory <= Memory;
                      Rank = 1 ]"#
-            ))
-            .unwrap();
-            store
-                .advertise(
-                    Advertisement {
-                        kind: EntityKind::Provider,
-                        ad,
-                        contact: format!("m{i}:1"),
-                        ticket: Some(Ticket::from_raw(i as u128)),
-                        expires_at: u64::MAX,
-                    },
-                    0,
-                    &proto,
-                )
-                .unwrap();
+            );
+            advertise(&mut store, EntityKind::Provider, &ad, i);
         }
+        for i in (0..fillers).step_by(2) {
+            store.withdraw(EntityKind::Provider, &format!("f{i}"));
+        }
+        for i in (0..fillers).step_by(2) {
+            filler(&mut store, i);
+        }
+        let layout: Vec<String> = store
+            .iter()
+            .filter(|s| s.name.starts_with('m'))
+            .map(|s| s.name.clone())
+            .collect();
+        let admitted: Vec<String> = (0..12).map(|i| format!("m{i}")).collect();
+        assert_eq!(layout == admitted, fillers == 0, "{layout:?}");
         for i in 0..4 {
-            let ad = classad::parse_classad(&format!(
+            let ad = format!(
                 r#"[ Name = "j{i}"; Type = "Job"; Owner = "alice"; Memory = 64;
                      JobPrio = 1;
                      Constraint = other.Type == "Machine" && other.Memory >= self.Memory;
                      Rank = other.Mips ]"#
-            ))
-            .unwrap();
-            store
-                .advertise(
-                    Advertisement {
-                        kind: EntityKind::Customer,
-                        ad,
-                        contact: "ca:1".into(),
-                        ticket: None,
-                        expires_at: u64::MAX,
-                    },
-                    0,
-                    &proto,
-                )
-                .unwrap();
+            );
+            advertise(&mut store, EntityKind::Customer, &ad, i);
         }
         // `None` is the production cycle.
         for path in [Some(FullScan::PerRequest), Some(FullScan::Clustered), None] {
@@ -864,10 +871,10 @@ fn rank_ties_break_by_ad_age_regardless_of_shard_count() {
             // Oldest ad wins every tie: j0 takes m0, j1 takes m1, ...
             let want: Vec<(String, String)> =
                 (0..4).map(|i| (format!("j{i}"), format!("m{i}"))).collect();
-            assert_eq!(pairs, want, "shards={shards} path={path:?}");
+            assert_eq!(pairs, want, "layout={layout:?} path={path:?}");
             match &baseline {
                 None => baseline = Some(pairs),
-                Some(b) => assert_eq!(&pairs, b, "tie-break order changed with shards={shards}"),
+                Some(b) => assert_eq!(&pairs, b, "tie-break order changed with layout={layout:?}"),
             }
         }
     }

@@ -138,8 +138,6 @@ mod tests {
         let path = scratch("tail");
         let snap = PoolSnapshot {
             store: StoreSnapshot {
-                shards: 2,
-                pinned: true,
                 next_seq: 10,
                 ads: vec![
                     stored("m1", EntityKind::Provider),
@@ -214,8 +212,6 @@ mod tests {
         let path = scratch("latest");
         let old = PoolSnapshot {
             store: StoreSnapshot {
-                shards: 1,
-                pinned: false,
                 next_seq: 5,
                 ads: vec![stored("old", EntityKind::Provider)],
             },
@@ -223,8 +219,6 @@ mod tests {
         };
         let new = PoolSnapshot {
             store: StoreSnapshot {
-                shards: 1,
-                pinned: false,
                 next_seq: 6,
                 ads: vec![stored("new", EntityKind::Provider)],
             },

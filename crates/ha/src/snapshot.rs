@@ -11,9 +11,14 @@
 //! Ranks are encoded as the hexadecimal IEEE-754 bit pattern, so the
 //! decode returns *bit-identical* floats (the deterministic rank
 //! tie-break keys survive a failover).
+//!
+//! The header is `poolsnap v1 <shards> <pinned> <next_seq>`. The two
+//! middle fields once carried the store's shard layout; the store has
+//! none now, so they are written as `8 0`, the layout a store of that
+//! time started with, and only checked on read. Checkpoints therefore
+//! stay interchangeable with daemons that still read a layout.
 
 use classad::json::{from_json, to_json};
-use matchmaker::admanager::MAX_SHARDS;
 use matchmaker::negotiate::MatchRecord;
 use matchmaker::protocol::{EntityKind, TraceContext};
 use matchmaker::ticket::Ticket;
@@ -21,12 +26,21 @@ use matchmaker::{StoreSnapshot, StoredAd};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+/// The largest shard count a checkpoint header may carry. Far above any
+/// layout a store ever had (65 536 shards held about 67 M provider ads):
+/// a larger count is corruption, and a daemon that still builds the
+/// layout would allocate itself to death restoring it.
+const MAX_SHARDS: u64 = 65_536;
+
+/// The header's layout fields as written: the default layout.
+const HEADER_LAYOUT: &str = "8 0";
+
 /// Everything a standby needs to stand in for a dead leader: the ad
 /// store's full state plus any matches made but possibly not yet
 /// notified when the checkpoint was cut.
 #[derive(Debug, Clone)]
 pub struct PoolSnapshot {
-    /// The ad store: shard layout, sequence counter, every stored ad.
+    /// The ad store: sequence counter and every stored ad.
     pub store: StoreSnapshot,
     /// Matches in flight at checkpoint time (made this cycle, delivery
     /// not yet confirmed). Soft state: a lost notification only costs
@@ -188,12 +202,7 @@ impl PoolSnapshot {
     /// Encode the snapshot as the opaque `state` string of a journal
     /// `Checkpoint` record.
     pub fn encode(&self) -> String {
-        let mut out = format!(
-            "poolsnap v1 {} {} {}\n",
-            self.store.shards,
-            if self.store.pinned { 1 } else { 0 },
-            self.store.next_seq,
-        );
+        let mut out = format!("poolsnap v1 {HEADER_LAYOUT} {}\n", self.store.next_seq);
         for ad in &self.store.ads {
             let kind = match ad.kind {
                 EntityKind::Provider => 'p',
@@ -251,19 +260,17 @@ impl PoolSnapshot {
             reason,
         };
         let shards = decode_u64(head[2]).map_err(SnapshotError::Header)?;
-        let shards = usize::try_from(shards)
-            .ok()
-            .filter(|&n| n <= MAX_SHARDS)
-            .ok_or_else(|| {
-                SnapshotError::Header(format!("shard count {shards} exceeds {MAX_SHARDS}"))
-            })?;
-        let pinned = match head[3] {
-            "0" => false,
-            "1" => true,
-            other => {
-                return Err(SnapshotError::Header(format!("bad pinned flag {other:?}")));
-            }
-        };
+        if shards > MAX_SHARDS {
+            return Err(SnapshotError::Header(format!(
+                "shard count {shards} exceeds {MAX_SHARDS}"
+            )));
+        }
+        if !matches!(head[3], "0" | "1") {
+            return Err(SnapshotError::Header(format!(
+                "bad pinned flag {:?}",
+                head[3]
+            )));
+        }
         let next_seq = decode_u64(head[4]).map_err(SnapshotError::Header)?;
 
         let mut ads = Vec::new();
@@ -318,12 +325,7 @@ impl PoolSnapshot {
             }
         }
         Ok(PoolSnapshot {
-            store: StoreSnapshot {
-                shards,
-                pinned,
-                next_seq,
-                ads,
-            },
+            store: StoreSnapshot { next_seq, ads },
             matches,
         })
     }
@@ -355,8 +357,6 @@ mod tests {
         weird.set_int("Mips", 104);
         PoolSnapshot {
             store: StoreSnapshot {
-                shards: 4,
-                pinned: true,
                 next_seq: 99,
                 ads: vec![
                     StoredAd {
@@ -407,9 +407,8 @@ mod tests {
     fn snapshot_roundtrips_every_field_exactly() {
         let snap = sample();
         let encoded = snap.encode();
+        assert!(encoded.starts_with("poolsnap v1 8 0 99\n"), "{encoded}");
         let back = PoolSnapshot::decode(&encoded).unwrap();
-        assert_eq!(back.store.shards, 4);
-        assert!(back.store.pinned);
         assert_eq!(back.store.next_seq, 99);
         assert_eq!(back.store.ads.len(), 2);
         for (orig, got) in snap.store.ads.iter().zip(&back.store.ads) {
@@ -468,30 +467,77 @@ mod tests {
         assert!(matches!(err, SnapshotError::Line { line: 2, .. }), "{err}");
         let err = PoolSnapshot::decode("poolsnap v1 1 0 0\nblob x\n").unwrap_err();
         assert!(err.to_string().contains("unknown record kind"), "{err}");
-        // A hostile shard count is refused here, before `restore_state`
-        // would allocate that many shards.
-        for count in [u64::MAX, MAX_SHARDS as u64 + 1] {
+        // A hostile shard count is refused: a daemon that still builds
+        // the layout would allocate that many shards.
+        for count in [u64::MAX, MAX_SHARDS + 1] {
             let err = PoolSnapshot::decode(&format!("poolsnap v1 {count} 0 0\n")).unwrap_err();
             assert!(matches!(err, SnapshotError::Header(_)), "{err}");
         }
-        let max = PoolSnapshot::decode(&format!("poolsnap v1 {MAX_SHARDS} 0 0\n")).unwrap();
-        assert_eq!(max.store.shards, MAX_SHARDS);
+        let max = PoolSnapshot::decode(&format!("poolsnap v1 {MAX_SHARDS} 1 0\n")).unwrap();
+        assert!(max.store.ads.is_empty());
+        let err = PoolSnapshot::decode("poolsnap v1 x 0 0\n").unwrap_err();
+        assert!(err.to_string().contains("bad integer"), "{err}");
+        let err = PoolSnapshot::decode("poolsnap v1 8 2 0\n").unwrap_err();
+        assert!(err.to_string().contains("bad pinned flag"), "{err}");
+    }
+
+    /// A checkpoint as a daemon wrote it while the store still had a
+    /// shard layout: an auto-scaled store of 16 shards left with two
+    /// providers and one customer.
+    const LAYOUT_ERA_CHECKPOINT: &str = r#"poolsnap v1 16 0 8196
+ad p 8194 7200 =123456789abcdef00fedcba987654321 =feedf00d:7 Leonardo 127.0.0.1:9008 {"Name":"Leonardo","Type":"Machine","Arch":"INTEL","OpSys":"SOLARIS251","Mips":104,"Memory":64,"Constraint":{"$expr":"other.Type%20==%20\"Job\"%20&&%20other.Owner%20!=%20\"riffraff\""},"Rank":{"$expr":"other.Department%20==%20\"CompSci\""}}
+ad p 8195 7300 - - raphael 127.0.0.1:9007 {"Name":"raphael","Type":"Machine","Arch":"SPARC","Mips":75,"Memory":128,"Constraint":{"$expr":"other.Type%20==%20\"Job\""},"Rank":0}
+ad c 8196 9000 - - job-1 127.0.0.1:9005 {"Name":"job-1","Type":"Job","Owner":"raman","Memory":31,"Constraint":{"$expr":"other.Type%20==%20\"Machine\"%20&&%20other.Memory%20>=%20self.Memory"},"Rank":{"$expr":"other.Mips"}}
+"#;
+
+    #[test]
+    fn checkpoints_written_before_the_single_table_restore() {
+        use matchmaker::AdStore;
+        let snap = PoolSnapshot::decode(LAYOUT_ERA_CHECKPOINT).unwrap();
+        let store = AdStore::restore_state(&snap.store);
+        assert_eq!(store.len(), 3);
+        let leo = store.get(EntityKind::Provider, "leonardo").unwrap();
+        assert_eq!((leo.seq, leo.expires_at), (8194, 7200));
+        assert_eq!(leo.contact, "127.0.0.1:9008");
+        assert_eq!(
+            leo.ticket,
+            Some(Ticket::from_raw(0x1234_5678_9abc_def0_0fed_cba9_8765_4321))
+        );
+        assert_eq!(
+            leo.trace,
+            Some(TraceContext {
+                trace_id: 0xfeed_f00d,
+                parent_span_id: 7,
+            })
+        );
+        let raphael = store.get(EntityKind::Provider, "raphael").unwrap();
+        assert_eq!((raphael.seq, raphael.ticket), (8195, None));
+        let job = store.get(EntityKind::Customer, "job-1").unwrap();
+        assert_eq!((job.seq, job.expires_at), (8196, 9000));
+        // Written again, the checkpoint differs only in its header's
+        // layout fields: every ad and the sequence counter came through.
+        let again = PoolSnapshot {
+            store: store.snapshot_state(),
+            matches: vec![],
+        }
+        .encode();
+        assert_eq!(
+            again,
+            LAYOUT_ERA_CHECKPOINT.replacen("poolsnap v1 16 0 ", "poolsnap v1 8 0 ", 1)
+        );
     }
 
     #[test]
     fn empty_snapshot_roundtrips() {
         let snap = PoolSnapshot {
             store: StoreSnapshot {
-                shards: 8,
-                pinned: false,
                 next_seq: 1,
                 ads: vec![],
             },
             matches: vec![],
         };
         let back = PoolSnapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(back.store.shards, 8);
-        assert!(!back.store.pinned);
+        assert_eq!(back.store.next_seq, 1);
         assert!(back.store.ads.is_empty());
         assert!(back.matches.is_empty());
     }

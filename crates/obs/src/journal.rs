@@ -372,7 +372,7 @@ impl Event {
                 matches: obj.u64("matches")?,
                 unmatched: obj.u64("unmatched")?,
                 duration_ms: obj.u64("duration_ms")?,
-                // Journals written before sharding lack the field.
+                // Journals written before incremental cycles lack the field.
                 incremental: obj.bool("incremental").unwrap_or(false),
             },
             "MatchMade" => Event::MatchMade {

@@ -40,12 +40,6 @@ pub const MATCHLIST_HITS: &str = "matchlist_hits_total";
 pub const FULL_SCANS: &str = "full_scans_total";
 /// Ads dropped by lease expiry, over all cycles.
 pub const ADS_EXPIRED: &str = "ads_expired_total";
-/// Store shards whose delta the incremental path read (version moved or
-/// lease watermark passed), over all cycles (surfaces as `ShardsScanned`).
-pub const SHARDS_SCANNED: &str = "shards_scanned";
-/// Store shards the incremental path did not read because nothing in them
-/// changed, over all cycles (surfaces as `ShardsSkipped`).
-pub const SHARDS_SKIPPED: &str = "shards_skipped";
 /// Provider ads whose cached state was (re)derived — the ads added or
 /// changed between cycles — over all cycles (surfaces as
 /// `DirtyResources`).

@@ -206,10 +206,8 @@ fn render_matchmaker(out: &mut String, ads: &[ClassAd], color: bool) {
     wl!(out);
     wl!(
         out,
-        "  incremental: {} cycles   shards {} scanned / {} skipped   dirty resources {}",
+        "  incremental: {} cycles   dirty resources {}",
         int(ad, "IncrementalCycles"),
-        int(ad, "ShardsScanned"),
-        int(ad, "ShardsSkipped"),
         int(ad, "DirtyResources"),
     );
     // Attribution summary: why the last cycle's unmatched requests went

@@ -15,7 +15,7 @@ use condor_pool::{
     wire, Backoff, CustomerAgent, CustomerConfig, DaemonConfig, HaConfig, IoConfig,
     MatchmakerDaemon, ResourceAgent, ResourceConfig,
 };
-use matchmaker::protocol::Message;
+use matchmaker::protocol::{EntityKind, Message};
 use std::time::Duration;
 use util::{job_ad, machine_ad, wait_until};
 
@@ -39,6 +39,23 @@ fn leader_index(daemons: &[Option<MatchmakerDaemon>]) -> Option<usize> {
         .map(|(i, _)| i)
         .collect();
     (leaders.len() == 1).then(|| leaders[0])
+}
+
+/// How many machine ads the current leader stores (0 while no single
+/// leader answers).
+fn machines_at_leader(daemons: &[Option<MatchmakerDaemon>], addrs: &[String]) -> usize {
+    let Some(leader) = leader_index(daemons) else {
+        return 0;
+    };
+    let query = Message::Query {
+        constraint: r#"other.Type == "Machine""#.into(),
+        kind: Some(EntityKind::Provider),
+        projection: vec![],
+    };
+    match wire::request_reply(&addrs[leader], &query, &IoConfig::default()) {
+        Ok(Message::QueryReply { ads }) => ads.len(),
+        _ => 0,
+    }
 }
 
 /// The headline scenario: one leader, two standbys, live claims. Kill the
@@ -101,6 +118,12 @@ fn killing_the_leader_fails_over_without_losing_claims() {
         machine_ad(100),
     )
     .unwrap();
+    // The leader negotiates a job as soon as it arrives, so the faster
+    // machine can win j0 only if its ad is stored first: without this
+    // barrier a slow start of m-fast's agent puts j0 on m-slow for good.
+    wait_until("both machines stored by the leader", || {
+        machines_at_leader(&daemons, &addrs) == 2
+    });
     let customer = CustomerAgent::spawn(
         CustomerConfig {
             user: "alice".into(),
