@@ -29,7 +29,7 @@ use crate::value::{
 use std::sync::Arc;
 
 /// Tunables for evaluation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct EvalPolicy {
     /// Resolve unqualified names in the other ad when the containing ad
     /// lacks them (required by the paper's Figure 2; default `true`).
@@ -37,8 +37,9 @@ pub struct EvalPolicy {
     /// Maximum recursion depth before evaluation yields `error`.
     pub max_depth: u32,
     /// The value returned by the `time()` builtin, when set (seconds).
-    /// Simulations inject their virtual clock here; `None` makes `time()`
-    /// evaluate to `error`, keeping evaluation deterministic by default.
+    /// `None` makes `time()` evaluate to `error`, keeping evaluation
+    /// deterministic by default. The matchmaker never sets it; the
+    /// simulator's machine agents set their virtual clock here.
     pub now: Option<i64>,
     /// Seed for the `random(n)` builtin's deterministic stream.
     pub random_seed: u64,

@@ -79,7 +79,7 @@ fn normalize_rank(r: f64) -> f64 {
 }
 
 /// Configuration and entry points for match scans.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct MatchEngine {
     /// Evaluation policy used for constraint/rank evaluation.
     pub policy: EvalPolicy,

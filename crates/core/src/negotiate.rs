@@ -495,9 +495,6 @@ pub const MATCH_LIST_TTL_TICKS: u64 = 8;
 /// views over it, maintained from the table's changes (DESIGN.md §7).
 #[derive(Debug, Default)]
 struct OfferTable {
-    /// The engine every cached verdict was derived under; a different one
-    /// (the simulator moves `policy.now`) empties the table.
-    engine: MatchEngine,
     slots: Vec<Option<OfferSlot>>,
     /// Claim metadata per slot (parallel to `slots`, the layout
     /// [`MatchList::pop_next`] reads).
@@ -546,12 +543,6 @@ impl OfferTable {
         now: Timestamp,
         stats: &mut CycleStats,
     ) {
-        if self.engine != *engine {
-            *self = OfferTable {
-                engine: engine.clone(),
-                ..OfferTable::default()
-            };
-        }
         let mut read = false;
         let mut refresh = self.min_expiry <= now;
         match store.changes_since(self.cursor) {
@@ -782,8 +773,10 @@ impl OfferTable {
 /// The pool manager's negotiator.
 #[derive(Debug, Default)]
 pub struct Negotiator {
-    /// The match engine (evaluation policy + conventions).
-    pub engine: MatchEngine,
+    /// The match engine (evaluation policy + conventions), fixed at
+    /// construction: every verdict the offer table caches was derived
+    /// under it.
+    engine: MatchEngine,
     /// The fair-share priority tracker.
     pub priorities: PriorityTracker,
     /// Tunables.
@@ -805,6 +798,11 @@ impl Negotiator {
             config,
             ..Negotiator::default()
         }
+    }
+
+    /// The match engine every cycle evaluates under.
+    pub fn engine(&self) -> &MatchEngine {
+        &self.engine
     }
 
     /// Report actual resource usage (resource-seconds) for a user, e.g.
@@ -1299,7 +1297,7 @@ fn collect_unmatched_clusters(
 /// Evaluate an offer's claim metadata (see [`OfferMeta`]): whether it
 /// advertises `State == "Claimed"`, at what rank it values its claimant,
 /// and who that claimant is.
-fn offer_meta_of(engine: &MatchEngine, ad: &ClassAd) -> OfferMeta {
+pub(crate) fn offer_meta_of(engine: &MatchEngine, ad: &ClassAd) -> OfferMeta {
     let state = ad.eval_attr(ATTR_STATE, &engine.policy);
     let claimed = matches!(&state, Value::Str(s) if &**s == STATE_CLAIMED);
     if claimed {

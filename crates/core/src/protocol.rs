@@ -65,6 +65,13 @@ pub struct Advertisement {
     pub expires_at: Timestamp,
 }
 
+impl Advertisement {
+    /// A customer's request — not a daemon self-ad, which is telemetry.
+    pub fn is_request(&self) -> bool {
+        self.kind == EntityKind::Customer && !condor_obs::is_daemon_ad(&self.ad)
+    }
+}
+
 /// Errors the advertising protocol can raise when admitting an ad.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {

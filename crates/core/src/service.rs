@@ -3,14 +3,16 @@
 //! The paper's matchmaker is "a general service which does not depend on
 //! the kinds of services and resources that are being matched" and holds
 //! only soft state. This module packages the ad store, negotiator, and
-//! advertising protocol behind a thread-safe facade so a server (or a
-//! multi-threaded benchmark) can accept advertisements concurrently with
-//! negotiation cycles and queries.
+//! advertising protocol behind a thread-safe facade that a server (or a
+//! multi-threaded benchmark) shares between connection threads and the
+//! thread that runs negotiation cycles.
 //!
-//! Locking discipline: the ad store sits behind a `parking_lot::RwLock`
-//! (advertisements are frequent and brief; negotiation reads it under a
-//! read lock); the negotiator — which carries the priority state and the
-//! cross-cycle match lists — behind a `Mutex` taken only by cycles and
+//! Locking discipline: the ad store sits behind a `parking_lot::RwLock`.
+//! Advertisements take the write lock briefly; a negotiation cycle holds
+//! the read lock from its first read of the store to its last grant, so an
+//! advertisement waits out the whole cycle while queries share the lock
+//! with it. The negotiator — which carries the priority state and the
+//! cross-cycle match lists — sits behind a `Mutex` taken only by cycles and
 //! usage reports. Queries, analyses and flock grants never take it: the
 //! match engine and configuration they need are immutable copies on the
 //! service. Statistics are relaxed atomics: they are monotone counters
@@ -19,7 +21,7 @@
 use crate::admanager::{AdStore, Admission, StoreSnapshot, StoredAd};
 use crate::matcher::{Candidate, MatchEngine};
 use crate::negotiate::{
-    ClusterRejections, CycleOutcome, Negotiator, NegotiatorConfig, RejectionTable,
+    offer_meta_of, ClusterRejections, CycleOutcome, Negotiator, NegotiatorConfig, RejectionTable,
 };
 use crate::protocol::{
     encode_query_reply, Advertisement, AdvertisingProtocol, EntityKind, Message, ProtocolError,
@@ -27,7 +29,7 @@ use crate::protocol::{
 };
 use crate::query::{project, Collection, Query};
 use classad::json::to_json;
-use classad::{traced_symmetric_match, ClassAd, RejectReason, RejectSide, Value};
+use classad::{traced_symmetric_match, ClassAd, RejectReason, RejectSide};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -128,18 +130,18 @@ impl Matchmaker {
     /// Create a service with the given negotiator configuration and the
     /// default advertising protocol.
     pub fn new(config: NegotiatorConfig) -> Self {
-        Matchmaker::with_protocol(config, AdvertisingProtocol::default())
+        Matchmaker::with_protocol(Negotiator::new(config), AdvertisingProtocol::default())
     }
 
-    /// Create a service with an explicit advertising protocol (e.g. one
-    /// that demands real `host:port` contact addresses for live pools).
-    pub fn with_protocol(config: NegotiatorConfig, protocol: AdvertisingProtocol) -> Self {
-        let negotiator = Negotiator::new(config.clone());
+    /// Create a service around `negotiator` — whose priority tracker may
+    /// already be configured — with an explicit advertising protocol (e.g.
+    /// one that demands real `host:port` contact addresses for live pools).
+    pub fn with_protocol(negotiator: Negotiator, protocol: AdvertisingProtocol) -> Self {
         Matchmaker {
             store: RwLock::new(AdStore::new()),
-            engine: negotiator.engine.clone(),
+            engine: negotiator.engine().clone(),
+            config: negotiator.config.clone(),
             negotiator: Mutex::new(negotiator),
-            config,
             protocol,
             stats: ServiceStats::default(),
             last_rejections: Mutex::new(RetainedRejections::default()),
@@ -158,21 +160,28 @@ impl Matchmaker {
 
     /// Accept one advertisement under an optional trace context; the
     /// context follows the stored ad into every match it produces (see
-    /// [`crate::negotiate::MatchRecord::trace`]). Also says whether the
-    /// store took it as a change or as a pure lease renewal
-    /// ([`AdStore::admit`]).
+    /// [`crate::negotiate::MatchRecord::trace`]). Returns the entity's
+    /// name and whether the ad should start an arrival cycle
+    /// ([`Matchmaker::negotiate_arrivals`]).
+    ///
+    /// That is the wake rule the daemon and the simulator both follow: a new
+    /// or changed job ad is something to match now, not at the next tick.
+    /// A lease renewal ([`Admission::Renewed`]) changes nothing a cycle
+    /// would see, a provider ad waits for the tick, and a daemon self-ad is
+    /// telemetry.
     pub fn admit(
         &self,
         adv: Advertisement,
         now: Timestamp,
         trace: Option<TraceContext>,
-    ) -> Result<(String, Admission), ProtocolError> {
+    ) -> Result<(String, bool), ProtocolError> {
+        let job = adv.is_request();
         let result = self.store.write().admit(adv, now, &self.protocol, trace);
         match &result {
             Ok(_) => self.stats.ads_accepted.fetch_add(1, Ordering::Relaxed),
             Err(_) => self.stats.ads_rejected.fetch_add(1, Ordering::Relaxed),
         };
-        result
+        result.map(|(name, admission)| (name, job && admission == Admission::Changed))
     }
 
     /// Accept a raw protocol frame. `Advertise` mutates the store (no
@@ -243,9 +252,16 @@ impl Matchmaker {
         self.store.read().len()
     }
 
+    /// Run `f` over the ad store under its read lock: the read-only view a
+    /// pass the negotiator does not run (the gang matcher) works from.
+    pub fn read_store<R>(&self, f: impl FnOnce(&AdStore) -> R) -> R {
+        f(&self.store.read())
+    }
+
     /// Checkpoint the ad store's full state — every ad and the sequence
     /// counter (see [`AdStore::snapshot_state`]). Taken under the read
-    /// lock, so ingest continues while HA checkpoints.
+    /// lock: queries go on, but advertisements wait until the copy is done
+    /// (about 11 ms at 8 192 ads).
     pub fn snapshot_state(&self) -> StoreSnapshot {
         self.store.read().snapshot_state()
     }
@@ -290,9 +306,9 @@ impl Matchmaker {
         outcome
     }
 
-    /// Sweep under the write lock, then release it: the cycle itself reads
-    /// the store under a read lock so advertisement ingest continues
-    /// during matching.
+    /// Sweep under the write lock, then hold the read lock for the whole
+    /// cycle: queries go on during matching, but an advertisement waits
+    /// until the cycle's last grant.
     fn run_cycle(&self, negotiator: &mut Negotiator, now: Timestamp, tick: bool) -> CycleOutcome {
         let expired = self.store.write().expire(now);
         let store = self.store.read();
@@ -395,25 +411,12 @@ impl Matchmaker {
                         side: RejectSide::Request,
                     }));
                 }
-                Some(c) => {
-                    let claimed = matches!(
-                        offer.eval_attr("State", &engine.policy),
-                        Value::Str(ref s) if s.as_ref() == "Claimed"
-                    );
-                    if claimed {
-                        let current = offer
-                            .eval_attr("CurrentRank", &engine.policy)
-                            .as_f64()
-                            .unwrap_or(0.0);
-                        if preemption_on && c.offer_rank > current + margin {
-                            matches_now += 1;
-                        } else {
-                            table.add(RejectReason::Busy);
-                        }
-                    } else {
-                        matches_now += 1;
+                Some(c) => match offer_meta_of(engine, offer).claimed_rank {
+                    Some(current) if !(preemption_on && c.offer_rank > current + margin) => {
+                        table.add(RejectReason::Busy);
                     }
-                }
+                    _ => matches_now += 1,
+                },
             }
         }
         out.set_int("MatchesNow", matches_now);
@@ -485,11 +488,7 @@ impl Matchmaker {
             let Some(c) = engine.score_keyed(rep, &offer.ad, oi, offer.seq) else {
                 continue;
             };
-            let claimed = matches!(
-                offer.ad.eval_attr("State", &engine.policy),
-                Value::Str(ref s) if s.as_ref() == "Claimed"
-            );
-            if claimed {
+            if offer_meta_of(engine, &offer.ad).claimed_rank.is_some() {
                 continue;
             }
             match &best {
@@ -1125,7 +1124,10 @@ mod tests {
                 .recv_timeout(std::time::Duration::from_secs(10))
                 .expect("status calls finished while the negotiator lock was held");
             assert_eq!((hits, found.as_deref()), (1, Some("true")));
-            assert_eq!(engine, cycle_in_progress.engine);
+            assert_eq!(
+                format!("{engine:?}"),
+                format!("{:?}", cycle_in_progress.engine())
+            );
         });
     }
 

@@ -29,9 +29,8 @@ use classad::ClassAd;
 use condor_flock::{FlockManager, QueryOutcome};
 use condor_ha::{recover_pool, Election, ElectionConfig, LeaseVerdict, PoolSnapshot, Tick};
 use condor_obs::{schema, Event, JournalConfig, TraceContext};
-use matchmaker::admanager::Admission;
 use matchmaker::framing::FrameDecoder;
-use matchmaker::negotiate::{NegotiatorConfig, UnmatchedCluster};
+use matchmaker::negotiate::{Negotiator, NegotiatorConfig, UnmatchedCluster};
 use matchmaker::protocol::{
     Advertisement, AdvertisingProtocol, EntityKind, MatchNotification, Message, ProtocolError,
 };
@@ -487,7 +486,7 @@ impl MatchmakerDaemon {
             ),
         };
         let shared = Arc::new(Shared {
-            service: Matchmaker::with_protocol(cfg.negotiator.clone(), protocol),
+            service: Matchmaker::with_protocol(Negotiator::new(cfg.negotiator.clone()), protocol),
             cfg,
             metrics,
             observer,
@@ -1152,7 +1151,7 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                             format!("{:?}", adv.kind),
                             adv.ad.get_string("Name").unwrap_or("?").to_string(),
                             adv.contact.clone(),
-                            adv.kind == EntityKind::Customer && !condor_obs::is_daemon_ad(&adv.ad),
+                            adv.is_request(),
                         )),
                         _ => None,
                     };
@@ -1172,7 +1171,7 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                         Message::Advertise(adv) => shared
                             .service
                             .admit(adv, now, store_trace)
-                            .map(|(_, admission)| (None, admission == Admission::Changed)),
+                            .map(|(_, wake)| (None, wake)),
                         Message::Query {
                             constraint,
                             kind,
@@ -1183,7 +1182,7 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                         msg => shared.service.handle_message(msg, now).map(|r| (r, false)),
                     };
                     match handled {
-                        Ok((reply, changed)) => {
+                        Ok((reply, wake)) => {
                             if let Some((kind, name, contact, is_request)) = ad_info {
                                 shared.observer.emit_traced(
                                     Event::AdReceived {
@@ -1193,21 +1192,15 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                                     },
                                     span,
                                 );
-                                if is_request {
-                                    if let Some(span) = span {
-                                        shared
-                                            .queue_started
-                                            .lock()
-                                            .insert(span.trace_id, Instant::now());
-                                    }
-                                    // A new or changed job is something to
-                                    // match: negotiate now, not at the next
-                                    // tick. A lease renewal changes nothing
-                                    // a cycle would see.
-                                    if changed {
-                                        shared.wake_ticker(true);
-                                    }
+                                if let Some(span) = span.filter(|_| is_request) {
+                                    shared
+                                        .queue_started
+                                        .lock()
+                                        .insert(span.trace_id, Instant::now());
                                 }
+                            }
+                            if wake {
+                                shared.wake_ticker(true);
                             }
                             if let Some(reply) = reply {
                                 match wire::send_body(&mut stream, &reply) {

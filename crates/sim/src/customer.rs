@@ -234,11 +234,6 @@ impl CustomerAgent {
                     };
                 } else {
                     job.state = JobState::Idle;
-                    if let Some(why) = resp.rejection {
-                        // The claim handler already counted provider-side;
-                        // count customer-observed failures distinctly.
-                        let _ = why;
-                    }
                 }
             }
             SimMsg::JobFinished { job_id } => {

@@ -371,7 +371,7 @@ impl MachineAgent {
             SimMsg::Proto(Message::Claim(req)) => self.on_claim(req, ctx),
             SimMsg::Proto(Message::Release { .. }) if self.running.is_some() => {
                 // Customer relinquished: account the usage, free the slot.
-                self.finish_claim(ctx, None);
+                self.finish_claim(ctx);
                 if self.push_on_change {
                     self.advertise(ctx);
                 }
@@ -492,7 +492,7 @@ impl MachineAgent {
             &run.customer_contact,
             SimMsg::JobFinished { job_id: run.job_id },
         );
-        self.finish_claim(ctx, None);
+        self.finish_claim(ctx);
         if self.push_on_change {
             self.advertise(ctx);
         }
@@ -520,11 +520,11 @@ impl MachineAgent {
                 done_ms,
             },
         );
-        self.finish_claim(ctx, Some(done_ms));
+        self.finish_claim(ctx);
     }
 
     /// Common claim-teardown: usage accounting and state reset.
-    fn finish_claim(&mut self, ctx: &mut Ctx<'_>, _partial: Option<u64>) {
+    fn finish_claim(&mut self, ctx: &mut Ctx<'_>) {
         if let (Some(run), Some(started)) = (self.running.take(), self.claim_started.take()) {
             let used = ctx.now.saturating_sub(started);
             ctx.metrics.busy_ms += used;

@@ -11,7 +11,10 @@ use crate::metrics::Summary;
 use crate::network::NetworkModel;
 use crate::sim::Simulation;
 use crate::workload::{FleetSpec, UserSpec};
-use matchmaker::negotiate::NegotiatorConfig;
+use matchmaker::negotiate::{Negotiator, NegotiatorConfig};
+use matchmaker::priority::{PriorityConfig, PriorityTracker};
+use matchmaker::protocol::AdvertisingProtocol;
+use matchmaker::service::Matchmaker;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -121,7 +124,8 @@ pub struct Scenario {
     pub network: NetworkModel,
     /// RA/CA advertisement refresh period, ms.
     pub advertise_period_ms: u64,
-    /// Pool-manager negotiation cycle period, ms.
+    /// Pool-manager tick period, ms. Arrival cycles run in between, as
+    /// new or changed job ads arrive.
     pub negotiation_period_ms: u64,
     /// Machines push fresh ads immediately on state changes (default
     /// `true`); `false` leaves only periodic refresh, widening staleness.
@@ -170,22 +174,22 @@ impl Scenario {
         let fleet = self.fleet.generate(&mut seed_rng);
         let policy = self.policy.to_policy();
 
-        let mut manager = ManagerNode::new(
+        let mut negotiator = Negotiator::new(NegotiatorConfig {
+            preemption: self.negotiator.preemption,
+            charge_per_match: self.negotiator.charge_per_match,
+            ..NegotiatorConfig::default()
+        });
+        if let Some(halflife) = self.negotiator.priority_halflife_ms {
+            negotiator.priorities = PriorityTracker::new(PriorityConfig {
+                halflife,
+                ..Default::default()
+            });
+        }
+        let manager = ManagerNode::new(
             0,
-            NegotiatorConfig {
-                preemption: self.negotiator.preemption,
-                charge_per_match: self.negotiator.charge_per_match,
-                ..NegotiatorConfig::default()
-            },
+            Matchmaker::with_protocol(negotiator, AdvertisingProtocol::default()),
             self.negotiation_period_ms,
         );
-        if let Some(halflife) = self.negotiator.priority_halflife_ms {
-            manager.negotiator.priorities =
-                matchmaker::priority::PriorityTracker::new(matchmaker::priority::PriorityConfig {
-                    halflife,
-                    ..Default::default()
-                });
-        }
 
         let mut machines = Vec::with_capacity(fleet.len());
         let mut initially_present = Vec::with_capacity(fleet.len());

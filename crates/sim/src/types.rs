@@ -107,10 +107,11 @@ pub enum GangTimer {
 /// Timer tags for the pool-manager node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ManagerTimer {
-    /// Run a negotiation cycle.
+    /// Run a tick: the periodic negotiation cycle.
     Negotiate,
-    /// Sweep expired ads.
-    Expire,
+    /// Run an arrival cycle for the job ads that arrived since the last
+    /// cycle.
+    Arrivals,
 }
 
 /// A simulation event.
