@@ -787,6 +787,17 @@ pub struct Negotiator {
     pool: OfferTable,
 }
 
+/// What a cycle read from the store ([`Negotiator::sync`]): the
+/// eligible requests, oldest first, and the sync's statistics. Matching
+/// ([`Negotiator::run`]) needs nothing else from the store: the offer
+/// table holds its own copy of every live offer.
+#[derive(Debug)]
+pub(crate) struct SyncedCycle {
+    requests: Vec<StoredAd>,
+    now: Timestamp,
+    stats: CycleStats,
+}
+
 /// One request's grant: the candidate, the user it displaces (for a
 /// preempting grant), and the offer it names.
 type Grant = (Candidate, Option<String>, StoredAd);
@@ -1072,9 +1083,11 @@ impl Negotiator {
     ///
     /// This is a *tick*: the periodic cycle, which also runs the
     /// attribution and flocking passes and ages the match lists
-    /// ([`MATCH_LIST_TTL_TICKS`]).
+    /// ([`MATCH_LIST_TTL_TICKS`]). It is `Negotiator::sync` followed by
+    /// `Negotiator::run`; only the first reads the store.
     pub fn negotiate(&mut self, store: &AdStore, now: Timestamp) -> CycleOutcome {
-        self.cycle(store, now, true)
+        let synced = self.sync(store, now);
+        self.run(synced, true)
     }
 
     /// An *arrival* cycle: the same grants as [`Negotiator::negotiate`],
@@ -1082,18 +1095,46 @@ impl Negotiator {
     /// candidates, and the match lists do not age. A daemon that
     /// negotiates as soon as jobs arrive runs these between its ticks.
     pub fn negotiate_arrivals(&mut self, store: &AdStore, now: Timestamp) -> CycleOutcome {
-        self.cycle(store, now, false)
+        let synced = self.sync(store, now);
+        self.run(synced, false)
     }
 
-    fn cycle(&mut self, store: &AdStore, now: Timestamp, tick: bool) -> CycleOutcome {
-        let (preemption_on, margin) = (self.config.preemption, self.config.preemption_rank_margin);
+    /// A cycle's first step, the only one that reads `store`: take the
+    /// eligible requests and bring the offer table up to the store's state
+    /// at `now`. The result owns everything [`Negotiator::run`] needs, so
+    /// a caller that shares the store can release it in between.
+    pub(crate) fn sync(&mut self, store: &AdStore, now: Timestamp) -> SyncedCycle {
         let requests = Self::eligible_requests(store, now);
+        let mut stats = CycleStats {
+            requests_considered: requests.len(),
+            ..CycleStats::default()
+        };
+        self.pool.sync(&self.engine, store, now, &mut stats);
+        SyncedCycle {
+            requests,
+            now,
+            stats,
+        }
+    }
+
+    /// A cycle's second step, which reads no store: cluster the synced
+    /// requests, serve the fairness rounds from the offer table and make
+    /// the grants. A tick (`tick`) also ages the match lists and runs the
+    /// attribution and flocking passes; an arrival cycle does neither.
+    pub(crate) fn run(&mut self, synced: SyncedCycle, tick: bool) -> CycleOutcome {
+        let SyncedCycle {
+            requests,
+            now,
+            stats,
+        } = synced;
+        let (preemption_on, margin) = (self.config.preemption, self.config.preemption_rank_margin);
         let engine = self.engine.clone();
         let mut pool = std::mem::take(&mut self.pool);
 
-        let mut outcome = CycleOutcome::default();
-        outcome.stats.requests_considered = requests.len();
-        pool.sync(&engine, store, now, &mut outcome.stats);
+        let mut outcome = CycleOutcome {
+            stats,
+            ..CycleOutcome::default()
+        };
         pool.ticks += u64::from(tick);
         pool.prune();
         outcome.stats.offers_considered = pool.live;

@@ -439,6 +439,49 @@ pub fn encode_query_reply<S: AsRef<str>>(ads: &[S]) -> Bytes {
     buf.freeze()
 }
 
+/// Encode a [`Message::Notify`] from the two ads in their wire form
+/// ([`classad::json::to_json`]): the same bytes as
+/// `Message::Notify(..).encode_traced(trace)` for the ads they encode. A
+/// match notifies both parties, each with the other's ad, so a notifier
+/// that encodes each matched ad once can build both messages.
+pub fn encode_notify(
+    own_ad: &str,
+    peer_ad: &str,
+    peer_contact: &str,
+    ticket: Option<Ticket>,
+    trace: Option<&TraceContext>,
+) -> Bytes {
+    let mut buf = BytesMut::with_capacity(64 + own_ad.len() + peer_ad.len());
+    put_notify(&mut buf, own_ad, peer_ad, peer_contact, &ticket);
+    if let Some(ctx) = trace {
+        put_trace(&mut buf, ctx);
+    }
+    buf.freeze()
+}
+
+/// A `Notify` message body: the tag, both ads' JSON, the peer's contact
+/// and the optional ticket.
+fn put_notify(
+    buf: &mut BytesMut,
+    own_ad: &str,
+    peer_ad: &str,
+    peer_contact: &str,
+    ticket: &Option<Ticket>,
+) {
+    buf.put_u8(tag::NOTIFY);
+    put_string(buf, own_ad);
+    put_string(buf, peer_ad);
+    put_string(buf, peer_contact);
+    put_opt_ticket(buf, ticket);
+}
+
+/// The trace-context trailer: `marker(1) · trace_id(8) · parent_span_id(8)`.
+fn put_trace(buf: &mut BytesMut, ctx: &TraceContext) {
+    buf.put_u8(1);
+    buf.put_u64(ctx.trace_id);
+    buf.put_u64(ctx.parent_span_id);
+}
+
 fn put_opt_ticket(buf: &mut BytesMut, t: &Option<Ticket>) {
     match t {
         Some(t) => {
@@ -546,13 +589,13 @@ impl Message {
                 put_opt_ticket(&mut buf, &adv.ticket);
                 buf.put_u64(adv.expires_at);
             }
-            Message::Notify(n) => {
-                buf.put_u8(tag::NOTIFY);
-                put_ad(&mut buf, &n.own_ad);
-                put_ad(&mut buf, &n.peer_ad);
-                put_string(&mut buf, &n.peer_contact);
-                put_opt_ticket(&mut buf, &n.ticket);
-            }
+            Message::Notify(n) => put_notify(
+                &mut buf,
+                &to_json(&n.own_ad),
+                &to_json(&n.peer_ad),
+                &n.peer_contact,
+                &n.ticket,
+            ),
             Message::Claim(c) => {
                 buf.put_u8(tag::CLAIM);
                 buf.put_u128(c.ticket.raw());
@@ -649,9 +692,7 @@ impl Message {
         }
         if let Some(ctx) = trace {
             if tag_carries_trace(buf[0]) {
-                buf.put_u8(1);
-                buf.put_u64(ctx.trace_id);
-                buf.put_u64(ctx.parent_span_id);
+                put_trace(&mut buf, ctx);
             }
         }
         buf.freeze()
@@ -972,6 +1013,37 @@ mod tests {
             ticket: None,
         });
         assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
+    }
+
+    #[test]
+    fn notify_frames_from_encoded_ads_equal_encoding_the_message() {
+        use crate::framing::{encode_framed_traced, frame_body};
+        let (own, peer) = (
+            sample_ad(),
+            parse_classad(r#"[ Name = "job-1"; Note = "a \"quoted\" word" ]"#).unwrap(),
+        );
+        let ctx = TraceContext {
+            trace_id: 0xABCD,
+            parent_span_id: 0x1234,
+        };
+        for ticket in [None, Some(Ticket::from_raw(u128::MAX - 7))] {
+            for trace in [None, Some(&ctx)] {
+                let msg = Message::Notify(MatchNotification {
+                    own_ad: own.clone(),
+                    peer_ad: peer.clone(),
+                    peer_contact: "ca.cs.wisc.edu:1234".into(),
+                    ticket,
+                });
+                let body = encode_notify(
+                    &to_json(&own),
+                    &to_json(&peer),
+                    "ca.cs.wisc.edu:1234",
+                    ticket,
+                    trace,
+                );
+                assert_eq!(frame_body(&body), encode_framed_traced(&msg, trace));
+            }
+        }
     }
 
     #[test]

@@ -8,15 +8,21 @@
 //! thread that runs negotiation cycles.
 //!
 //! Locking discipline: the ad store sits behind a `parking_lot::RwLock`.
-//! Advertisements take the write lock briefly; a negotiation cycle holds
-//! the read lock from its first read of the store to its last grant, so an
-//! advertisement waits out the whole cycle while queries share the lock
-//! with it. The negotiator — which carries the priority state and the
-//! cross-cycle match lists — sits behind a `Mutex` taken only by cycles and
-//! usage reports. Queries, analyses and flock grants never take it: the
-//! match engine and configuration they need are immutable copies on the
-//! service. Statistics are relaxed atomics: they are monotone counters
-//! with no ordering requirements.
+//! Advertisements take the write lock briefly. A negotiation cycle takes
+//! the write lock to sweep expired leases, the read lock only while it
+//! reads the store (`Negotiator::sync`: the eligible requests and the
+//! provider changes), and the write lock again to withdraw what it
+//! matched; clustering, the fairness rounds and the grants
+//! (`Negotiator::run`) hold no store lock at all. So an advertisement
+//! waits only for a sweep, a sync, a withdrawal or a checkpoint, never for
+//! matching, and a cycle matches against a view a few milliseconds stale:
+//! the paper's weak consistency, which the claim's re-verification and
+//! `withdraw_if_current` settle. The negotiator — which carries the
+//! priority state and the cross-cycle match lists — sits behind a `Mutex`
+//! taken only by cycles and usage reports. Queries, analyses and flock
+//! grants never take it: the match engine and configuration they need are
+//! immutable copies on the service. Statistics are relaxed atomics: they
+//! are monotone counters with no ordering requirements.
 
 use crate::admanager::{AdStore, Admission, StoreSnapshot, StoredAd};
 use crate::matcher::{Candidate, MatchEngine};
@@ -261,7 +267,7 @@ impl Matchmaker {
     /// Checkpoint the ad store's full state — every ad and the sequence
     /// counter (see [`AdStore::snapshot_state`]). Taken under the read
     /// lock: queries go on, but advertisements wait until the copy is done
-    /// (about 11 ms at 8 192 ads).
+    /// (about 11 ms at 8 192 ads), as they do for a cycle's sync.
     pub fn snapshot_state(&self) -> StoreSnapshot {
         self.store.read().snapshot_state()
     }
@@ -306,17 +312,13 @@ impl Matchmaker {
         outcome
     }
 
-    /// Sweep under the write lock, then hold the read lock for the whole
-    /// cycle: queries go on during matching, but an advertisement waits
-    /// until the cycle's last grant.
+    /// Sweep under the write lock, sync under the read lock, then match
+    /// with the store unlocked: advertisements and queries go on while the
+    /// rounds run.
     fn run_cycle(&self, negotiator: &mut Negotiator, now: Timestamp, tick: bool) -> CycleOutcome {
         let expired = self.store.write().expire(now);
-        let store = self.store.read();
-        let mut outcome = if tick {
-            negotiator.negotiate(&store, now)
-        } else {
-            negotiator.negotiate_arrivals(&store, now)
-        };
+        let synced = negotiator.sync(&self.store.read(), now);
+        let mut outcome = negotiator.run(synced, tick);
         outcome.stats.expired_ads = expired;
         outcome
     }
@@ -1103,6 +1105,124 @@ mod tests {
         );
         assert!(store.get(EntityKind::Provider, "m0").is_none(), "matched");
         assert!(store.get(EntityKind::Customer, "j0").is_none(), "matched");
+    }
+
+    /// A job whose constraint admits machines of at least `min_mips`: one
+    /// cluster signature per distinct `min_mips`.
+    fn shaped_job(name: &str, min_mips: usize) -> Advertisement {
+        Advertisement {
+            kind: EntityKind::Customer,
+            ad: parse_classad(&format!(
+                r#"[ Name = "{name}"; Type = "Job"; Owner = "u{}";
+                     Constraint = other.Type == "Machine" && other.Mips >= {min_mips};
+                     Rank = other.Mips ]"#,
+                min_mips % 4
+            ))
+            .unwrap(),
+            contact: "ca:1".into(),
+            ticket: None,
+            expires_at: 1_000_000,
+        }
+    }
+
+    #[test]
+    fn admits_withdrawals_and_queries_do_not_wait_for_matching() {
+        use crate::negotiate::FullScan;
+        use std::time::Instant;
+        const MACHINES: usize = 1024;
+        const SHAPES: usize = 32;
+        const LATE: usize = 16;
+        let svc = Matchmaker::new(NegotiatorConfig::default());
+        for i in 0..MACHINES {
+            svc.advertise(machine_adv(i), 0).unwrap();
+        }
+        for k in 0..SHAPES {
+            svc.advertise(shaped_job(&format!("j{k}"), k), 0).unwrap();
+        }
+        // A cold cycle scores every shape against the whole pool on one
+        // thread while another admits, withdraws and queries.
+        let ((first, started, ended), returned) = std::thread::scope(|scope| {
+            let cycle = scope.spawn(|| {
+                let started = Instant::now();
+                let out = svc.negotiate(0);
+                (out, started, Instant::now())
+            });
+            while svc.negotiator.try_lock().is_some() {
+                std::thread::yield_now();
+            }
+            let mut returned = Vec::new();
+            for i in 0..LATE {
+                svc.advertise(shaped_job(&format!("late{i}"), i), 0)
+                    .unwrap();
+                svc.advertise(machine_adv(MACHINES + i), 0).unwrap();
+                if i % 2 == 1 {
+                    svc.withdraw(EntityKind::Provider, &format!("m{}", MACHINES + i - 1));
+                }
+                let q = Query::from_constraint(&attr_is("Name", &format!("late{i}"))).unwrap();
+                assert_eq!(svc.query(&q, 0).len(), 1);
+                returned.push(Instant::now());
+            }
+            (cycle.join().unwrap(), returned)
+        });
+        let cycle = ended - started;
+        assert!(
+            returned[0] - started < cycle / 2 && returned[LATE - 1] < ended,
+            "the first admit returned {:?} and the last operation {:?} into a {cycle:?} cycle",
+            returned[0] - started,
+            returned[LATE - 1] - started,
+        );
+
+        // Quiescence: drain, then every job was placed exactly once.
+        let mut placed: Vec<(String, String)> = first
+            .matches
+            .iter()
+            .map(|m| (m.request_name.clone(), m.offer_name.clone()))
+            .collect();
+        loop {
+            let out = svc.negotiate(0);
+            if out.matches.is_empty() {
+                break;
+            }
+            placed.extend(
+                out.matches
+                    .into_iter()
+                    .map(|m| (m.request_name, m.offer_name)),
+            );
+        }
+        let mut jobs: Vec<&str> = placed.iter().map(|(j, _)| j.as_str()).collect();
+        jobs.sort_unstable();
+        let mut expected: Vec<String> = (0..SHAPES)
+            .map(|k| format!("j{k}"))
+            .chain((0..LATE).map(|i| format!("late{i}")))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(jobs, expected);
+        let mut machines: Vec<&str> = placed.iter().map(|(_, m)| m.as_str()).collect();
+        machines.sort_unstable();
+        machines.dedup();
+        assert_eq!(machines.len(), placed.len(), "no machine granted twice");
+
+        // The negotiator's cross-cycle state followed every concurrent
+        // change: its next cycle grants what the full-scan oracle grants
+        // over the same store.
+        for k in 0..8 {
+            svc.advertise(shaped_job(&format!("last{k}"), 40 + k), 0)
+                .unwrap();
+        }
+        let oracle: Vec<(String, String)> = Negotiator::new(NegotiatorConfig::default())
+            .negotiate_full(&svc.store.read(), 0, FullScan::PerRequest)
+            .matches
+            .into_iter()
+            .map(|m| (m.request_name, m.offer_name))
+            .collect();
+        let grants: Vec<(String, String)> = svc
+            .negotiate(0)
+            .matches
+            .into_iter()
+            .map(|m| (m.request_name, m.offer_name))
+            .collect();
+        assert_eq!(oracle.len(), 8);
+        assert_eq!(grants, oracle);
     }
 
     #[test]

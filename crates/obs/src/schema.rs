@@ -99,8 +99,11 @@ pub const PHASE_REVERIFY_MS: &str = "phase_reverify_ms";
 
 // ---- wire / daemon ----
 
-/// Connections admitted into the handler pool.
+/// Connections handed to a connection thread.
 pub const CONNECTIONS_ACCEPTED: &str = "connections_accepted";
+/// Connections served and closed on the accept thread: one-shot
+/// advertisements, and connections closed before a whole frame.
+pub const CONNECTIONS_INLINE: &str = "connections_inline";
 /// Connections refused because the pool was full.
 pub const CONNECTIONS_REFUSED: &str = "connections_refused";
 /// Connections currently being served (gauge).

@@ -1,9 +1,14 @@
 //! The matchmaker as a long-running TCP daemon.
 //!
-//! One listener thread accepts connections into a bounded pool of
-//! connection-handler threads; each connection gets its own
-//! [`FrameDecoder`] (with the daemon's frame-size guard) and the stream's
-//! read timeout doubles as an idle timeout. A background ticker runs a
+//! One listener thread accepts connections. A one-shot advertisement —
+//! one `Advertise` frame and then the sender's close, within
+//! `ONE_SHOT_WINDOW` (1 ms) of accept — is served on that thread and closed;
+//! most of a pool's traffic is these heartbeats and job ads. Every other
+//! connection goes to a bounded pool of connection-handler threads with
+//! the bytes already read, and the stream's read timeout doubles as an
+//! idle timeout. Each connection gets its own [`FrameDecoder`] (with the
+//! daemon's frame-size guard), and both paths serve frames through one
+//! handler, `serve_buffered`. A background ticker runs a
 //! negotiation cycle every `cycle_interval` and, in between, as soon as a
 //! new or changed job ad is stored, and dials both matched parties'
 //! contact addresses to deliver the step-3 notifications — which is why
@@ -25,6 +30,7 @@
 use crate::failover::{find_leader, leader_redirect_detail};
 use crate::observe::{self_ad_name, Observer, WireCounters};
 use crate::wire::{self, IoConfig, WireError};
+use classad::json::to_json;
 use classad::ClassAd;
 use condor_flock::{FlockManager, QueryOutcome};
 use condor_ha::{recover_pool, Election, ElectionConfig, LeaseVerdict, PoolSnapshot, Tick};
@@ -32,7 +38,8 @@ use condor_obs::{schema, Event, JournalConfig, TraceContext};
 use matchmaker::framing::FrameDecoder;
 use matchmaker::negotiate::{Negotiator, NegotiatorConfig, UnmatchedCluster};
 use matchmaker::protocol::{
-    Advertisement, AdvertisingProtocol, EntityKind, MatchNotification, Message, ProtocolError,
+    encode_notify, tag, Advertisement, AdvertisingProtocol, EntityKind, MatchNotification, Message,
+    ProtocolError,
 };
 use matchmaker::query::{Collection, Query};
 use matchmaker::service::Matchmaker;
@@ -266,6 +273,7 @@ impl Default for DaemonConfig {
 #[derive(Debug)]
 struct DaemonMetrics {
     connections_accepted: Arc<condor_obs::Counter>,
+    connections_inline: Arc<condor_obs::Counter>,
     connections_refused: Arc<condor_obs::Counter>,
     active_connections: Arc<condor_obs::Gauge>,
     frames_handled: Arc<condor_obs::Counter>,
@@ -297,6 +305,7 @@ impl DaemonMetrics {
         let window = Duration::from_secs(300);
         DaemonMetrics {
             connections_accepted: reg.counter(schema::CONNECTIONS_ACCEPTED),
+            connections_inline: reg.counter(schema::CONNECTIONS_INLINE),
             connections_refused: reg.counter(schema::CONNECTIONS_REFUSED),
             active_connections: reg.gauge(schema::ACTIVE_CONNECTIONS),
             frames_handled: reg.counter(schema::FRAMES_HANDLED),
@@ -328,8 +337,11 @@ impl DaemonMetrics {
 /// Point-in-time copy of the daemon counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DaemonStatsSnapshot {
-    /// Connections admitted into the handler pool.
+    /// Connections handed to a connection thread.
     pub connections_accepted: u64,
+    /// Connections served and closed on the accept thread: one-shot
+    /// advertisements, and connections closed before a whole frame.
+    pub connections_inline: u64,
     /// Connections refused because the pool was full.
     pub connections_refused: u64,
     /// Decoded frames dispatched to the service.
@@ -600,6 +612,7 @@ impl MatchmakerDaemon {
         let m = &self.shared.metrics;
         DaemonStatsSnapshot {
             connections_accepted: m.connections_accepted.get(),
+            connections_inline: m.connections_inline.get(),
             connections_refused: m.connections_refused.get(),
             frames_handled: m.frames_handled.get(),
             frames_rejected: m.frames_rejected.get(),
@@ -994,6 +1007,15 @@ fn election_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// How long, measured from accept, the accept thread waits for a new
+/// connection to show itself a one-shot advertisement: one whole
+/// `Advertise` frame and then the sender's close. Agents dial, write and
+/// close at once, so nearly every heartbeat ad is complete well within it.
+/// A connection that is not by then goes to a connection thread; no later
+/// read extends the wait. New connections queue in the listen backlog
+/// meanwhile, so it also bounds how long one slow peer delays the next.
+const ONE_SHOT_WINDOW: Duration = Duration::from_millis(1);
+
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     loop {
         let stream = match listener.accept() {
@@ -1004,9 +1026,11 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
+        let Some((mut stream, dec)) = serve_one_shot(shared, stream) else {
+            continue;
+        };
         if shared.active.load(Ordering::SeqCst) >= shared.cfg.max_connections {
             shared.metrics.connections_refused.inc();
-            let mut stream = stream;
             let _ = stream.set_write_timeout(Some(shared.cfg.io.write_timeout));
             let _ = wire::send(
                 &mut stream,
@@ -1023,7 +1047,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
         let handle = std::thread::Builder::new()
             .name("mm-conn".into())
             .spawn(move || {
-                serve_connection(&conn_shared, stream);
+                serve_connection(&conn_shared, stream, dec);
                 conn_shared.active.fetch_sub(1, Ordering::SeqCst);
                 conn_shared.metrics.active_connections.add(-1);
             });
@@ -1041,6 +1065,76 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     }
 }
 
+/// Read a new connection on the accept thread for up to
+/// [`ONE_SHOT_WINDOW`]. A connection that sends at most one `Advertise`
+/// frame and closes is served here by [`serve_buffered`] and closed: no
+/// thread and no `max_connections` slot. Its reply, if any (a rejection
+/// or a leader redirect), is written without blocking, so a peer cannot
+/// stall the accept thread. Any other tag, a second frame, a length over
+/// the frame bound, or the window passing returns the connection at once,
+/// blocking again, with a decoder seeded with every byte read.
+fn serve_one_shot(
+    shared: &Arc<Shared>,
+    mut stream: TcpStream,
+) -> Option<(TcpStream, FrameDecoder)> {
+    let deadline = Instant::now() + ONE_SHOT_WINDOW;
+    let max_frame_len = shared.cfg.max_frame_len;
+    let mut dec = FrameDecoder::with_max_frame_len(max_frame_len);
+    if stream.set_nonblocking(true).is_err() {
+        return Some((stream, dec));
+    }
+    let mut pending = Vec::new();
+    let mut buf = [0u8; 16 * 1024];
+    let closed = loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break true,
+            Ok(n) => {
+                shared.metrics.wire.read_bytes(n as u64);
+                pending.extend_from_slice(&buf[..n]);
+                if !may_be_one_advertise(&pending, max_frame_len) {
+                    break false;
+                }
+            }
+            // Poll: a socket read timeout is rounded up to the kernel's
+            // timer tick (several milliseconds), coarser than the window.
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                let now = Instant::now();
+                if now >= deadline {
+                    break false;
+                }
+                std::thread::sleep((deadline - now).min(ONE_SHOT_WINDOW / 20));
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            // Reset: serve what the peer sent before it went.
+            Err(_) => break true,
+        }
+    };
+    dec.push(&pending);
+    if !closed {
+        // A socket that cannot block again is broken: drop it.
+        return stream
+            .set_nonblocking(false)
+            .is_ok()
+            .then_some((stream, dec));
+    }
+    shared.metrics.connections_inline.inc();
+    serve_buffered(shared, &mut stream, &mut dec);
+    None
+}
+
+/// Whether `bytes`, all a connection has sent so far, can still be a
+/// single `Advertise` frame: a length prefix within `max_frame_len`, the
+/// `Advertise` tag, and nothing past the frame's end.
+fn may_be_one_advertise(bytes: &[u8], max_frame_len: usize) -> bool {
+    let Some(prefix) = bytes.first_chunk::<4>() else {
+        return true;
+    };
+    let len = u32::from_be_bytes(*prefix) as usize;
+    (1..=max_frame_len).contains(&len)
+        && bytes.len() <= 4 + len
+        && bytes.get(4).is_none_or(|&t| t == tag::ADVERTISE)
+}
+
 /// Socket options for an accepted connection: no Nagle delay on reply
 /// frames, and the configured read/write timeouts.
 fn arm_accepted(stream: &TcpStream, io: &IoConfig) {
@@ -1049,180 +1143,15 @@ fn arm_accepted(stream: &TcpStream, io: &IoConfig) {
     let _ = stream.set_write_timeout(Some(io.write_timeout));
 }
 
-fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
+/// A connection thread: serve what the accept thread already read, then
+/// read and serve until the peer closes, goes idle past the read timeout,
+/// or breaks the protocol.
+fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream, mut dec: FrameDecoder) {
     arm_accepted(&stream, &shared.cfg.io);
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "?".into());
-    let mut dec = FrameDecoder::with_max_frame_len(shared.cfg.max_frame_len);
     let mut buf = [0u8; 16 * 1024];
     loop {
-        // Drain everything decodable before blocking again.
-        loop {
-            match dec.next_message_traced() {
-                Ok(Some((msg, frame_trace))) => {
-                    shared.metrics.frames_handled.inc();
-                    shared.metrics.wire.frame_in();
-                    // HA traffic never reaches the matchmaking service:
-                    // election frames are folded into the state machine and
-                    // answered with our lease view, and while standing by
-                    // every agent-facing request is answered with a
-                    // leader-redirect error instead (the connection stays
-                    // open — a redirect is advice, not a violation).
-                    let ha_reply = match &msg {
-                        Message::ElectionBid { epoch, candidate } => {
-                            let (e, l, x) = shared.election.lock().observe_bid(
-                                *epoch,
-                                candidate,
-                                wire::unix_now(),
-                            );
-                            Some(Message::LeaderLease {
-                                epoch: e,
-                                leader: l,
-                                expires_at: x,
-                            })
-                        }
-                        Message::LeaderLease {
-                            epoch,
-                            leader,
-                            expires_at,
-                        } => {
-                            let mut el = shared.election.lock();
-                            el.observe_lease(*epoch, leader, *expires_at);
-                            Some(Message::LeaderLease {
-                                epoch: el.epoch(),
-                                leader: el.leader().unwrap_or_default().to_string(),
-                                expires_at: el.lease_expires(),
-                            })
-                        }
-                        // A solo daemon leads from birth — skip the
-                        // election lock on the hot advertise path.
-                        _ if shared.cfg.ha.is_none() => None,
-                        _ => {
-                            let el = shared.election.lock();
-                            if el.is_leader() {
-                                None
-                            } else {
-                                shared.metrics.leader_redirects.inc();
-                                shared.metrics.error_replies.inc();
-                                Some(Message::Error {
-                                    detail: leader_redirect_detail(
-                                        el.leader().filter(|l| *l != el.contact()),
-                                        el.epoch(),
-                                    ),
-                                })
-                            }
-                        }
-                    };
-                    if let Some(reply) = ha_reply {
-                        match wire::send(&mut stream, &reply) {
-                            Ok(n) => shared.metrics.wire.sent(n as u64),
-                            Err(_) => return,
-                        }
-                        continue;
-                    }
-                    // Flock traffic: a peer pool's forwarded representative,
-                    // answered here before service dispatch (the HA match
-                    // above already redirected standbys). A daemon with
-                    // flocking off falls through to the service instead and
-                    // rejects the message with a structured error — the
-                    // same degradation a truly pre-flock peer produces by
-                    // not decoding the tag at all.
-                    if shared.cfg.flock.is_some() {
-                        if let Message::FlockQuery {
-                            origin,
-                            members,
-                            rep,
-                        } = &msg
-                        {
-                            let (reply, reply_ctx) =
-                                answer_flock_query(shared, origin, *members, rep, frame_trace);
-                            match wire::send_traced(&mut stream, &reply, reply_ctx.as_ref()) {
-                                Ok(n) => shared.metrics.wire.sent(n as u64),
-                                Err(_) => return,
-                            }
-                            continue;
-                        }
-                    }
-                    // Journal context, captured before the message moves.
-                    let ad_info = match &msg {
-                        Message::Advertise(adv) => Some((
-                            format!("{:?}", adv.kind),
-                            adv.ad.get_string("Name").unwrap_or("?").to_string(),
-                            adv.contact.clone(),
-                            adv.is_request(),
-                        )),
-                        _ => None,
-                    };
-                    // Adopt the peer's trace context — or, when this is an
-                    // advertisement from a pre-tracing peer, mint a fresh
-                    // trace here: the matchmaker is where a request enters
-                    // the match lifecycle.
-                    let (span, store_trace) = if ad_info.is_some() {
-                        let ctx = frame_trace.unwrap_or_else(TraceContext::mint);
-                        let span = ctx.begin_span();
-                        (Some(span), Some(span.child_context()))
-                    } else {
-                        (None, None)
-                    };
-                    let now = wire::unix_now();
-                    let handled = match msg {
-                        Message::Advertise(adv) => shared
-                            .service
-                            .admit(adv, now, store_trace)
-                            .map(|(_, wake)| (None, wake)),
-                        Message::Query {
-                            constraint,
-                            kind,
-                            projection,
-                        } => Query::from_message(&constraint, kind, projection)
-                            .and_then(|q| shared.query_reply(&q, now))
-                            .map(|reply| (Some(reply), false)),
-                        msg => shared.service.handle_message(msg, now).map(|r| (r, false)),
-                    };
-                    match handled {
-                        Ok((reply, wake)) => {
-                            if let Some((kind, name, contact, is_request)) = ad_info {
-                                shared.observer.emit_traced(
-                                    Event::AdReceived {
-                                        kind,
-                                        name,
-                                        contact,
-                                    },
-                                    span,
-                                );
-                                if let Some(span) = span.filter(|_| is_request) {
-                                    shared
-                                        .queue_started
-                                        .lock()
-                                        .insert(span.trace_id, Instant::now());
-                                }
-                            }
-                            if wake {
-                                shared.wake_ticker(true);
-                            }
-                            if let Some(reply) = reply {
-                                match wire::send_body(&mut stream, &reply) {
-                                    Ok(n) => shared.metrics.wire.sent(n as u64),
-                                    Err(_) => return,
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            // Structured rejection, then close: the peer
-                            // sees why instead of a silent hangup.
-                            reject_frame(shared, &mut stream, &peer, &e.to_string(), frame_trace);
-                            return;
-                        }
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    reject_frame(shared, &mut stream, &peer, &e.to_string(), None);
-                    return;
-                }
-            }
+        if !serve_buffered(shared, &mut stream, &mut dec) {
+            return;
         }
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -1242,6 +1171,172 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
 }
 
+/// Serve every frame `dec` holds, in order: the one frame handler of both
+/// the accept thread and the connection threads. `false` means close the
+/// connection: a reply could not be written, or a frame was refused.
+fn serve_buffered(shared: &Arc<Shared>, stream: &mut TcpStream, dec: &mut FrameDecoder) -> bool {
+    loop {
+        let (msg, frame_trace) = match dec.next_message_traced() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return true,
+            Err(e) => {
+                reject_frame(shared, stream, &e.to_string(), None);
+                return false;
+            }
+        };
+        shared.metrics.frames_handled.inc();
+        shared.metrics.wire.frame_in();
+        // HA traffic never reaches the matchmaking service: election
+        // frames are folded into the state machine and answered with our
+        // lease view, and while standing by every agent-facing request is
+        // answered with a leader-redirect error instead (the connection
+        // stays open — a redirect is advice, not a violation).
+        let ha_reply = match &msg {
+            Message::ElectionBid { epoch, candidate } => {
+                let (e, l, x) =
+                    shared
+                        .election
+                        .lock()
+                        .observe_bid(*epoch, candidate, wire::unix_now());
+                Some(Message::LeaderLease {
+                    epoch: e,
+                    leader: l,
+                    expires_at: x,
+                })
+            }
+            Message::LeaderLease {
+                epoch,
+                leader,
+                expires_at,
+            } => {
+                let mut el = shared.election.lock();
+                el.observe_lease(*epoch, leader, *expires_at);
+                Some(Message::LeaderLease {
+                    epoch: el.epoch(),
+                    leader: el.leader().unwrap_or_default().to_string(),
+                    expires_at: el.lease_expires(),
+                })
+            }
+            // A solo daemon leads from birth — skip the election lock on
+            // the hot advertise path.
+            _ if shared.cfg.ha.is_none() => None,
+            _ => {
+                let el = shared.election.lock();
+                if el.is_leader() {
+                    None
+                } else {
+                    shared.metrics.leader_redirects.inc();
+                    shared.metrics.error_replies.inc();
+                    Some(Message::Error {
+                        detail: leader_redirect_detail(
+                            el.leader().filter(|l| *l != el.contact()),
+                            el.epoch(),
+                        ),
+                    })
+                }
+            }
+        };
+        if let Some(reply) = ha_reply {
+            match wire::send(stream, &reply) {
+                Ok(n) => shared.metrics.wire.sent(n as u64),
+                Err(_) => return false,
+            }
+            continue;
+        }
+        // Flock traffic: a peer pool's forwarded representative, answered
+        // here before service dispatch (the HA match above already
+        // redirected standbys). A daemon with flocking off falls through
+        // to the service instead and rejects the message with a
+        // structured error — the same degradation a truly pre-flock peer
+        // produces by not decoding the tag at all.
+        if shared.cfg.flock.is_some() {
+            if let Message::FlockQuery {
+                origin,
+                members,
+                rep,
+            } = &msg
+            {
+                let (reply, reply_ctx) =
+                    answer_flock_query(shared, origin, *members, rep, frame_trace);
+                match wire::send_traced(stream, &reply, reply_ctx.as_ref()) {
+                    Ok(n) => shared.metrics.wire.sent(n as u64),
+                    Err(_) => return false,
+                }
+                continue;
+            }
+        }
+        // Journal context, captured before the message moves.
+        let ad_info = match &msg {
+            Message::Advertise(adv) => Some((
+                format!("{:?}", adv.kind),
+                adv.ad.get_string("Name").unwrap_or("?").to_string(),
+                adv.contact.clone(),
+                adv.is_request(),
+            )),
+            _ => None,
+        };
+        // Adopt the peer's trace context — or, when this is an
+        // advertisement from a pre-tracing peer, mint a fresh trace here:
+        // the matchmaker is where a request enters the match lifecycle.
+        let (span, store_trace) = if ad_info.is_some() {
+            let ctx = frame_trace.unwrap_or_else(TraceContext::mint);
+            let span = ctx.begin_span();
+            (Some(span), Some(span.child_context()))
+        } else {
+            (None, None)
+        };
+        let now = wire::unix_now();
+        let handled = match msg {
+            Message::Advertise(adv) => shared
+                .service
+                .admit(adv, now, store_trace)
+                .map(|(_, wake)| (None, wake)),
+            Message::Query {
+                constraint,
+                kind,
+                projection,
+            } => Query::from_message(&constraint, kind, projection)
+                .and_then(|q| shared.query_reply(&q, now))
+                .map(|reply| (Some(reply), false)),
+            msg => shared.service.handle_message(msg, now).map(|r| (r, false)),
+        };
+        let (reply, wake) = match handled {
+            Ok(handled) => handled,
+            Err(e) => {
+                // Structured rejection, then close: the peer sees why
+                // instead of a silent hangup.
+                reject_frame(shared, stream, &e.to_string(), frame_trace);
+                return false;
+            }
+        };
+        if let Some((kind, name, contact, is_request)) = ad_info {
+            shared.observer.emit_traced(
+                Event::AdReceived {
+                    kind,
+                    name,
+                    contact,
+                },
+                span,
+            );
+            if let Some(span) = span.filter(|_| is_request) {
+                shared
+                    .queue_started
+                    .lock()
+                    .insert(span.trace_id, Instant::now());
+            }
+        }
+        if wake {
+            shared.wake_ticker(true);
+        }
+        if let Some(reply) = reply {
+            match wire::send_body(stream, &reply) {
+                Ok(n) => shared.metrics.wire.sent(n as u64),
+                Err(_) => return false,
+            }
+        }
+    }
+}
+
 /// Count, journal, and answer a refused frame: the peer gets a structured
 /// [`Message::Error`]; the journal gets a `FrameRejected` with the peer's
 /// address and the reason. When the offending frame carried a trace, the
@@ -1249,7 +1344,6 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
 fn reject_frame(
     shared: &Arc<Shared>,
     stream: &mut TcpStream,
-    peer: &str,
     reason: &str,
     trace: Option<TraceContext>,
 ) {
@@ -1258,7 +1352,9 @@ fn reject_frame(
     let span = trace.map(|ctx| ctx.begin_span());
     shared.observer.emit_traced(
         Event::FrameRejected {
-            peer: peer.to_string(),
+            peer: stream
+                .peer_addr()
+                .map_or_else(|_| "?".into(), |a| a.to_string()),
             reason: reason.to_string(),
         },
         span,
@@ -1539,7 +1635,7 @@ fn flock_one_cluster(shared: &Arc<Shared>, cluster: &UnmatchedCluster) {
 ///
 /// Every HA set member runs this loop — history must survive a failover,
 /// so standbys collect too — but the standby leader-redirect in
-/// `serve_connection` means only the leader ever *serves* the history.
+/// `serve_buffered` means only the leader ever *serves* the history.
 fn view_loop(shared: &Arc<Shared>) {
     let Some(view) = &shared.view else { return };
     let Some(vc) = shared.cfg.view.as_ref() else {
@@ -1796,18 +1892,32 @@ fn ticker_loop(shared: &Arc<Shared>) {
             // land under it.
             let notify_span = match_span.map(|s| s.child_context().begin_span());
             let notify_ctx = notify_span.map(|s| s.child_context());
-            let (to_customer, to_provider) = m.notifications();
+            // Each party gets its own ad and the other's: encode each once.
+            let (request, offer) = (to_json(&m.request_ad), to_json(&m.offer_ad));
             let mut delivered = true;
-            for (contact, note) in [
-                (&m.provider_contact, to_provider),
-                (&m.customer_contact, to_customer),
+            for (contact, body) in [
+                (
+                    &m.provider_contact,
+                    encode_notify(
+                        &offer,
+                        &request,
+                        &m.customer_contact,
+                        None,
+                        notify_ctx.as_ref(),
+                    ),
+                ),
+                (
+                    &m.customer_contact,
+                    encode_notify(
+                        &request,
+                        &offer,
+                        &m.provider_contact,
+                        m.ticket,
+                        notify_ctx.as_ref(),
+                    ),
+                ),
             ] {
-                match wire::send_oneway_traced(
-                    contact,
-                    &Message::Notify(note),
-                    notify_ctx.as_ref(),
-                    &shared.cfg.io,
-                ) {
+                match wire::send_body_oneway(contact, &body, &shared.cfg.io) {
                     Ok(n) => {
                         shared.metrics.notifications_sent.inc();
                         shared.metrics.wire.sent(n as u64);
@@ -2381,12 +2491,18 @@ mod tests {
         addr
     }
 
-    fn wait_for_ads(daemon: &MatchmakerDaemon, count: usize) {
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while daemon.service().ad_count() != count {
-            assert!(Instant::now() < deadline, "store never reached {count} ads");
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    fn wait_for_ads(daemon: &MatchmakerDaemon, count: usize) {
+        wait_until(&format!("store never reached {count} ads"), || {
+            daemon.service().ad_count() == count
+        });
     }
 
     #[test]
@@ -2554,6 +2670,227 @@ mod tests {
             "{} checkpoints in {elapsed:?} (bound {bound})",
             stats.checkpoints_written
         );
+    }
+
+    #[test]
+    fn only_one_shot_ads_are_served_on_the_accept_thread() {
+        let mut daemon = quiet_daemon();
+        let addr = daemon.addr().to_string();
+        let io = IoConfig::default();
+        wire::send_oneway(
+            &addr,
+            &Message::Advertise(machine_adv("m0", "127.0.0.1:9")),
+            &io,
+        )
+        .unwrap();
+        wait_for_ads(&daemon, 2);
+        let s = daemon.stats();
+        assert_eq!((s.connections_inline, s.connections_accepted), (1, 0));
+
+        // A query, and two ads streamed down one connection, each take a
+        // connection thread.
+        let q = Message::Query {
+            constraint: attr_is("Name", "m0"),
+            kind: Some(EntityKind::Provider),
+            projection: vec![],
+        };
+        assert!(matches!(
+            wire::request_reply(&addr, &q, &io).unwrap(),
+            Message::QueryReply { ads } if ads.len() == 1
+        ));
+        let mut stream = wire::connect(&addr, &io).unwrap();
+        for name in ["m1", "m2"] {
+            wire::send(
+                &mut stream,
+                &Message::Advertise(machine_adv(name, "127.0.0.1:9")),
+            )
+            .unwrap();
+        }
+        drop(stream);
+        wait_for_ads(&daemon, 4);
+        wait_until("the stream's thread never finished", || {
+            daemon.shared.active.load(Ordering::SeqCst) == 0
+        });
+        let s = daemon.stats();
+        assert_eq!((s.connections_inline, s.connections_accepted), (1, 2));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn a_trickling_peer_delays_a_one_shot_ad_by_at_most_the_window() {
+        let mut daemon = quiet_daemon();
+        let addr = daemon.addr().to_string();
+        let io = IoConfig::default();
+        // A whole Advertise frame, one byte every 0.5 ms: over half a second.
+        let mut padded = machine_adv("slow", "127.0.0.1:9");
+        padded.ad.set_str("Pad", &"x".repeat(1000));
+        let frame = matchmaker::framing::encode_framed(&Message::Advertise(padded));
+        // Connected first, so accepted first: the one-shot ad below
+        // queues behind it.
+        let mut slow = wire::connect(&addr, &io).unwrap();
+        let trickle = std::thread::spawn(move || {
+            use std::io::Write;
+            for b in frame.iter() {
+                slow.write_all(&[*b]).unwrap();
+                std::thread::sleep(Duration::from_micros(500));
+            }
+        });
+        let sent = Instant::now();
+        wire::send_oneway(
+            &addr,
+            &Message::Advertise(machine_adv("fast", "127.0.0.1:9")),
+            &io,
+        )
+        .unwrap();
+        let stored = |name: &str| {
+            daemon
+                .service()
+                .read_store(|s| s.get(EntityKind::Provider, name).is_some())
+        };
+        wait_until("the one-shot ad was never stored", || stored("fast"));
+        let waited = sent.elapsed();
+        assert!(
+            waited < ONE_SHOT_WINDOW + Duration::from_millis(100),
+            "the one-shot ad waited {waited:?} behind a trickling peer"
+        );
+        trickle.join().unwrap();
+        wait_until("the trickled ad was never stored", || stored("slow"));
+        let s = daemon.stats();
+        assert_eq!((s.connections_inline, s.connections_accepted), (1, 1));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn an_advertise_then_a_query_on_one_connection_are_answered_in_order() {
+        let mut daemon = quiet_daemon();
+        let addr = daemon.addr().to_string();
+        let io = IoConfig::default();
+        // The query either follows at once or after the one-shot window.
+        for (i, pause) in [Duration::ZERO, 5 * ONE_SHOT_WINDOW]
+            .into_iter()
+            .enumerate()
+        {
+            let name = format!("m{i}");
+            let mut stream = wire::connect(&addr, &io).unwrap();
+            wire::send(
+                &mut stream,
+                &Message::Advertise(machine_adv(&name, "127.0.0.1:9")),
+            )
+            .unwrap();
+            std::thread::sleep(pause);
+            let q = Message::Query {
+                constraint: attr_is("Name", &name),
+                kind: Some(EntityKind::Provider),
+                projection: vec!["Name".into()],
+            };
+            wire::send(&mut stream, &q).unwrap();
+            let reply = wire::recv(
+                &mut stream,
+                &mut FrameDecoder::new(),
+                Instant::now() + Duration::from_secs(5),
+            )
+            .unwrap();
+            let Message::QueryReply { ads } = reply else {
+                panic!("{reply:?}")
+            };
+            assert_eq!(ads.len(), 1, "the ad was stored before the query ran");
+            assert_eq!(ads[0].get_string("Name"), Some(name.as_str()));
+        }
+        daemon.shutdown();
+        assert_eq!(daemon.stats().connections_inline, 0);
+    }
+
+    #[test]
+    fn a_rejected_one_shot_ad_gets_its_error_reply_and_journal_event() {
+        let dir = std::env::temp_dir().join(format!("mm-inline-reject-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal_path = dir.join("journal.jsonl");
+        let mut daemon = MatchmakerDaemon::spawn(DaemonConfig {
+            cycle_interval: Duration::from_secs(3600),
+            journal: Some(JournalConfig::new(journal_path.clone())),
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let io = IoConfig::default();
+        let mut stream = wire::connect(&daemon.addr().to_string(), &io).unwrap();
+        wire::send(
+            &mut stream,
+            &Message::Advertise(machine_adv("m", "leonardo")),
+        )
+        .unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let err = wire::recv(
+            &mut stream,
+            &mut FrameDecoder::new(),
+            Instant::now() + Duration::from_secs(5),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, WireError::Remote(ref d) if d.contains("leonardo")),
+            "{err}"
+        );
+        daemon.shutdown();
+        let s = daemon.stats();
+        assert_eq!((s.connections_inline, s.connections_accepted), (1, 0));
+        assert_eq!((s.frames_rejected, s.error_replies), (1, 1));
+        let records = condor_obs::replay(&journal_path).unwrap();
+        let (peer, reason) = records
+            .iter()
+            .find_map(|r| match &r.event {
+                Event::FrameRejected { peer, reason } => Some((peer.clone(), reason.clone())),
+                _ => None,
+            })
+            .expect("a FrameRejected event is journaled");
+        assert!(peer.contains(':'), "peer is an addr: {peer}");
+        assert!(reason.contains("leonardo"), "{reason}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Finding 6: agents started together heartbeat in step, and before
+    /// one-shot ads were served on the accept thread the bursts overran
+    /// `max_connections` and their ads were lost.
+    #[test]
+    fn heartbeats_started_together_are_never_refused() {
+        use crate::resource::{ResourceAgent, ResourceConfig};
+        const AGENTS: usize = 64;
+        let mut daemon = MatchmakerDaemon::spawn(DaemonConfig {
+            max_connections: 8,
+            cycle_interval: Duration::from_secs(3600),
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let addr = daemon.addr().to_string();
+        let heartbeat = Duration::from_millis(100);
+        let agents: Vec<ResourceAgent> = (0..AGENTS)
+            .map(|i| {
+                let ad = classad::parse_classad(
+                    r#"[ Type = "Machine"; Mips = 100; Constraint = other.Type == "Job"; Rank = 0 ]"#,
+                )
+                .unwrap();
+                ResourceAgent::spawn(
+                    ResourceConfig {
+                        name: format!("m{i}"),
+                        matchmaker: addr.clone(),
+                        heartbeat,
+                        ticket_seed: i as u64 + 1,
+                        ..ResourceConfig::default()
+                    },
+                    ad,
+                )
+                .unwrap()
+            })
+            .collect();
+        std::thread::sleep(10 * heartbeat);
+        let machines = Query::from_constraint(r#"other.Type == "Machine""#).unwrap();
+        let stored = daemon.service().query(&machines, wire::unix_now()).len();
+        for agent in agents {
+            agent.kill();
+        }
+        daemon.shutdown();
+        let s = daemon.stats();
+        assert_eq!(s.connections_refused, 0, "{s:?}");
+        assert_eq!(stored, AGENTS);
+        assert!(s.connections_inline > 0, "{s:?}");
     }
 
     #[test]

@@ -241,8 +241,14 @@ pub fn send_oneway_traced(
     trace: Option<&TraceContext>,
     io: &IoConfig,
 ) -> Result<usize, WireError> {
+    send_body_oneway(addr, &msg.encode_traced(trace), io)
+}
+
+/// Dial `addr`, write one already-encoded message body with its length
+/// prefix, and close. Returns the bytes written, length prefix included.
+pub(crate) fn send_body_oneway(addr: &str, body: &[u8], io: &IoConfig) -> Result<usize, WireError> {
     let mut stream = connect(addr, io)?;
-    send_traced(&mut stream, msg, trace)
+    send_body(&mut stream, body)
 }
 
 /// Sleep for `total`, waking every few tens of milliseconds to honor a

@@ -31,6 +31,15 @@ impl<T: ?Sized> Mutex<T> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Acquire the lock if it is free; `None` while another holder has it.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.inner.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Mutable access without locking (requires `&mut self`).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
