@@ -21,7 +21,6 @@ use crate::ast::{AttrName, Expr, Literal};
 use crate::classad::ClassAd;
 use crate::error::{ParseError, Span};
 use crate::parser::parse_expr;
-use crate::pretty::escape_string as classad_escape;
 use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -102,7 +101,12 @@ fn json_quote(s: &str) -> String {
     out
 }
 
-fn write_json_string(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string. `"` and `\` are
+/// backslash-escaped, newline, tab and carriage return become `\n`, `\t`
+/// and `\r`, other control characters `\u00xx`, and everything else is
+/// copied as is. This is the workspace's one JSON string escaper: ads,
+/// journal lines and simulator traces all go through it.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -681,12 +685,6 @@ impl<'a> JsonParser<'a> {
             }
         }
     }
-}
-
-/// Escape helper shared with textual classads (re-exported for tools that
-/// emit both formats).
-pub fn classad_string_literal(s: &str) -> String {
-    classad_escape(s)
 }
 
 #[cfg(test)]

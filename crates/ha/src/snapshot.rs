@@ -4,9 +4,10 @@
 //! `Checkpoint` record — a single JSON string on a single JSONL line —
 //! so the codec here is deliberately plain: one record per line, fields
 //! separated by single spaces, every variable-length field
-//! percent-escaped so it can never contain a space or a newline. No
-//! serde, no nested JSON escaping problems; classads themselves ride as
-//! their canonical JSON form (one escaped field each).
+//! percent-escaped so it can never contain a space or a newline, and the
+//! journal's one level of JSON string escaping is all the payload needs;
+//! classads themselves ride as their canonical JSON form (one escaped
+//! field each).
 //!
 //! Ranks are encoded as the hexadecimal IEEE-754 bit pattern, so the
 //! decode returns *bit-identical* floats (the deterministic rank

@@ -2,10 +2,10 @@
 //!
 //! Each line is one [`Record`] — a monotone sequence number, a unix
 //! timestamp, and a typed lifecycle [`Event`] — encoded as a flat JSON
-//! object. The format is deliberately minimal (string and unsigned-int
-//! fields only, no nesting) so both the writer and the replay parser fit
-//! in this file without a serialization framework; the workspace `serde`
-//! shim is a no-op, so depending on it would buy nothing.
+//! object whose values are strings, unsigned integers and booleans. Lines
+//! are written field by field with `classad::json`'s string escaper and
+//! read back with `classad::json::from_json`, the same reader that decodes
+//! wire frames.
 //!
 //! Rotation is size-based: when the current file would exceed
 //! `rotate_bytes`, `journal.jsonl` becomes `journal.jsonl.1`, `.1`
@@ -28,6 +28,8 @@
 //! readers that ignore unknown fields can still read v2 lines.
 
 use crate::trace::{format_id, parse_id, SpanContext};
+use classad::json::{from_json, write_json_string};
+use classad::{ClassAd, Expr, Literal};
 use parking_lot::Mutex;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -359,7 +361,7 @@ impl Event {
         }
     }
 
-    fn from_fields(kind: &str, obj: &JsonObject) -> Option<Event> {
+    fn from_fields(kind: &str, obj: &ClassAd) -> Option<Event> {
         Some(match kind {
             "AdReceived" => Event::AdReceived {
                 kind: obj.str("kind")?,
@@ -509,10 +511,10 @@ impl Record {
         }
     }
 
-    fn from_object(obj: &JsonObject) -> Option<Record> {
+    fn from_object(obj: &ClassAd) -> Option<Record> {
         let event = Event::from_fields(&obj.str("event")?, obj)?;
         let unix = obj.u64("unix")?;
-        let unix_ms = obj.u64("unix_ms").unwrap_or(unix * 1000);
+        let unix_ms = obj.u64("unix_ms").unwrap_or(unix.saturating_mul(1000));
         let span = match (obj.str("trace"), obj.str("span")) {
             (Some(trace), Some(span)) => Some(SpanContext {
                 trace_id: parse_id(&trace)?,
@@ -548,9 +550,18 @@ enum DecodedLine {
 }
 
 fn decode_line(line: &str) -> DecodedLine {
-    let Some(obj) = JsonObject::parse(line) else {
+    let Ok(obj) = from_json(line) else {
         return DecodedLine::Torn;
     };
+    // A journal line is flat: any other value marks foreign content.
+    let flat = obj.iter().all(|(_, v)| match v.as_ref() {
+        Expr::Lit(Literal::Str(_) | Literal::Bool(_)) => true,
+        Expr::Lit(Literal::Int(n)) => *n >= 0,
+        _ => false,
+    });
+    if !flat {
+        return DecodedLine::Torn;
+    }
     let Some(kind) = obj.str("event") else {
         return DecodedLine::Torn;
     };
@@ -950,12 +961,11 @@ pub fn recover(path: impl AsRef<Path>) -> std::io::Result<Recovery> {
     })
 }
 
-// ---- minimal flat JSON ----
+// ---- line fields ----
 //
-// The journal's object shape is fixed: one flat object per line, values
-// are strings, unsigned integers, or booleans. The encoder and parser
-// below implement exactly that (with full string escaping), which is all
-// the journal needs and keeps the crate dependency-free.
+// A line is written field by field rather than through a `ClassAd`, which
+// would cost an ad per append; strings go through `classad::json`'s
+// escaper, so the bytes are those `to_json` would write.
 
 #[derive(Debug)]
 enum FieldValue {
@@ -965,10 +975,10 @@ enum FieldValue {
 }
 
 fn push_field(out: &mut String, key: &str, v: &FieldValue) {
-    push_json_string(out, key);
+    write_json_string(out, key);
     out.push(':');
     match v {
-        FieldValue::Str(s) => push_json_string(out, s),
+        FieldValue::Str(s) => write_json_string(out, s),
         FieldValue::U64(n) => {
             use fmt::Write as _;
             let _ = write!(out, "{n}");
@@ -977,188 +987,27 @@ fn push_field(out: &mut String, key: &str, v: &FieldValue) {
     }
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Typed reads of a decoded line's fields; a field of another type reads
+/// as absent.
+trait LineFields {
+    fn str(&self, key: &str) -> Option<String>;
+    fn u64(&self, key: &str) -> Option<u64>;
+    fn bool(&self, key: &str) -> Option<bool>;
 }
 
-/// A parsed flat JSON object (string/u64/bool values only).
-#[derive(Debug, Default)]
-struct JsonObject {
-    fields: Vec<(String, FieldValue)>,
-}
-
-impl JsonObject {
+impl LineFields for ClassAd {
     fn str(&self, key: &str) -> Option<String> {
-        self.fields.iter().find_map(|(k, v)| match v {
-            FieldValue::Str(s) if k == key => Some(s.clone()),
-            _ => None,
-        })
+        self.get_string(key).map(str::to_owned)
     }
 
     fn u64(&self, key: &str) -> Option<u64> {
-        self.fields.iter().find_map(|(k, v)| match v {
-            FieldValue::U64(n) if k == key => Some(*n),
-            _ => None,
-        })
+        u64::try_from(self.get_int(key)?).ok()
     }
 
     fn bool(&self, key: &str) -> Option<bool> {
-        self.fields.iter().find_map(|(k, v)| match v {
-            FieldValue::Bool(b) if k == key => Some(*b),
+        match self.get(key)?.as_ref() {
+            Expr::Lit(Literal::Bool(b)) => Some(*b),
             _ => None,
-        })
-    }
-
-    fn parse(line: &str) -> Option<JsonObject> {
-        let mut p = Parser {
-            bytes: line.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        p.expect(b'{')?;
-        let mut obj = JsonObject::default();
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            p.pos += 1;
-        } else {
-            loop {
-                p.skip_ws();
-                let key = p.parse_string()?;
-                p.skip_ws();
-                p.expect(b':')?;
-                p.skip_ws();
-                let value = p.parse_value()?;
-                obj.fields.push((key, value));
-                p.skip_ws();
-                match p.peek() {
-                    Some(b',') => p.pos += 1,
-                    Some(b'}') => {
-                        p.pos += 1;
-                        break;
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        p.skip_ws();
-        if p.pos == p.bytes.len() {
-            Some(obj)
-        } else {
-            None
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Option<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn parse_value(&mut self) -> Option<FieldValue> {
-        match self.peek()? {
-            b'"' => self.parse_string().map(FieldValue::Str),
-            b't' => self.parse_literal("true").map(|()| FieldValue::Bool(true)),
-            b'f' => self
-                .parse_literal("false")
-                .map(|()| FieldValue::Bool(false)),
-            b'0'..=b'9' => {
-                let start = self.pos;
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()?
-                    .parse()
-                    .ok()
-                    .map(FieldValue::U64)
-            }
-            _ => None,
-        }
-    }
-
-    fn parse_literal(&mut self, lit: &str) -> Option<()> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn parse_string(&mut self) -> Option<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek()? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let ch = rest.chars().next()?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
         }
     }
 }
@@ -1452,6 +1301,43 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].event, Event::LeaseExpired { expired: 9 });
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn only_flat_lines_of_strings_naturals_and_booleans_decode() {
+        let line = |tail: &str| format!("{{\"seq\":5,\"unix\":1,\"event\":{tail}}}");
+        for torn in [
+            r#""LeaseExpired","expired":-1"#,
+            r#""LeaseExpired","expired":1.0"#,
+            r#""LeaseExpired","expired":9223372036854775808"#,
+            r#""LeaseExpired","expired":1,"unix_ms":-1"#,
+            r#""LeaseExpired","expired":1,"note":null"#,
+            r#""LeaseExpired","expired":1,"note":[1]"#,
+            r#""LeaseExpired","expired":1,"note":{"a":1}"#,
+            r#""QuantumFlux","level":{"$expr":"1 + 2"}"#,
+        ] {
+            let line = line(torn);
+            assert!(matches!(decode_line(&line), DecodedLine::Torn), "{line}");
+        }
+        let expired = |tail: &str| match decode_line(&line(tail)) {
+            DecodedLine::Record(Record {
+                event: Event::LeaseExpired { expired },
+                ..
+            }) => Some(expired),
+            _ => None,
+        };
+        assert_eq!(expired(r#""LeaseExpired","EXPIRED":3"#), Some(3));
+        assert_eq!(
+            expired(r#""LeaseExpired","expired":3,"expired":4"#),
+            Some(4)
+        );
+        let rec = Record::decode(&line(
+            r#""AgentRestarted","agent":"a","name":"\ud83d\ude00""#,
+        ));
+        assert!(matches!(
+            rec.map(|r| r.event),
+            Some(Event::AgentRestarted { name, .. }) if name == "😀"
+        ));
     }
 
     #[test]

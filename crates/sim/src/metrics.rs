@@ -5,11 +5,10 @@
 use crate::engine::SimTime;
 use crate::trace::TraceLog;
 use matchmaker::protocol::ClaimRejection;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Per-job completion record.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct JobRecord {
     /// Job id.
     pub id: u64,
@@ -30,7 +29,7 @@ pub struct JobRecord {
 }
 
 /// Counter set accumulated during a simulation run.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Metrics {
     /// Jobs submitted.
     pub jobs_submitted: u64,
@@ -208,7 +207,7 @@ impl Metrics {
 }
 
 /// Headline numbers derived from [`Metrics`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Summary {
     /// Jobs submitted.
     pub jobs_submitted: u64,

@@ -2,12 +2,11 @@
 
 use crate::engine::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Network model: per-message latency = `base_latency_ms` + uniform jitter
 /// in `[0, jitter_ms]`; each message is independently dropped with
 /// probability `drop_prob`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkModel {
     /// Fixed one-way latency floor, ms.
     pub base_latency_ms: u64,

@@ -1,5 +1,6 @@
-//! Scenario configuration: a serde-serializable description of a whole
-//! experiment, and the factory that turns it into a running [`Simulation`].
+//! Scenario configuration: a description of a whole experiment (written
+//! and read as a classad by [`crate::config`]), and the factory that turns
+//! it into a running [`Simulation`].
 
 use crate::customer::CustomerAgent;
 use crate::engine::SimTime;
@@ -17,11 +18,9 @@ use matchmaker::protocol::AdvertisingProtocol;
 use matchmaker::service::Matchmaker;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-/// Serializable machine-policy configuration (mirrors
-/// [`MachinePolicy`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Machine-policy configuration (mirrors [`MachinePolicy`]).
+#[derive(Debug, Clone)]
 pub enum PolicyConfig {
     /// Dedicated nodes: always willing.
     Always,
@@ -64,8 +63,8 @@ impl PolicyConfig {
     }
 }
 
-/// Negotiator tunables in serializable form.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Negotiator tunables in configuration form.
+#[derive(Debug, Clone)]
 pub struct NegotiatorSettings {
     /// Allow priority preemption of claimed resources.
     pub preemption: bool,
@@ -89,7 +88,7 @@ impl Default for NegotiatorSettings {
 
 /// One user's stream of gang (co-allocation) requests: each gang needs a
 /// compute node plus a license seat, atomically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GangLoadSpec {
     /// The submitting user.
     pub user: String,
@@ -104,7 +103,7 @@ pub struct GangLoadSpec {
 }
 
 /// A complete experiment description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Master seed; everything else derives from it.
     pub seed: u64,
@@ -369,22 +368,6 @@ mod tests {
             a.mean_turnaround_ms,
             b.mean_turnaround_ms
         );
-    }
-
-    #[test]
-    fn scenario_serde_roundtrip() {
-        // Scenarios are configuration files; they must survive
-        // serialization.
-        let s = small_scenario();
-        let json = serde_json_like(&s);
-        assert!(json.contains("fleet"));
-    }
-
-    /// Minimal smoke check that Serialize derives exist (serde_json is not
-    /// an allowed dependency, so render through the Debug of the
-    /// serde-ready struct).
-    fn serde_json_like(s: &Scenario) -> String {
-        format!("{s:?}")
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! enable it with [`TraceLog::enable`] before the simulation starts.
 
 use crate::engine::SimTime;
-use serde::Serialize;
-use std::fmt;
+use classad::json::write_json_string;
+use std::fmt::{self, Write as _};
 
 /// What happened.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// The negotiator matched a request to an offer.
     Match {
@@ -60,7 +60,7 @@ pub enum TraceEvent {
 }
 
 /// A timestamped event.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
     /// Virtual time (ms).
     pub at: SimTime,
@@ -69,7 +69,7 @@ pub struct TraceRecord {
 }
 
 /// A bounded event log.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     enabled: bool,
     capacity: usize,
@@ -108,7 +108,7 @@ impl TraceLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
-            out.push_str(&record_json(r));
+            push_record(&mut out, r);
             out.push('\n');
         }
         out
@@ -123,60 +123,56 @@ impl TraceLog {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn record_json(r: &TraceRecord) -> String {
-    let body = match &r.event {
+/// One record as a JSON object: `at`, `type`, the event's string fields,
+/// then its scalars.
+fn push_record(out: &mut String, r: &TraceRecord) {
+    let (kind, strings, scalars): (&str, &[(&str, &str)], String) = match &r.event {
         TraceEvent::Match {
             request,
             offer,
             rank,
-        } => format!(
-            "\"type\":\"match\",\"request\":{},\"offer\":{},\"rank\":{rank}",
-            json_str(request),
-            json_str(offer)
+        } => (
+            "match",
+            &[("request", request), ("offer", offer)],
+            format!(",\"rank\":{rank}"),
         ),
-        TraceEvent::ClaimAccepted { provider, job } => format!(
-            "\"type\":\"claim_accepted\",\"provider\":{},\"job\":{job}",
-            json_str(provider)
+        TraceEvent::ClaimAccepted { provider, job } => (
+            "claim_accepted",
+            &[("provider", provider)],
+            format!(",\"job\":{job}"),
         ),
-        TraceEvent::ClaimRejected { provider, why } => format!(
-            "\"type\":\"claim_rejected\",\"provider\":{},\"why\":{}",
-            json_str(provider),
-            json_str(why)
+        TraceEvent::ClaimRejected { provider, why } => (
+            "claim_rejected",
+            &[("provider", provider), ("why", why)],
+            String::new(),
         ),
-        TraceEvent::JobFinished { provider, job } => format!(
-            "\"type\":\"job_finished\",\"provider\":{},\"job\":{job}",
-            json_str(provider)
+        TraceEvent::JobFinished { provider, job } => (
+            "job_finished",
+            &[("provider", provider)],
+            format!(",\"job\":{job}"),
         ),
         TraceEvent::Vacated {
             provider,
             job,
             by_owner,
-        } => format!(
-            "\"type\":\"vacated\",\"provider\":{},\"job\":{job},\"by_owner\":{by_owner}",
-            json_str(provider)
+        } => (
+            "vacated",
+            &[("provider", provider)],
+            format!(",\"job\":{job},\"by_owner\":{by_owner}"),
         ),
-        TraceEvent::OwnerToggle { machine, present } => format!(
-            "\"type\":\"owner_toggle\",\"machine\":{},\"present\":{present}",
-            json_str(machine)
+        TraceEvent::OwnerToggle { machine, present } => (
+            "owner_toggle",
+            &[("machine", machine)],
+            format!(",\"present\":{present}"),
         ),
     };
-    format!("{{\"at\":{},{body}}}", r.at)
+    let _ = write!(out, "{{\"at\":{},\"type\":\"{kind}\"", r.at);
+    for (key, value) in strings {
+        let _ = write!(out, ",\"{key}\":");
+        write_json_string(out, value);
+    }
+    out.push_str(&scalars);
+    out.push('}');
 }
 
 impl fmt::Display for TraceLog {
@@ -263,6 +259,60 @@ mod tests {
         for l in lines {
             classad::json::from_json(l).expect("trace lines are valid JSON objects");
         }
+    }
+
+    #[test]
+    fn jsonl_export_bytes() {
+        let mut log = TraceLog::default();
+        log.enable(10);
+        let events = [
+            TraceEvent::Match {
+                request: "j\"1\\\n\u{1}é/\t\r".into(),
+                offer: "m1".into(),
+                rank: 2.5,
+            },
+            TraceEvent::ClaimAccepted {
+                provider: "m1".into(),
+                job: 7,
+            },
+            TraceEvent::ClaimRejected {
+                provider: "m1".into(),
+                why: "busy".into(),
+            },
+            TraceEvent::JobFinished {
+                provider: "m1".into(),
+                job: 7,
+            },
+            TraceEvent::Vacated {
+                provider: "m1".into(),
+                job: 7,
+                by_owner: true,
+            },
+            TraceEvent::OwnerToggle {
+                machine: "m1".into(),
+                present: false,
+            },
+        ];
+        for (at, event) in (5..).zip(events) {
+            log.record(at, event);
+        }
+        assert_eq!(
+            log.to_jsonl(),
+            concat!(
+                r#"{"at":5,"type":"match","request":"j\"1\\\n\u0001é/\t\r","offer":"m1","rank":2.5}"#,
+                "\n",
+                r#"{"at":6,"type":"claim_accepted","provider":"m1","job":7}"#,
+                "\n",
+                r#"{"at":7,"type":"claim_rejected","provider":"m1","why":"busy"}"#,
+                "\n",
+                r#"{"at":8,"type":"job_finished","provider":"m1","job":7}"#,
+                "\n",
+                r#"{"at":9,"type":"vacated","provider":"m1","job":7,"by_owner":true}"#,
+                "\n",
+                r#"{"at":10,"type":"owner_toggle","machine":"m1","present":false}"#,
+                "\n",
+            )
+        );
     }
 
     #[test]

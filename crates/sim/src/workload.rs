@@ -12,7 +12,6 @@
 use crate::engine::SimTime;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Sample an exponential duration with the given mean (ms), clamped to at
 /// least 1 ms.
@@ -23,7 +22,7 @@ pub fn sample_exp(rng: &mut SmallRng, mean_ms: f64) -> SimTime {
 }
 
 /// Owner keyboard/console activity model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OwnerActivity {
     /// Mean length of an owner-present period, ms.
     pub mean_active_ms: f64,
@@ -76,7 +75,7 @@ impl OwnerActivity {
 }
 
 /// A class of machines in the fleet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineTemplate {
     /// Architecture string advertised (e.g. `"INTEL"`).
     pub arch: String,
@@ -119,7 +118,7 @@ impl MachineTemplate {
 }
 
 /// A concrete machine produced by the generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineSpec {
     /// Machine (and ad) name.
     pub name: String,
@@ -138,7 +137,7 @@ pub struct MachineSpec {
 }
 
 /// Fleet-level generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetSpec {
     /// How many machines to generate.
     pub count: usize,
@@ -192,7 +191,7 @@ impl FleetSpec {
 }
 
 /// One user's job-stream configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UserSpec {
     /// User name (the `Owner` attribute of their job ads).
     pub name: String,
