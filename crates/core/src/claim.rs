@@ -34,10 +34,15 @@ pub enum ClaimState {
 /// Provider-side claim handler: owns the outstanding ticket and the claim
 /// state, and adjudicates claim requests against the provider's *current*
 /// ad.
+///
+/// The ticket rule: a provider re-advertises its *outstanding* ticket, so
+/// a claim racing a lease renewal still verifies; only an accepted claim
+/// consumes it, and the next advertisement carries a fresh one
+/// ([`crate::agent::ProviderCore`] applies it for every agent).
 #[derive(Debug)]
 pub struct ClaimHandler {
-    /// Ticket most recently advertised to the matchmaker (one claim per
-    /// advertisement; re-advertising issues a fresh ticket).
+    /// Ticket most recently advertised to the matchmaker, outstanding
+    /// until an accepted claim consumes it.
     outstanding_ticket: Option<Ticket>,
     state: ClaimState,
     policy: EvalPolicy,
@@ -70,10 +75,7 @@ impl ClaimHandler {
         self.outstanding_ticket = Some(t);
     }
 
-    /// The ticket currently outstanding, if any. A live agent renewing its
-    /// lease re-advertises the *same* outstanding ticket (so a claim racing
-    /// a refresh still verifies) and only issues a fresh one after the old
-    /// ticket was consumed by an accepted claim.
+    /// The ticket currently outstanding, if any (see the ticket rule).
     pub fn outstanding_ticket(&self) -> Option<Ticket> {
         self.outstanding_ticket
     }

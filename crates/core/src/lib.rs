@@ -11,7 +11,7 @@
 //! | 2. advertising protocol | [`protocol`] ([`AdvertisingProtocol`]), [`admanager`] |
 //! | 3. matchmaking algorithm | [`matcher`], [`autocluster`], [`negotiate`], [`priority`] |
 //! | 4. matchmaking protocol | [`protocol`] ([`MatchNotification`]) |
-//! | 5. claiming protocol | [`protocol`], [`claim`], [`ticket`] |
+//! | 5. claiming protocol | [`protocol`], [`claim`], [`ticket`], [`agent`] |
 //!
 //! One-way queries (status tools) live in [`query`].
 //!
@@ -59,6 +59,7 @@
 #![forbid(unsafe_code)]
 
 pub mod admanager;
+pub mod agent;
 pub mod autocluster;
 pub mod claim;
 pub mod framing;

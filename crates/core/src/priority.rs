@@ -145,11 +145,6 @@ impl PriorityTracker {
         v.into_iter().map(|(_, u)| u.to_string()).collect()
     }
 
-    /// Users known to the tracker.
-    pub fn known_users(&self) -> impl Iterator<Item = &str> {
-        self.users.keys().map(|s| s.as_str())
-    }
-
     /// Publish the accounting state as classads — Condor's accountant does
     /// exactly this, so administrative tools can browse priorities with
     /// the same one-way query machinery used for everything else. One ad

@@ -138,3 +138,78 @@ proptest! {
         prop_assert_eq!(names_a, names_b, "identical pairings after failover");
     }
 }
+
+/// One way a checkpoint payload goes bad on disk or on the way there.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// Cut at a byte.
+    Truncate,
+    /// One byte XORed with a non-zero mask.
+    Flip(u8),
+    /// One line written twice.
+    DuplicateLine,
+}
+
+fn arb_damage() -> impl Strategy<Value = (Damage, u64)> {
+    (
+        prop_oneof![
+            Just(Damage::Truncate),
+            (1u8..=255).prop_map(Damage::Flip),
+            Just(Damage::DuplicateLine),
+        ],
+        any::<u64>(),
+    )
+}
+
+/// `text` with `damage` applied at a position drawn from `at`.
+fn damaged(text: &str, damage: Damage, at: u64) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    match damage {
+        Damage::Truncate => bytes.truncate((at % (bytes.len() as u64 + 1)) as usize),
+        Damage::Flip(mask) if !bytes.is_empty() => {
+            let i = (at % bytes.len() as u64) as usize;
+            bytes[i] ^= mask;
+        }
+        Damage::Flip(_) => {}
+        Damage::DuplicateLine => {
+            let lines: Vec<&str> = text.split_inclusive('\n').collect();
+            if !lines.is_empty() {
+                let i = (at % lines.len() as u64) as usize;
+                let mut out = lines[..=i].concat();
+                out.push_str(&lines[i..].concat());
+                bytes = out.into_bytes();
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A damaged checkpoint payload either fails to decode or restores a
+    /// store that still snapshots, negotiates and admits ads — it never
+    /// panics the daemon that recovers from it.
+    #[test]
+    fn damaged_checkpoints_never_panic(
+        specs in proptest::collection::vec(arb_ad(), 1..24),
+        (damage, at) in arb_damage(),
+    ) {
+        let store = build_store(&specs);
+        let text = PoolSnapshot { store: store.snapshot_state(), matches: vec![] }.encode();
+        let text = damaged(&text, damage, at);
+        if let Ok(snap) = PoolSnapshot::decode(&text) {
+            let mut restored = AdStore::restore_state(&snap.store);
+            let _ = restored.snapshot_state();
+            let _ = Negotiator::default().negotiate(&restored, 0);
+            let fresh = Advertisement {
+                kind: EntityKind::Provider,
+                ad: build_ad(specs.len(), &specs[0]),
+                contact: "127.0.0.1:1".into(),
+                ticket: None,
+                expires_at: 1_000,
+            };
+            let _ = restored.advertise(fresh, 0, &AdvertisingProtocol::default());
+        }
+    }
+}

@@ -6,24 +6,28 @@
 //! current ad for the provider's re-verification. A rejected or failed
 //! claim re-queues the job behind a capped exponential [`Backoff`]; the
 //! matchmaker simply matches it again, usually elsewhere. Exhausting the
-//! retry budget marks the job [`JobStatus::Failed`].
+//! retry budget marks the job [`JobStatus::Failed`]. These rules are the
+//! [`JobQueue`] core's; this agent supplies the sockets and the clock.
 //!
 //! [`MatchNotification`]: matchmaker::protocol::MatchNotification
 
-use crate::failover::{self, Probe};
-use crate::observe::{self_ad_name, Observer, WireCounters};
+use crate::link::{claim_event, AgentLink};
 use crate::retry::Backoff;
 use crate::wire::{self, IoConfig};
 use classad::ClassAd;
-use condor_obs::{schema, Event, JournalConfig, TraceContext};
-use matchmaker::protocol::{Advertisement, ClaimRequest, EntityKind, MatchNotification, Message};
+use condor_obs::{schema, JournalConfig, TraceContext};
+use matchmaker::agent::{ClaimOutcome, JobQueue};
+use matchmaker::protocol::{ClaimRequest, ClaimResponse, EntityKind, MatchNotification, Message};
 use parking_lot::Mutex;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Where a job stands in the advertise → match → claim lifecycle (the
+/// [`JobQueue`] core's status, shared with the simulator).
+pub use matchmaker::agent::JobStatus;
 
 /// Customer-agent tunables.
 #[derive(Debug, Clone)]
@@ -77,56 +81,20 @@ impl Default for CustomerConfig {
     }
 }
 
-/// Where a job stands in the advertise → match → claim lifecycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Advertised (or awaiting its backoff delay) but not yet placed.
-    Idle,
-    /// Successfully claimed a provider.
-    Claimed {
-        /// The provider's contact address.
-        provider_contact: String,
-        /// The provider's advertised name.
-        provider_name: String,
-    },
-    /// The claim retry budget is exhausted; the job will not be resubmitted.
-    Failed,
-}
-
-struct Job {
-    name: String,
-    ad: ClassAd,
-    status: JobStatus,
-    /// A claim dial is in flight; skip re-advertising and ignore duplicate
-    /// notifications until it resolves.
-    claiming: bool,
-    /// Claim failures so far (indexes into the backoff schedule).
-    attempts: u32,
-    /// Earliest instant the job may be re-advertised.
-    not_before: Instant,
-    /// The job's trace, minted at submission: every advertisement for this
-    /// job carries it, so the whole advertise → match → claim lifecycle
-    /// stitches into one tree across daemons.
-    trace: TraceContext,
-}
-
 /// The agent's metric handles, registered once at spawn.
 #[derive(Debug)]
 struct CaMetrics {
     ads_sent: Arc<condor_obs::Counter>,
     ad_failures: Arc<condor_obs::Counter>,
-    self_ads_sent: Arc<condor_obs::Counter>,
     notifications_received: Arc<condor_obs::Counter>,
     claims_accepted: Arc<condor_obs::Counter>,
     claims_rejected: Arc<condor_obs::Counter>,
     claim_dial_failures: Arc<condor_obs::Counter>,
     jobs_submitted: Arc<condor_obs::Counter>,
     jobs_failed: Arc<condor_obs::Counter>,
-    failovers: Arc<condor_obs::Counter>,
     jobs_idle: Arc<condor_obs::Gauge>,
     jobs_claimed: Arc<condor_obs::Gauge>,
     phase_claim_rtt_ms: Arc<condor_obs::WindowedHistogram>,
-    wire: WireCounters,
 }
 
 impl CaMetrics {
@@ -134,18 +102,15 @@ impl CaMetrics {
         CaMetrics {
             ads_sent: reg.counter(schema::ADS_SENT),
             ad_failures: reg.counter(schema::AD_FAILURES),
-            self_ads_sent: reg.counter(schema::SELF_ADS_SENT),
             notifications_received: reg.counter(schema::NOTIFICATIONS_SEEN),
             claims_accepted: reg.counter(schema::CLAIMS_ACCEPTED),
             claims_rejected: reg.counter(schema::CLAIMS_REJECTED),
             claim_dial_failures: reg.counter(schema::CLAIM_DIAL_FAILURES),
             jobs_submitted: reg.counter(schema::JOBS_SUBMITTED),
             jobs_failed: reg.counter(schema::JOBS_FAILED),
-            failovers: reg.counter(schema::MATCHMAKER_FAILOVERS),
             jobs_idle: reg.gauge(schema::JOBS_IDLE),
             jobs_claimed: reg.gauge(schema::JOBS_CLAIMED),
             phase_claim_rtt_ms: reg.histogram(schema::PHASE_CLAIM_RTT_MS, Duration::from_secs(300)),
-            wire: WireCounters::new(reg),
         }
     }
 }
@@ -173,30 +138,33 @@ pub struct CustomerStatsSnapshot {
 
 struct CaShared {
     cfg: CustomerConfig,
-    contact: String,
-    /// The matchmaker currently advertised to — rewritten by
-    /// [`CaShared::ensure_matchmaker`] when the leader moves.
-    matchmaker: Mutex<String>,
-    jobs: Mutex<Vec<Job>>,
-    shutdown: AtomicBool,
+    link: AgentLink,
+    jobs: Mutex<JobQueue>,
+    /// Zero of the clock the job queue's backoff times are on.
+    started: Instant,
     metrics: CaMetrics,
-    observer: Observer,
     claimers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl CaShared {
+    /// Milliseconds since the agent started: the job queue's clock.
+    fn now_ms(&self) -> u64 {
+        self.started.elapsed().as_millis() as u64
+    }
 }
 
 /// A live customer agent; see the module docs.
 pub struct CustomerAgent {
     shared: Arc<CaShared>,
-    addr: SocketAddr,
-    listener: Option<JoinHandle<()>>,
-    advertiser: Option<JoinHandle<()>>,
+    /// The notification listener and the advertiser.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for CustomerAgent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CustomerAgent")
             .field("user", &self.shared.cfg.user)
-            .field("addr", &self.addr)
+            .field("addr", &self.shared.link.addr)
             .finish_non_exhaustive()
     }
 }
@@ -205,56 +173,43 @@ impl CustomerAgent {
     /// Start the agent with an initial batch of `(name, ad)` jobs. Each
     /// ad gets its `Name` and `Owner` attributes overwritten.
     pub fn spawn(cfg: CustomerConfig, jobs: Vec<(String, ClassAd)>) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&cfg.bind)?;
-        let addr = listener.local_addr()?;
-        let user = cfg.user.clone();
-        let observer = Observer::new(cfg.journal.clone())?;
-        let metrics = CaMetrics::new(observer.registry());
-        let matchmaker = cfg
-            .matchmakers
-            .first()
-            .cloned()
-            .unwrap_or_else(|| cfg.matchmaker.clone());
+        let (link, listener) = AgentLink::bind(
+            ("CustomerAgent", &cfg.user),
+            &cfg.bind,
+            &cfg.matchmaker,
+            &cfg.matchmakers,
+            &cfg.io,
+            cfg.journal.clone(),
+        )?;
         let shared = Arc::new(CaShared {
-            contact: addr.to_string(),
-            matchmaker: Mutex::new(matchmaker),
+            metrics: CaMetrics::new(link.observer.registry()),
+            link,
+            jobs: Mutex::new(JobQueue::new(cfg.backoff.clone())),
+            started: Instant::now(),
             cfg,
-            jobs: Mutex::new(Vec::new()),
-            shutdown: AtomicBool::new(false),
-            metrics,
-            observer,
             claimers: Mutex::new(Vec::new()),
         });
-        shared.observer.emit(Event::AgentRestarted {
-            agent: "CustomerAgent".into(),
-            name: user.clone(),
-        });
         for (name, ad) in jobs {
-            push_job(&shared, &user, name, ad);
+            push_job(&shared, name, ad);
         }
-        let listen_thread = {
-            let shared = Arc::clone(&shared);
+        let (s1, s2) = (Arc::clone(&shared), Arc::clone(&shared));
+        let threads = vec![
             std::thread::Builder::new()
                 .name("ca-listen".into())
-                .spawn(move || listen_loop(&shared, listener))?
-        };
-        let advertiser = {
-            let shared = Arc::clone(&shared);
+                .spawn(move || {
+                    s1.link
+                        .accept_loop(listener, |peer| on_connection(&s1, peer))
+                })?,
             std::thread::Builder::new()
                 .name("ca-advertise".into())
-                .spawn(move || advertise_loop(&shared))?
-        };
-        Ok(CustomerAgent {
-            shared,
-            addr,
-            listener: Some(listen_thread),
-            advertiser: Some(advertiser),
-        })
+                .spawn(move || advertise_loop(&s2))?,
+        ];
+        Ok(CustomerAgent { shared, threads })
     }
 
     /// The agent's notification-listener address — its advertised contact.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.link.addr
     }
 
     /// The submitting user.
@@ -264,7 +219,7 @@ impl CustomerAgent {
 
     /// Submit another job after spawn.
     pub fn add_job(&self, name: impl Into<String>, ad: ClassAd) {
-        push_job(&self.shared, &self.shared.cfg.user.clone(), name.into(), ad);
+        push_job(&self.shared, name.into(), ad);
     }
 
     /// Every job's `(name, status)`.
@@ -273,17 +228,17 @@ impl CustomerAgent {
             .jobs
             .lock()
             .iter()
-            .map(|j| (j.name.clone(), j.status.clone()))
+            .map(|j| (j.name.clone(), j.state.clone()))
             .collect()
     }
 
     /// `true` once every job is [`JobStatus::Claimed`].
     pub fn all_claimed(&self) -> bool {
         let jobs = self.shared.jobs.lock();
-        !jobs.is_empty()
+        jobs.iter().next().is_some()
             && jobs
                 .iter()
-                .all(|j| matches!(j.status, JobStatus::Claimed { .. }))
+                .all(|j| matches!(j.state, JobStatus::Claimed { .. }))
     }
 
     /// Counter snapshot.
@@ -297,14 +252,14 @@ impl CustomerAgent {
             claims_rejected: m.claims_rejected.get(),
             claim_dial_failures: m.claim_dial_failures.get(),
             jobs_failed: m.jobs_failed.get(),
-            failovers: m.failovers.get(),
+            failovers: self.shared.link.failovers.get(),
         }
     }
 
     /// The matchmaker this agent currently advertises to (the leader it
     /// last found, or the configured address).
     pub fn matchmaker_contact(&self) -> String {
-        self.shared.current_matchmaker()
+        self.shared.link.matchmaker()
     }
 
     /// Release every established claim (dialing each provider), withdraw
@@ -315,11 +270,11 @@ impl CustomerAgent {
     }
 
     fn teardown(&mut self, graceful: bool) {
-        if graceful && !self.shared.shutdown.load(Ordering::SeqCst) {
-            let io = &self.shared.cfg.io;
+        let link = &self.shared.link;
+        if graceful && !link.shutdown.load(Ordering::SeqCst) {
             let jobs = self.shared.jobs.lock();
             for j in jobs.iter() {
-                match &j.status {
+                match &j.state {
                     JobStatus::Claimed {
                         provider_contact, ..
                     } => {
@@ -330,34 +285,19 @@ impl CustomerAgent {
                             &Message::Release {
                                 ticket: matchmaker::ticket::Ticket::from_raw(0),
                             },
-                            io,
+                            &link.io,
                         );
                     }
-                    JobStatus::Idle => {
-                        let adv = Advertisement {
-                            kind: EntityKind::Customer,
-                            ad: j.ad.clone(),
-                            contact: self.shared.contact.clone(),
-                            ticket: None,
-                            expires_at: wire::unix_now() + 1,
-                        };
-                        let _ = wire::send_oneway(
-                            &self.shared.current_matchmaker(),
-                            &Message::Advertise(adv),
-                            io,
-                        );
+                    JobStatus::Idle | JobStatus::Claiming { .. } => {
+                        let adv = j.advertisement(&link.contact, wire::unix_now() + 1);
+                        let _ = link.advertise(adv, None);
                     }
-                    JobStatus::Failed => {}
+                    JobStatus::Failed | JobStatus::Completed { .. } => {}
                 }
             }
         }
-        if !self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.addr);
-        }
-        if let Some(h) = self.listener.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.advertiser.take() {
+        link.stop();
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
         let claimers = std::mem::take(&mut *self.shared.claimers.lock());
@@ -373,181 +313,89 @@ impl Drop for CustomerAgent {
     }
 }
 
-impl CaShared {
-    /// The matchmaker this agent currently speaks to.
-    fn current_matchmaker(&self) -> String {
-        self.matchmaker.lock().clone()
-    }
-
-    /// Multi-matchmaker failover: probe the current contact and, if it no
-    /// longer answers like the leader (dead socket or a standby's
-    /// redirect), walk the configured set for whoever holds the lease.
-    /// Single-contact agents skip the probe entirely — the classic
-    /// single-matchmaker exchange pattern is untouched.
-    fn ensure_matchmaker(&self) {
-        if self.cfg.matchmakers.len() < 2 {
-            return;
-        }
-        let current = self.current_matchmaker();
-        if failover::probe(&current, &self.cfg.io) == Probe::Leader {
-            return;
-        }
-        if let Some(leader) = failover::find_leader(&self.cfg.matchmakers, &self.cfg.io) {
-            if leader != current {
-                *self.matchmaker.lock() = leader;
-                self.metrics.failovers.inc();
-            }
-        }
-    }
-}
-
-fn push_job(shared: &Arc<CaShared>, user: &str, name: String, mut ad: ClassAd) {
+fn push_job(shared: &Arc<CaShared>, name: String, mut ad: ClassAd) {
     ad.set_str("Name", &name);
-    ad.set_str("Owner", user);
+    ad.set_str("Owner", &shared.cfg.user);
     shared.metrics.jobs_submitted.inc();
-    shared.jobs.lock().push(Job {
-        name,
-        ad,
-        status: JobStatus::Idle,
-        claiming: false,
-        attempts: 0,
-        not_before: Instant::now(),
-        trace: TraceContext::mint(),
-    });
+    shared.jobs.lock().submit(name, ad, shared.now_ms());
 }
 
 /// Recompute the job-state gauges from the queue (called on each
-/// advertisement pass, just before the self-ad snapshot is taken).
+/// advertisement pass, just before the self-ad snapshot is taken). A job
+/// with its claim in flight still counts as idle: it is not placed yet.
 fn update_job_gauges(shared: &Arc<CaShared>) {
-    let jobs = shared.jobs.lock();
-    let idle = jobs.iter().filter(|j| j.status == JobStatus::Idle).count();
-    let claimed = jobs
-        .iter()
-        .filter(|j| matches!(j.status, JobStatus::Claimed { .. }))
-        .count();
-    drop(jobs);
-    shared.metrics.jobs_idle.set(idle as i64);
-    shared.metrics.jobs_claimed.set(claimed as i64);
-}
-
-/// Send the `CustomerAgentStats` self-ad to the matchmaker (best effort,
-/// no retry: the next pass brings the next one).
-fn publish_self_ad(shared: &Arc<CaShared>) {
-    update_job_gauges(shared);
-    let mut ad = shared.observer.build_self_ad(
-        &self_ad_name(&shared.cfg.user),
-        schema::CUSTOMER_AGENT_STATS,
-    );
-    ad.set_str("User", &shared.cfg.user);
-    let adv = Advertisement {
-        kind: EntityKind::Customer,
-        ad,
-        contact: shared.contact.clone(),
-        ticket: None,
-        expires_at: wire::unix_now() + (3 * shared.cfg.heartbeat.as_secs()).max(300),
-    };
-    if let Ok(n) = wire::send_oneway(
-        &shared.current_matchmaker(),
-        &Message::Advertise(adv),
-        &shared.cfg.io,
-    ) {
-        shared.metrics.self_ads_sent.inc();
-        shared.metrics.wire.sent(n as u64);
+    let (mut idle, mut claimed) = (0, 0);
+    for j in shared.jobs.lock().iter() {
+        match j.state {
+            JobStatus::Idle | JobStatus::Claiming { .. } => idle += 1,
+            JobStatus::Claimed { .. } => claimed += 1,
+            JobStatus::Failed | JobStatus::Completed { .. } => {}
+        }
     }
+    shared.metrics.jobs_idle.set(idle);
+    shared.metrics.jobs_claimed.set(claimed);
 }
 
 fn advertise_loop(shared: &Arc<CaShared>) {
     loop {
-        shared.ensure_matchmaker();
+        shared.link.ensure_matchmaker();
         advertise_pending(shared);
         if shared.cfg.publish_self_ad {
-            publish_self_ad(shared);
+            update_job_gauges(shared);
+            shared.link.publish_self_ad(
+                &shared.cfg.user,
+                schema::CUSTOMER_AGENT_STATS,
+                EntityKind::Customer,
+                ("User", &shared.cfg.user),
+                (3 * shared.cfg.heartbeat.as_secs()).max(300),
+            );
         }
-        if wire::interruptible_sleep(&shared.shutdown, shared.cfg.heartbeat) {
+        if wire::interruptible_sleep(&shared.link.shutdown, shared.cfg.heartbeat) {
             return;
         }
     }
 }
 
 fn advertise_pending(shared: &Arc<CaShared>) {
-    let now = Instant::now();
-    let pending: Vec<(Advertisement, TraceContext)> = {
-        let jobs = shared.jobs.lock();
-        jobs.iter()
-            .filter(|j| j.status == JobStatus::Idle && !j.claiming && j.not_before <= now)
-            .map(|j| {
-                (
-                    Advertisement {
-                        kind: EntityKind::Customer,
-                        ad: j.ad.clone(),
-                        contact: shared.contact.clone(),
-                        ticket: None,
-                        expires_at: wire::unix_now() + shared.cfg.lease.as_secs(),
-                    },
-                    j.trace,
-                )
-            })
-            .collect()
-    };
+    let expires_at = wire::unix_now() + shared.cfg.lease.as_secs();
+    let pending: Vec<_> = shared
+        .jobs
+        .lock()
+        .pending(shared.now_ms())
+        .map(|j| (j.advertisement(&shared.link.contact, expires_at), j.trace))
+        .collect();
     for (adv, trace) in pending {
-        match wire::send_oneway_traced(
-            &shared.current_matchmaker(),
-            &Message::Advertise(adv),
-            Some(&trace),
-            &shared.cfg.io,
-        ) {
-            Ok(n) => {
-                shared.metrics.ads_sent.inc();
-                shared.metrics.wire.sent(n as u64);
-            }
-            Err(_) => {
-                shared.metrics.ad_failures.inc();
-            }
+        if shared.link.advertise(adv, Some(&trace)) {
+            shared.metrics.ads_sent.inc();
+        } else {
+            shared.metrics.ad_failures.inc();
         }
     }
 }
 
-fn listen_loop(shared: &Arc<CaShared>, listener: TcpListener) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if let Some((note, trace)) = read_notification(shared, stream) {
-            shared.metrics.notifications_received.inc();
-            // Claim on a separate thread: a slow or dead provider must not
-            // block notifications for the agent's other jobs.
-            let claim_shared = Arc::clone(shared);
-            if let Ok(h) = std::thread::Builder::new()
-                .name("ca-claim".into())
-                .spawn(move || attempt_claim(&claim_shared, note, trace))
-            {
-                let mut claimers = shared.claimers.lock();
-                claimers.retain(|h| !h.is_finished());
-                claimers.push(h);
-            }
-        }
-    }
-}
-
-fn read_notification(
-    shared: &Arc<CaShared>,
-    mut stream: TcpStream,
-) -> Option<(MatchNotification, Option<TraceContext>)> {
-    let _ = stream.set_read_timeout(Some(shared.cfg.io.read_timeout));
+/// Read one match notification and claim its job.
+fn on_connection(shared: &Arc<CaShared>, mut stream: TcpStream) {
+    let timeout = shared.link.io.read_timeout;
+    let _ = stream.set_read_timeout(Some(timeout));
     let mut dec = matchmaker::framing::FrameDecoder::new();
-    let deadline = Instant::now() + shared.cfg.io.read_timeout;
-    match wire::recv_traced(&mut stream, &mut dec, deadline) {
-        Ok((Message::Notify(n), trace, bytes_in)) => {
-            shared.metrics.wire.read_bytes(bytes_in);
-            shared.metrics.wire.frame_in();
-            Some((n, trace))
-        }
-        _ => None,
+    let Ok((Message::Notify(note), trace, bytes_in)) =
+        wire::recv_traced(&mut stream, &mut dec, Instant::now() + timeout)
+    else {
+        return;
+    };
+    shared.link.wire.read_bytes(bytes_in);
+    shared.link.wire.frame_in();
+    shared.metrics.notifications_received.inc();
+    // Claim on a separate thread: a slow or dead provider must not block
+    // notifications for the agent's other jobs.
+    let claim_shared = Arc::clone(shared);
+    if let Ok(h) = std::thread::Builder::new()
+        .name("ca-claim".into())
+        .spawn(move || attempt_claim(&claim_shared, note, trace))
+    {
+        let mut claimers = shared.claimers.lock();
+        claimers.retain(|h| !h.is_finished());
+        claimers.push(h);
     }
 }
 
@@ -556,125 +404,65 @@ fn read_notification(
 /// provider; the verdict is journaled under the RA's reply context, so
 /// the customer's span sits beneath the provider's in the assembled tree.
 fn attempt_claim(shared: &Arc<CaShared>, note: MatchNotification, trace: Option<TraceContext>) {
-    let Some(job_name) = note.own_ad.get_string("Name").map(str::to_owned) else {
+    // The queue marks the job claiming: at most one dial in flight per job.
+    let notified = shared.jobs.lock().notify(&note, &shared.link.contact);
+    let Some((job, request)) = notified else {
         return;
     };
-    // Take the job for claiming (at most one dial in flight per job).
-    let current_ad = {
-        let mut jobs = shared.jobs.lock();
-        let Some(job) = jobs
-            .iter_mut()
-            .find(|j| j.name == job_name && j.status == JobStatus::Idle && !j.claiming)
-        else {
-            return; // unknown, already placed, or being claimed right now
-        };
-        job.claiming = true;
-        job.ad.clone()
-    };
-    let outcome = match note.ticket {
-        // A notification without a ticket cannot be claimed; treat it as a
-        // failed attempt so the job backs off and re-advertises.
-        None => Err(()),
-        Some(ticket) => {
-            let req = Message::Claim(ClaimRequest {
-                ticket,
-                customer_ad: current_ad,
-                customer_contact: shared.contact.clone(),
-            });
-            let dialed = Instant::now();
-            match wire::request_reply_traced(
-                &note.peer_contact,
-                &req,
-                trace.as_ref(),
-                &shared.cfg.io,
-            ) {
-                Ok(exchange) => {
-                    shared
-                        .metrics
-                        .phase_claim_rtt_ms
-                        .record(dialed.elapsed().as_secs_f64() * 1000.0);
-                    shared.metrics.wire.sent(exchange.bytes_out);
-                    shared.metrics.wire.read_bytes(exchange.bytes_in);
-                    shared.metrics.wire.frame_in();
-                    // Journal under the RA's reply context when it sent one,
-                    // else under the notification context we dialed with.
-                    let span = exchange.trace.or(trace).map(|ctx| ctx.begin_span());
-                    match exchange.msg {
-                        Message::ClaimReply(r) if r.accepted => {
-                            shared.metrics.claims_accepted.inc();
-                            let provider = r
-                                .provider_ad
-                                .get_string("Name")
-                                .unwrap_or_default()
-                                .to_owned();
-                            shared.observer.emit_traced(
-                                Event::ClaimEstablished {
-                                    provider: provider.clone(),
-                                    customer: shared.cfg.user.clone(),
-                                },
-                                span,
-                            );
-                            Ok(provider)
-                        }
-                        Message::ClaimReply(r) => {
-                            debug_assert!(r.rejection.is_some());
-                            shared.metrics.claims_rejected.inc();
-                            shared.observer.emit_traced(
-                                Event::ClaimRejected {
-                                    provider: r
-                                        .provider_ad
-                                        .get_string("Name")
-                                        .unwrap_or_default()
-                                        .to_owned(),
-                                    customer: shared.cfg.user.clone(),
-                                    reason: r
-                                        .rejection
-                                        .map(|rej| format!("{rej:?}"))
-                                        .unwrap_or_else(|| "unspecified".into()),
-                                },
-                                span,
-                            );
-                            Err(())
-                        }
-                        _ => Err(()),
-                    }
-                }
-                Err(_) => {
-                    shared.metrics.claim_dial_failures.inc();
-                    Err(())
-                }
-            }
-        }
-    };
-    let mut jobs = shared.jobs.lock();
-    let Some(job) = jobs.iter_mut().find(|j| j.name == job_name) else {
-        return;
-    };
-    job.claiming = false;
-    match outcome {
-        Ok(provider_name) => {
-            job.status = JobStatus::Claimed {
-                provider_contact: note.peer_contact.clone(),
-                provider_name,
-            };
-        }
-        Err(()) => {
-            job.attempts += 1;
-            match shared.cfg.backoff.delay(job.attempts) {
-                Some(delay) => {
-                    // Resubmit after the backoff: the matchmaker withdrew
-                    // the matched pair, so re-advertising re-enters the
-                    // next cycle — usually landing elsewhere.
-                    job.status = JobStatus::Idle;
-                    job.not_before = Instant::now() + delay;
-                }
-                None => {
-                    job.status = JobStatus::Failed;
-                    shared.metrics.jobs_failed.inc();
-                }
-            }
-        }
+    let reply = request.and_then(|req| dial_claim(shared, &note.peer_contact, req, trace));
+    let outcome = shared
+        .jobs
+        .lock()
+        .claim_result(&job, reply.as_ref(), shared.now_ms());
+    if outcome == Some(ClaimOutcome::Failed) {
+        shared.metrics.jobs_failed.inc();
     }
+}
+
+/// Dial the provider with `request` and journal its verdict; `None` when
+/// no `ClaimReply` came back.
+fn dial_claim(
+    shared: &Arc<CaShared>,
+    provider: &str,
+    request: ClaimRequest,
+    trace: Option<TraceContext>,
+) -> Option<ClaimResponse> {
+    let dialed = Instant::now();
+    let exchange = match wire::request_reply_traced(
+        provider,
+        &Message::Claim(request),
+        trace.as_ref(),
+        &shared.link.io,
+    ) {
+        Ok(exchange) => exchange,
+        Err(_) => {
+            shared.metrics.claim_dial_failures.inc();
+            return None;
+        }
+    };
+    shared
+        .metrics
+        .phase_claim_rtt_ms
+        .record(dialed.elapsed().as_secs_f64() * 1000.0);
+    shared.link.wire.sent(exchange.bytes_out);
+    shared.link.wire.read_bytes(exchange.bytes_in);
+    shared.link.wire.frame_in();
+    let Message::ClaimReply(r) = exchange.msg else {
+        return None;
+    };
+    // Journal under the RA's reply context when it sent one, else under
+    // the notification context we dialed with.
+    let span = exchange.trace.or(trace).map(|ctx| ctx.begin_span());
+    let provider = r.provider_ad.get_string("Name").unwrap_or_default();
+    let verdict = if r.accepted {
+        &shared.metrics.claims_accepted
+    } else {
+        &shared.metrics.claims_rejected
+    };
+    verdict.inc();
+    let event = claim_event(&r, provider.into(), shared.cfg.user.clone());
+    shared.link.observer.emit_traced(event, span);
+    Some(r)
 }
 
 #[cfg(test)]
@@ -682,7 +470,9 @@ mod tests {
     use super::*;
     use classad::parse_classad;
     use matchmaker::framing::FrameDecoder;
+    use matchmaker::protocol::Advertisement;
     use matchmaker::ticket::Ticket;
+    use std::net::TcpListener;
 
     fn job_ad() -> ClassAd {
         parse_classad(r#"[ Type = "Job"; Constraint = other.Type == "Machine"; Rank = 0 ]"#)

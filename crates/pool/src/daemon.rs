@@ -676,12 +676,6 @@ impl MatchmakerDaemon {
         self.shared.alarm.as_ref()
     }
 
-    /// How many events the daemon's journal has written (0 when
-    /// journaling is off).
-    pub fn journal_position(&self) -> u64 {
-        self.shared.observer.journal().map_or(0, |j| j.position())
-    }
-
     /// Stop accepting, finish in-flight connections, and join every
     /// thread. Idempotent; also run by `Drop`.
     pub fn shutdown(&mut self) {

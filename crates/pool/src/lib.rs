@@ -37,6 +37,7 @@
 pub mod customer;
 pub mod daemon;
 pub mod failover;
+pub(crate) mod link;
 pub(crate) mod observe;
 pub mod pool;
 pub mod resource;

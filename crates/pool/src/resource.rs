@@ -7,25 +7,24 @@
 //! adjudicated against the current ad, so a stale advertisement costs a
 //! rejected claim, never a wrong allocation.
 //!
-//! Ticket discipline: the outstanding ticket is *reused* across lease
-//! renewals and only replaced after an accepted claim consumes it —
-//! otherwise a claim racing an ad refresh would spuriously fail ticket
-//! verification.
+//! The protocol decisions — the advertised ticket (reused across lease
+//! renewals, replaced only after an accepted claim consumes it), the claim
+//! verdict and release — are [`ProviderCore`]'s, with
+//! [`Preemption::Never`]: this agent never displaces a claimant, and a
+//! claimed machine does not advertise.
 
-use crate::failover::{self, Probe};
-use crate::observe::{self_ad_name, Observer, WireCounters};
+use crate::link::{claim_event, AgentLink};
 use crate::retry::Backoff;
 use crate::wire::{self, IoConfig};
 use classad::ClassAd;
-use condor_obs::{schema, Event, JournalConfig, TraceContext};
-use matchmaker::claim::ClaimHandler;
+use condor_obs::{schema, JournalConfig, TraceContext};
+use matchmaker::agent::{Preemption, ProviderCore};
 use matchmaker::protocol::{Advertisement, EntityKind, Message};
-use matchmaker::ticket::TicketIssuer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -90,16 +89,13 @@ impl Default for ResourceConfig {
 struct RaMetrics {
     ads_sent: Arc<condor_obs::Counter>,
     ad_failures: Arc<condor_obs::Counter>,
-    self_ads_sent: Arc<condor_obs::Counter>,
     claims_accepted: Arc<condor_obs::Counter>,
     claims_rejected: Arc<condor_obs::Counter>,
     notifications_seen: Arc<condor_obs::Counter>,
     releases: Arc<condor_obs::Counter>,
-    failovers: Arc<condor_obs::Counter>,
     claimed: Arc<condor_obs::Gauge>,
     phase_notify_claim_gap_ms: Arc<condor_obs::WindowedHistogram>,
     phase_reverify_ms: Arc<condor_obs::WindowedHistogram>,
-    wire: WireCounters,
 }
 
 impl RaMetrics {
@@ -108,16 +104,13 @@ impl RaMetrics {
         RaMetrics {
             ads_sent: reg.counter(schema::ADS_SENT),
             ad_failures: reg.counter(schema::AD_FAILURES),
-            self_ads_sent: reg.counter(schema::SELF_ADS_SENT),
             claims_accepted: reg.counter(schema::CLAIMS_ACCEPTED),
             claims_rejected: reg.counter(schema::CLAIMS_REJECTED),
             notifications_seen: reg.counter(schema::NOTIFICATIONS_SEEN),
             releases: reg.counter(schema::RELEASES),
-            failovers: reg.counter(schema::MATCHMAKER_FAILOVERS),
             claimed: reg.gauge(schema::CLAIMED),
             phase_notify_claim_gap_ms: reg.histogram(schema::PHASE_NOTIFY_CLAIM_GAP_MS, window),
             phase_reverify_ms: reg.histogram(schema::PHASE_REVERIFY_MS, window),
-            wire: WireCounters::new(reg),
         }
     }
 }
@@ -143,16 +136,10 @@ pub struct ResourceStatsSnapshot {
 
 struct RaShared {
     cfg: ResourceConfig,
-    contact: String,
-    /// The matchmaker currently advertised to — rewritten by
-    /// [`RaShared::ensure_matchmaker`] when the leader moves.
-    matchmaker: Mutex<String>,
+    link: AgentLink,
     ad: Mutex<ClassAd>,
-    claim: Mutex<ClaimHandler>,
-    issuer: Mutex<TicketIssuer>,
-    shutdown: AtomicBool,
+    core: Mutex<ProviderCore>,
     metrics: RaMetrics,
-    observer: Observer,
     /// When each traced match notification arrived, keyed by trace id:
     /// consumed when the matching claim lands to feed the notify→claim
     /// gap histogram, age-pruned on insert.
@@ -162,16 +149,15 @@ struct RaShared {
 /// A live resource agent; see the module docs.
 pub struct ResourceAgent {
     shared: Arc<RaShared>,
-    addr: SocketAddr,
-    listener: Option<JoinHandle<()>>,
-    refresher: Option<JoinHandle<()>>,
+    /// The claim listener and the refresher.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ResourceAgent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResourceAgent")
             .field("name", &self.shared.cfg.name)
-            .field("addr", &self.addr)
+            .field("addr", &self.shared.link.addr)
             .finish_non_exhaustive()
     }
 }
@@ -181,55 +167,38 @@ impl ResourceAgent {
     /// immediately and on every heartbeat. The ad's `Name` is overwritten
     /// with `cfg.name`.
     pub fn spawn(cfg: ResourceConfig, mut ad: ClassAd) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&cfg.bind)?;
-        let addr = listener.local_addr()?;
+        let (link, listener) = AgentLink::bind(
+            ("ResourceAgent", &cfg.name),
+            &cfg.bind,
+            &cfg.matchmaker,
+            &cfg.matchmakers,
+            &cfg.io,
+            cfg.journal.clone(),
+        )?;
         ad.set_str("Name", &cfg.name);
-        let observer = Observer::new(cfg.journal.clone())?;
-        let metrics = RaMetrics::new(observer.registry());
-        let matchmaker = cfg
-            .matchmakers
-            .first()
-            .cloned()
-            .unwrap_or_else(|| cfg.matchmaker.clone());
         let shared = Arc::new(RaShared {
-            contact: addr.to_string(),
-            matchmaker: Mutex::new(matchmaker),
-            issuer: Mutex::new(TicketIssuer::new(cfg.ticket_seed)),
+            metrics: RaMetrics::new(link.observer.registry()),
+            link,
+            core: Mutex::new(ProviderCore::new(cfg.ticket_seed, Preemption::Never)),
             cfg,
             ad: Mutex::new(ad),
-            claim: Mutex::new(ClaimHandler::new()),
-            shutdown: AtomicBool::new(false),
-            metrics,
-            observer,
             notified_at: Mutex::new(HashMap::new()),
         });
-        shared.observer.emit(Event::AgentRestarted {
-            agent: "ResourceAgent".into(),
-            name: shared.cfg.name.clone(),
-        });
-        let listen_thread = {
-            let shared = Arc::clone(&shared);
+        let (s1, s2) = (Arc::clone(&shared), Arc::clone(&shared));
+        let threads = vec![
             std::thread::Builder::new()
                 .name("ra-listen".into())
-                .spawn(move || listen_loop(&shared, listener))?
-        };
-        let refresher = {
-            let shared = Arc::clone(&shared);
+                .spawn(move || s1.link.accept_loop(listener, |peer| serve_peer(&s1, peer)))?,
             std::thread::Builder::new()
                 .name("ra-refresh".into())
-                .spawn(move || refresh_loop(&shared))?
-        };
-        Ok(ResourceAgent {
-            shared,
-            addr,
-            listener: Some(listen_thread),
-            refresher: Some(refresher),
-        })
+                .spawn(move || refresh_loop(&s2))?,
+        ];
+        Ok(ResourceAgent { shared, threads })
     }
 
     /// The agent's claim-listener address — also its advertised contact.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.link.addr
     }
 
     /// The machine name this agent advertises under.
@@ -239,7 +208,7 @@ impl ResourceAgent {
 
     /// Whether a customer currently holds the resource.
     pub fn is_claimed(&self) -> bool {
-        self.shared.claim.lock().is_claimed()
+        self.shared.core.lock().is_claimed()
     }
 
     /// Counter snapshot.
@@ -252,14 +221,14 @@ impl ResourceAgent {
             claims_rejected: m.claims_rejected.get(),
             notifications_seen: m.notifications_seen.get(),
             releases: m.releases.get(),
-            failovers: m.failovers.get(),
+            failovers: self.shared.link.failovers.get(),
         }
     }
 
     /// The matchmaker this agent currently advertises to (the leader it
     /// last found, or the configured address).
     pub fn matchmaker_contact(&self) -> String {
-        self.shared.current_matchmaker()
+        self.shared.link.matchmaker()
     }
 
     /// Mutate the machine's *current* state without re-advertising — the
@@ -284,12 +253,9 @@ impl ResourceAgent {
     /// alive to the view collector (and mute the deadman alert) until it
     /// expired — then stop all threads.
     pub fn shutdown(mut self) {
-        let adv = self.shared.build_advertisement(1);
-        let _ = wire::send_oneway(
-            &self.shared.current_matchmaker(),
-            &Message::Advertise(adv),
-            &self.shared.cfg.io,
-        );
+        if let Some(adv) = self.shared.advertisement(1) {
+            let _ = self.shared.link.advertise(adv, None);
+        }
         if self.shared.cfg.publish_self_ad {
             self.shared.publish_self_ad(1);
         }
@@ -297,13 +263,8 @@ impl ResourceAgent {
     }
 
     fn stop_threads(&mut self) {
-        if !self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.addr);
-        }
-        if let Some(h) = self.listener.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.refresher.take() {
+        self.shared.link.stop();
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
     }
@@ -316,100 +277,45 @@ impl Drop for ResourceAgent {
 }
 
 impl RaShared {
-    /// Assemble the advertisement from current state. Reuses the
-    /// outstanding ticket if one exists (see module docs); `lease_secs`
-    /// overrides the configured lease for the withdraw path.
-    fn build_advertisement(&self, lease_secs: u64) -> Advertisement {
-        let ticket = {
-            let mut claim = self.claim.lock();
-            match claim.outstanding_ticket() {
-                Some(t) => t,
-                None => {
-                    let t = self.issuer.lock().issue();
-                    claim.set_ticket(t);
-                    t
-                }
-            }
-        };
-        Advertisement {
-            kind: EntityKind::Provider,
-            ad: self.ad.lock().clone(),
-            contact: self.contact.clone(),
-            ticket: Some(ticket),
-            expires_at: wire::unix_now() + lease_secs,
-        }
+    /// The advertisement of the current ad, leased for `lease_secs` (the
+    /// shutdown path withdraws with 1 s), or `None` while claimed.
+    fn advertisement(&self, lease_secs: u64) -> Option<Advertisement> {
+        let ad = self.ad.lock().clone();
+        self.core
+            .lock()
+            .advertisement(ad, &self.link.contact, wire::unix_now() + lease_secs)
     }
 
-    /// Send the `ResourceAgentStats` self-ad to the matchmaker (best
-    /// effort, no retry: the next heartbeat brings the next one).
-    /// `lease_secs` is the advertised lease — heartbeats renew with a
-    /// generous one, the shutdown path withdraws with 1s.
+    /// Send the `ResourceAgentStats` self-ad. `lease_secs` is the
+    /// advertised lease — heartbeats renew with a generous one, the
+    /// shutdown path withdraws with 1s.
     fn publish_self_ad(&self, lease_secs: u64) {
         self.metrics
             .claimed
-            .set(i64::from(self.claim.lock().is_claimed()));
-        let mut ad = self
-            .observer
-            .build_self_ad(&self_ad_name(&self.cfg.name), schema::RESOURCE_AGENT_STATS);
-        ad.set_str("Machine", &self.cfg.name);
-        let adv = Advertisement {
-            kind: EntityKind::Provider,
-            ad,
-            contact: self.contact.clone(),
-            ticket: None,
-            expires_at: wire::unix_now() + lease_secs,
-        };
-        if let Ok(n) = wire::send_oneway(
-            &self.current_matchmaker(),
-            &Message::Advertise(adv),
-            &self.cfg.io,
-        ) {
-            self.metrics.self_ads_sent.inc();
-            self.metrics.wire.sent(n as u64);
-        }
-    }
-
-    /// The matchmaker this agent currently speaks to.
-    fn current_matchmaker(&self) -> String {
-        self.matchmaker.lock().clone()
-    }
-
-    /// Multi-matchmaker failover: probe the current contact and, if it no
-    /// longer answers like the leader (dead socket or a standby's
-    /// redirect), walk the configured set for whoever holds the lease.
-    /// Single-contact agents skip the probe entirely — the classic
-    /// single-matchmaker exchange pattern is untouched.
-    fn ensure_matchmaker(&self) {
-        if self.cfg.matchmakers.len() < 2 {
-            return;
-        }
-        let current = self.current_matchmaker();
-        if failover::probe(&current, &self.cfg.io) == Probe::Leader {
-            return;
-        }
-        if let Some(leader) = failover::find_leader(&self.cfg.matchmakers, &self.cfg.io) {
-            if leader != current {
-                *self.matchmaker.lock() = leader;
-                self.metrics.failovers.inc();
-            }
-        }
+            .set(i64::from(self.core.lock().is_claimed()));
+        self.link.publish_self_ad(
+            &self.cfg.name,
+            schema::RESOURCE_AGENT_STATS,
+            EntityKind::Provider,
+            ("Machine", &self.cfg.name),
+            lease_secs,
+        );
     }
 }
 
 fn refresh_loop(shared: &Arc<RaShared>) {
     loop {
-        shared.ensure_matchmaker();
-        // A claimed machine stops renewing: its ad was withdrawn at match
-        // time and must not re-enter the pool until released.
-        if !shared.claim.lock().is_claimed() {
-            advertise_with_retry(shared);
-        }
+        shared.link.ensure_matchmaker();
+        // A claimed machine stops renewing (its core advertises nothing):
+        // its ad was withdrawn at match time and must not re-enter the
+        // pool until released.
+        advertise_with_retry(shared);
         // The self-ad renews even while claimed — a claimed machine is
         // exactly when an operator wants to see its telemetry.
         if shared.cfg.publish_self_ad {
             shared.publish_self_ad((3 * shared.cfg.heartbeat.as_secs()).max(300));
         }
-        if wire::interruptible_sleep(&shared.shutdown, shared.cfg.heartbeat) {
+        if wire::interruptible_sleep(&shared.link.shutdown, shared.cfg.heartbeat) {
             return;
         }
     }
@@ -417,49 +323,21 @@ fn refresh_loop(shared: &Arc<RaShared>) {
 
 fn advertise_with_retry(shared: &Arc<RaShared>) {
     let mut attempt = 0u32;
-    loop {
-        let adv = shared.build_advertisement(shared.cfg.lease.as_secs());
-        match wire::send_oneway(
-            &shared.current_matchmaker(),
-            &Message::Advertise(adv),
-            &shared.cfg.io,
-        ) {
-            Ok(n) => {
-                shared.metrics.ads_sent.inc();
-                shared.metrics.wire.sent(n as u64);
-                return;
-            }
-            Err(_) => {
-                attempt += 1;
-                match shared.cfg.backoff.delay(attempt) {
-                    Some(d) => {
-                        if wire::interruptible_sleep(&shared.shutdown, d) {
-                            return;
-                        }
-                        // The dial failed: the leader may have moved.
-                        shared.ensure_matchmaker();
-                    }
-                    None => {
-                        shared.metrics.ad_failures.inc();
-                        return;
-                    }
-                }
-            }
+    while let Some(adv) = shared.advertisement(shared.cfg.lease.as_secs()) {
+        if shared.link.advertise(adv, None) {
+            shared.metrics.ads_sent.inc();
+            return;
         }
-    }
-}
-
-fn listen_loop(shared: &Arc<RaShared>, listener: TcpListener) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
+        attempt += 1;
+        let Some(d) = shared.cfg.backoff.delay(attempt) else {
+            shared.metrics.ad_failures.inc();
+            return;
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+        if wire::interruptible_sleep(&shared.link.shutdown, d) {
+            return;
         }
-        serve_peer(shared, stream);
+        // The dial failed: the leader may have moved.
+        shared.link.ensure_matchmaker();
     }
 }
 
@@ -467,15 +345,15 @@ fn listen_loop(shared: &Arc<RaShared>, listener: TcpListener) {
 /// goes idle past the read timeout. Claims and releases are quick, so the
 /// RA handles peers sequentially — deadlines bound any one peer's hold.
 fn serve_peer(shared: &Arc<RaShared>, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(shared.cfg.io.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.cfg.io.write_timeout));
+    let _ = stream.set_read_timeout(Some(shared.link.io.read_timeout));
+    let _ = stream.set_write_timeout(Some(shared.link.io.write_timeout));
     let mut dec = matchmaker::framing::FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
     loop {
         loop {
             match dec.next_message_traced() {
                 Ok(Some((msg, trace))) => {
-                    shared.metrics.wire.frame_in();
+                    shared.link.wire.frame_in();
                     if !handle_peer_message(shared, &mut stream, msg, trace) {
                         return;
                     }
@@ -488,19 +366,19 @@ fn serve_peer(shared: &Arc<RaShared>, mut stream: TcpStream) {
                             detail: e.to_string(),
                         },
                     ) {
-                        shared.metrics.wire.sent(n as u64);
+                        shared.link.wire.sent(n as u64);
                     }
                     return;
                 }
             }
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.link.shutdown.load(Ordering::SeqCst) {
             return;
         }
         match stream.read(&mut buf) {
             Ok(0) => return,
             Ok(n) => {
-                shared.metrics.wire.read_bytes(n as u64);
+                shared.link.wire.read_bytes(n as u64);
                 dec.push(&buf[..n]);
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -539,12 +417,7 @@ fn handle_peer_message(
                 .to_string();
             let current = shared.ad.lock().clone();
             let reverify_started = Instant::now();
-            let (resp, _displaced) = shared.claim.lock().handle_claim(
-                &req,
-                &current,
-                wire::unix_now(),
-                |_| false, // this RA never preempts an active claim
-            );
+            let (resp, _) = shared.core.lock().claim(&req, &current, wire::unix_now());
             shared
                 .metrics
                 .phase_reverify_ms
@@ -552,38 +425,22 @@ fn handle_peer_message(
             if resp.accepted {
                 shared.metrics.claims_accepted.inc();
                 shared.metrics.claimed.set(1);
-                shared.observer.emit_traced(
-                    Event::ClaimEstablished {
-                        provider: shared.cfg.name.clone(),
-                        customer,
-                    },
-                    span,
-                );
             } else {
                 shared.metrics.claims_rejected.inc();
-                shared.observer.emit_traced(
-                    Event::ClaimRejected {
-                        provider: shared.cfg.name.clone(),
-                        customer,
-                        reason: resp
-                            .rejection
-                            .map(|r| format!("{r:?}"))
-                            .unwrap_or_else(|| "unspecified".into()),
-                    },
-                    span,
-                );
             }
+            let event = claim_event(&resp, shared.cfg.name.clone(), customer);
+            shared.link.observer.emit_traced(event, span);
             let reply_ctx = span.map(|s| s.child_context());
             match wire::send_traced(stream, &Message::ClaimReply(resp), reply_ctx.as_ref()) {
                 Ok(n) => {
-                    shared.metrics.wire.sent(n as u64);
+                    shared.link.wire.sent(n as u64);
                     true
                 }
                 Err(_) => false,
             }
         }
         Message::Release { .. } => {
-            if shared.claim.lock().release().is_some() {
+            if shared.core.lock().release().is_some() {
                 shared.metrics.releases.inc();
                 shared.metrics.claimed.set(0);
             }
@@ -602,32 +459,15 @@ fn handle_peer_message(
             true
         }
         Message::Error { .. } => false,
-        other => {
+        _ => {
             let _ = wire::send(
                 stream,
                 &Message::Error {
-                    detail: format!("resource agent cannot serve {}", message_kind(&other)),
+                    detail: "a resource agent serves Claim, Release and Notify only".into(),
                 },
             );
             false
         }
-    }
-}
-
-fn message_kind(msg: &Message) -> &'static str {
-    match msg {
-        Message::Advertise(_) => "Advertise",
-        Message::Notify(_) => "Notify",
-        Message::Claim(_) => "Claim",
-        Message::ClaimReply(_) => "ClaimReply",
-        Message::Release { .. } => "Release",
-        Message::Query { .. } => "Query",
-        Message::QueryReply { .. } => "QueryReply",
-        Message::Error { .. } => "Error",
-        Message::ElectionBid { .. } => "ElectionBid",
-        Message::LeaderLease { .. } => "LeaderLease",
-        Message::FlockQuery { .. } => "FlockQuery",
-        Message::FlockOffer { .. } => "FlockOffer",
     }
 }
 
@@ -638,6 +478,7 @@ mod tests {
     use matchmaker::framing::FrameDecoder;
     use matchmaker::protocol::{ClaimRejection, ClaimRequest};
     use matchmaker::ticket::Ticket;
+    use std::net::TcpListener;
     use std::time::Instant;
 
     fn idle_machine_ad() -> ClassAd {

@@ -1,14 +1,18 @@
 //! The Customer Agent (CA): maintains one user's queue of submitted jobs
-//! (paper §4), advertises idle jobs as request classads, and runs the
-//! customer side of the claiming protocol.
+//! (paper §4) — the live agent's [`JobQueue`], retrying a failed claim at
+//! the next advertisement (a zero backoff that never runs out) — and
+//! models each job's work around it: arrivals, completion, and vacates
+//! with or without checkpoints.
 
 use crate::ctx::Ctx;
-
 use crate::metrics::JobRecord;
-use crate::types::{CustomerTimer, Event, Job, JobState, NodeId, SimMsg};
+use crate::types::{CustomerTimer, Event, Job, NodeId, SimMsg};
 use crate::workload::JobArrival;
-use matchmaker::protocol::{Advertisement, ClaimRequest, EntityKind, Message};
+use matchmaker::agent::{ClaimOutcome, JobQueue, JobStatus, QueuedJob};
+use matchmaker::protocol::Message;
+use matchmaker::retry::Backoff;
 use std::collections::VecDeque;
+use std::time::Duration;
 
 /// A simulated Customer Agent holding one user's job queue.
 #[derive(Debug)]
@@ -24,9 +28,10 @@ pub struct CustomerAgent {
     /// Advertisement period, ms.
     pub advertise_period_ms: u64,
     /// The job queue (all states).
-    pub jobs: Vec<Job>,
+    pub jobs: JobQueue,
+    /// Each job's work and accounting, indexed by local job number.
+    work: Vec<Job>,
     arrivals: VecDeque<JobArrival>,
-    next_local_id: u64,
     /// Global id base so job ids are unique across agents.
     id_base: u64,
 }
@@ -47,24 +52,23 @@ impl CustomerAgent {
             user: user.to_string(),
             contact: format!("{user}-ca:1"),
             advertise_period_ms,
-            jobs: Vec::new(),
+            jobs: JobQueue::new(Backoff::unlimited(Duration::ZERO, Duration::ZERO)),
+            work: Vec::new(),
             arrivals: arrivals.into(),
-            next_local_id: 0,
             id_base,
         }
     }
 
-    /// Jobs not yet completed.
-    pub fn incomplete_jobs(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| !matches!(j.state, JobState::Completed { .. }))
-            .count()
-    }
-
     /// All jobs done and no arrivals pending?
     pub fn is_drained(&self) -> bool {
-        self.arrivals.is_empty() && self.incomplete_jobs() == 0
+        let done = |j: &QueuedJob| matches!(j.state, JobStatus::Completed { .. });
+        self.arrivals.is_empty() && self.jobs.iter().all(done)
+    }
+
+    /// The work record of the job with global id `job_id`.
+    fn job_mut(&mut self, job_id: u64) -> Option<&mut Job> {
+        self.work
+            .get_mut(job_id.checked_sub(self.id_base)? as usize)
     }
 
     /// Initialize: schedule the first arrival and the advertising timer.
@@ -94,8 +98,7 @@ impl CustomerAgent {
                 break;
             }
             let a = self.arrivals.pop_front().unwrap();
-            let local = self.next_local_id;
-            self.next_local_id += 1;
+            let local = self.work.len() as u64;
             let job = Job {
                 id: self.id_base + local,
                 name: format!("{}.{}", self.user, local),
@@ -107,13 +110,13 @@ impl CustomerAgent {
                 want_checkpoint: a.want_checkpoint,
                 extra_constraint: a.extra_constraint,
                 rank: a.rank,
-                state: JobState::Idle,
                 vacations: 0,
                 wasted_ms: 0,
                 first_start: None,
             };
             ctx.metrics.jobs_submitted += 1;
-            self.jobs.push(job);
+            self.jobs.submit(job.name.clone(), job.to_ad(), ctx.now);
+            self.work.push(job);
         }
         // Advertise new work right away rather than waiting out the period.
         self.advertise_idle(ctx);
@@ -131,19 +134,12 @@ impl CustomerAgent {
 
     fn advertise_idle(&mut self, ctx: &mut Ctx<'_>) {
         let lease = ctx.now + self.advertise_period_ms * 2 + self.advertise_period_ms / 2;
-        let mut to_send = Vec::new();
-        for job in &self.jobs {
-            if matches!(job.state, JobState::Idle) {
-                to_send.push(Advertisement {
-                    kind: EntityKind::Customer,
-                    ad: job.to_ad(),
-                    contact: self.contact.clone(),
-                    ticket: None,
-                    expires_at: lease,
-                });
-            }
-        }
-        for adv in to_send {
+        let ads: Vec<_> = self
+            .jobs
+            .pending(ctx.now)
+            .map(|j| j.advertisement(&self.contact, lease))
+            .collect();
+        for adv in ads {
             ctx.send_to_node(self.manager, SimMsg::Proto(Message::Advertise(adv)));
         }
     }
@@ -165,84 +161,35 @@ impl CustomerAgent {
         }
     }
 
-    fn job_by_name_mut(&mut self, name: &str) -> Option<&mut Job> {
-        self.jobs.iter_mut().find(|j| j.name == name)
-    }
-
-    fn job_by_id_mut(&mut self, id: u64) -> Option<&mut Job> {
-        self.jobs.iter_mut().find(|j| j.id == id)
-    }
-
     /// Handle an incoming message.
     pub fn on_message(&mut self, msg: SimMsg, ctx: &mut Ctx<'_>) {
         match msg {
-            SimMsg::Proto(Message::Notify(n)) => {
-                // Which job was matched? The matchmaker sends back our ad.
-                let Some(name) = n.own_ad.get_string("Name").map(str::to_string) else {
-                    return;
-                };
-                let contact = n.peer_contact.clone();
-                let Some(ticket) = n.ticket else { return };
-                let Some(job) = self.job_by_name_mut(&name) else {
-                    return;
-                };
-                if !matches!(job.state, JobState::Idle) {
-                    return; // stale notification; job moved on
+            SimMsg::Proto(Message::Notify(n)) => match self.jobs.notify(&n, &self.contact) {
+                Some((job, Some(req))) => {
+                    ctx.metrics.claim_attempts += 1;
+                    ctx.send_to_contact(&n.peer_contact, SimMsg::Claim { job, req });
                 }
-                job.state = JobState::Claiming {
-                    provider: contact.clone(),
-                };
-                // Claim with the job's *current* ad (weak consistency:
-                // RemainingWork may differ from the advertised copy).
-                let req = ClaimRequest {
-                    ticket,
-                    customer_ad: job.to_ad(),
-                    customer_contact: self.contact.clone(),
-                };
-                ctx.metrics.claim_attempts += 1;
-                ctx.send_to_contact(&contact, SimMsg::Proto(Message::Claim(req)));
-            }
-            SimMsg::Proto(Message::ClaimReply(resp)) => {
-                // Find the job that was claiming. (One claim in flight per
-                // provider contact; the reply carries the provider's ad.)
-                let provider = resp
-                    .provider_ad
-                    .get_string("Name")
-                    .unwrap_or_default()
-                    .to_string();
-                let accepted = resp.accepted;
+                Some((job, None)) => {
+                    self.jobs.claim_result(&job, None, ctx.now);
+                }
+                None => {}
+            },
+            SimMsg::ClaimReply { job, resp } => {
+                if self.jobs.claim_result(&job, Some(&resp), ctx.now) != Some(ClaimOutcome::Claimed)
+                {
+                    return;
+                }
                 let now = ctx.now;
-                // Contacts are `name:port`; match on the name component
-                // exactly ("m1" must not claim-correlate with "m10:9614").
-                let provider_prefix = format!("{provider}:");
-                let job = self.jobs.iter_mut().find(|j| {
-                    matches!(&j.state, JobState::Claiming { provider: p }
-                             if *p == provider
-                                || p.starts_with(&provider_prefix)
-                                || provider.is_empty())
-                });
-                let Some(job) = job else { return };
-                if accepted {
-                    job.first_start.get_or_insert(now);
-                    let provider_contact = match &job.state {
-                        JobState::Claiming { provider } => provider.clone(),
-                        _ => unreachable!(),
-                    };
-                    job.state = JobState::Running {
-                        provider: provider_contact,
-                        since: now,
-                    };
-                } else {
-                    job.state = JobState::Idle;
+                if let Some(w) = self.work.iter_mut().find(|w| w.name == job) {
+                    w.first_start.get_or_insert(now);
                 }
             }
             SimMsg::JobFinished { job_id } => {
                 let now = ctx.now;
-                let Some(job) = self.job_by_id_mut(job_id) else {
+                let Some(job) = self.job_mut(job_id) else {
                     return;
                 };
                 job.remaining_ms = 0;
-                job.state = JobState::Completed { at: now };
                 let rec = JobRecord {
                     id: job.id,
                     owner: job.owner.clone(),
@@ -253,10 +200,12 @@ impl CustomerAgent {
                     vacations: job.vacations,
                     wasted_ms: job.wasted_ms,
                 };
+                let name = job.name.clone();
+                self.jobs.finish(&name, now);
                 ctx.metrics.job_completed(rec);
             }
             SimMsg::Vacated { job_id, done_ms } => {
-                let Some(job) = self.job_by_id_mut(job_id) else {
+                let Some(job) = self.job_mut(job_id) else {
                     return;
                 };
                 job.vacations += 1;
@@ -273,7 +222,8 @@ impl CustomerAgent {
                     job.wasted_ms += done_ms;
                     job.remaining_ms = job.total_work_ms;
                 }
-                job.state = JobState::Idle;
+                let (name, ad) = (job.name.clone(), job.to_ad());
+                self.jobs.requeue(&name, ad, ctx.now);
                 // Seek a new machine right away.
                 self.advertise_idle(ctx);
             }
@@ -288,6 +238,8 @@ mod tests {
     use crate::engine::EventQueue;
     use crate::metrics::Metrics;
     use crate::network::NetworkModel;
+    use matchmaker::protocol::{ClaimRejection, ClaimResponse, MatchNotification};
+    use matchmaker::ticket::Ticket;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
@@ -302,8 +254,11 @@ mod tests {
 
     impl Harness {
         fn new() -> Self {
-            let mut directory = HashMap::new();
-            directory.insert("m:9614".to_string(), 5);
+            let directory = ["m:9614", "m1:9614", "m10:9614"]
+                .into_iter()
+                .enumerate()
+                .map(|(i, c)| (c.to_string(), 5 + i))
+                .collect();
             Harness {
                 queue: EventQueue::new(),
                 rng: SmallRng::seed_from_u64(1),
@@ -336,29 +291,53 @@ mod tests {
         }
     }
 
-    fn agent_with_one_job(h: &mut Harness) -> CustomerAgent {
-        let mut ca = CustomerAgent::new(1, 0, "alice", vec![arrival(10_000)], 60_000, 1000);
+    fn agent_with(h: &mut Harness, arrivals: Vec<JobArrival>) -> CustomerAgent {
+        let mut ca = CustomerAgent::new(1, 0, "alice", arrivals, 60_000, 1000);
         let mut ctx = h.ctx();
         ca.start(&mut ctx);
         ca.on_timer(CustomerTimer::JobArrival, &mut ctx);
         ca
     }
 
-    fn notify_for(ca: &CustomerAgent) -> SimMsg {
-        SimMsg::Proto(Message::Notify(matchmaker::protocol::MatchNotification {
-            own_ad: ca.jobs[0].to_ad(),
-            peer_ad: classad::parse_classad(r#"[ Name = "m"; Type = "Machine" ]"#).unwrap(),
-            peer_contact: "m:9614".into(),
-            ticket: Some(matchmaker::ticket::Ticket::from_raw(9)),
-        }))
+    fn agent_with_one_job(h: &mut Harness) -> CustomerAgent {
+        agent_with(h, vec![arrival(10_000)])
+    }
+
+    fn state(ca: &CustomerAgent, job: &str) -> JobStatus {
+        ca.jobs.get(job).unwrap().state.clone()
+    }
+
+    fn notify(ca: &mut CustomerAgent, h: &mut Harness, job: &str, provider: &str) {
+        let n = SimMsg::Proto(Message::Notify(MatchNotification {
+            own_ad: ca.jobs.get(job).unwrap().ad.clone(),
+            peer_ad: classad::parse_classad(&format!(r#"[ Name = "{provider}" ]"#)).unwrap(),
+            peer_contact: format!("{provider}:9614"),
+            ticket: Some(Ticket::from_raw(9)),
+        }));
+        ca.on_message(n, &mut h.ctx());
+    }
+
+    fn reply(ca: &mut CustomerAgent, h: &mut Harness, job: &str, provider: &str, ok: bool) {
+        let resp = ClaimResponse {
+            accepted: ok,
+            rejection: (!ok).then_some(ClaimRejection::ConstraintFailed),
+            provider_ad: classad::parse_classad(&format!(r#"[ Name = "{provider}" ]"#)).unwrap(),
+        };
+        let job = job.to_string();
+        ca.on_message(SimMsg::ClaimReply { job, resp }, &mut h.ctx());
+    }
+
+    fn run(ca: &mut CustomerAgent, h: &mut Harness) {
+        notify(ca, h, "alice.0", "m");
+        reply(ca, h, "alice.0", "m", true);
     }
 
     #[test]
     fn arrival_submits_and_advertises() {
         let mut h = Harness::new();
         let ca = agent_with_one_job(&mut h);
-        assert_eq!(ca.jobs.len(), 1);
-        assert_eq!(ca.jobs[0].name, "alice.0");
+        assert_eq!(ca.jobs.iter().count(), 1);
+        assert_eq!(ca.jobs.iter().next().unwrap().name, "alice.0");
         assert_eq!(h.metrics.jobs_submitted, 1);
         assert!(h.metrics.messages_sent >= 1, "idle job must be advertised");
         assert!(!ca.is_drained());
@@ -368,10 +347,8 @@ mod tests {
     fn notification_triggers_claim() {
         let mut h = Harness::new();
         let mut ca = agent_with_one_job(&mut h);
-        let n = notify_for(&ca);
-        let mut ctx = h.ctx();
-        ca.on_message(n, &mut ctx);
-        assert!(matches!(ca.jobs[0].state, JobState::Claiming { .. }));
+        notify(&mut ca, &mut h, "alice.0", "m");
+        assert!(matches!(state(&ca, "alice.0"), JobStatus::Claiming { .. }));
         assert_eq!(h.metrics.claim_attempts, 1);
     }
 
@@ -379,89 +356,56 @@ mod tests {
     fn stale_notification_ignored_when_running() {
         let mut h = Harness::new();
         let mut ca = agent_with_one_job(&mut h);
-        ca.jobs[0].state = JobState::Running {
-            provider: "x".into(),
-            since: 0,
-        };
-        let n = notify_for(&ca);
-        let mut ctx = h.ctx();
-        ca.on_message(n, &mut ctx);
-        assert_eq!(h.metrics.claim_attempts, 0);
-        assert!(matches!(ca.jobs[0].state, JobState::Running { .. }));
+        run(&mut ca, &mut h);
+        notify(&mut ca, &mut h, "alice.0", "m");
+        assert_eq!(h.metrics.claim_attempts, 1);
+        assert!(matches!(state(&ca, "alice.0"), JobStatus::Claimed { .. }));
     }
 
     #[test]
     fn accepted_reply_starts_job() {
         let mut h = Harness::new();
         let mut ca = agent_with_one_job(&mut h);
-        ca.jobs[0].state = JobState::Claiming {
-            provider: "m:9614".into(),
-        };
-        let reply = SimMsg::Proto(Message::ClaimReply(matchmaker::protocol::ClaimResponse {
-            accepted: true,
-            rejection: None,
-            provider_ad: classad::parse_classad(r#"[ Name = "m" ]"#).unwrap(),
-        }));
-        let mut ctx = h.ctx();
-        ca.on_message(reply, &mut ctx);
-        assert!(matches!(ca.jobs[0].state, JobState::Running { .. }));
-        assert!(ca.jobs[0].first_start.is_some());
+        run(&mut ca, &mut h);
+        assert_eq!(
+            state(&ca, "alice.0"),
+            JobStatus::Claimed {
+                provider_contact: "m:9614".into(),
+                provider_name: "m".into()
+            }
+        );
+        assert!(ca.job_mut(1000).unwrap().first_start.is_some());
     }
 
     #[test]
     fn rejected_reply_returns_job_to_idle() {
         let mut h = Harness::new();
         let mut ca = agent_with_one_job(&mut h);
-        ca.jobs[0].state = JobState::Claiming {
-            provider: "m:9614".into(),
-        };
-        let reply = SimMsg::Proto(Message::ClaimReply(matchmaker::protocol::ClaimResponse {
-            accepted: false,
-            rejection: Some(matchmaker::protocol::ClaimRejection::ConstraintFailed),
-            provider_ad: classad::parse_classad(r#"[ Name = "m" ]"#).unwrap(),
-        }));
-        let mut ctx = h.ctx();
-        ca.on_message(reply, &mut ctx);
-        assert_eq!(ca.jobs[0].state, JobState::Idle);
+        notify(&mut ca, &mut h, "alice.0", "m");
+        reply(&mut ca, &mut h, "alice.0", "m", false);
+        assert_eq!(state(&ca, "alice.0"), JobStatus::Idle);
+        assert_eq!(
+            ca.jobs.pending(h.queue.now()).count(),
+            1,
+            "re-advertised at the next advertisement"
+        );
     }
 
     #[test]
-    fn claim_reply_correlates_on_exact_provider_name() {
-        // Two claims in flight: to m1 and to m10. A reply from "m1" must
-        // resolve the m1 claim, not prefix-match m10's contact.
+    fn claim_reply_correlates_on_the_job_that_dialed() {
+        // Two claims in flight: to m10 and to m1. The reply to the job
+        // that dialed m1 resolves that job alone.
         let mut h = Harness::new();
-        let mut ca = CustomerAgent::new(
-            1,
-            0,
-            "alice",
-            vec![arrival(10_000), arrival(10_000)],
-            60_000,
-            1000,
-        );
-        {
-            let mut ctx = h.ctx();
-            ca.start(&mut ctx);
-            ca.on_timer(CustomerTimer::JobArrival, &mut ctx);
-        }
-        ca.jobs[0].state = JobState::Claiming {
-            provider: "m10:9614".into(),
-        };
-        ca.jobs[1].state = JobState::Claiming {
-            provider: "m1:9614".into(),
-        };
-        let reply = SimMsg::Proto(Message::ClaimReply(matchmaker::protocol::ClaimResponse {
-            accepted: true,
-            rejection: None,
-            provider_ad: classad::parse_classad(r#"[ Name = "m1"; Type = "Machine" ]"#).unwrap(),
-        }));
-        let mut ctx = h.ctx();
-        ca.on_message(reply, &mut ctx);
+        let mut ca = agent_with(&mut h, vec![arrival(10_000), arrival(10_000)]);
+        notify(&mut ca, &mut h, "alice.0", "m10");
+        notify(&mut ca, &mut h, "alice.1", "m1");
+        reply(&mut ca, &mut h, "alice.1", "m1", true);
         assert!(
-            matches!(ca.jobs[1].state, JobState::Running { .. }),
+            matches!(state(&ca, "alice.1"), JobStatus::Claimed { provider_contact, .. } if provider_contact == "m1:9614"),
             "m1's reply must start the m1 job"
         );
         assert!(
-            matches!(ca.jobs[0].state, JobState::Claiming { .. }),
+            matches!(state(&ca, "alice.0"), JobStatus::Claiming { .. }),
             "m10's claim is still pending"
         );
     }
@@ -470,15 +414,9 @@ mod tests {
     fn finish_records_completion() {
         let mut h = Harness::new();
         let mut ca = agent_with_one_job(&mut h);
-        let id = ca.jobs[0].id;
-        ca.jobs[0].state = JobState::Running {
-            provider: "m:9614".into(),
-            since: 0,
-        };
-        ca.jobs[0].first_start = Some(0);
-        let mut ctx = h.ctx();
-        ca.on_message(SimMsg::JobFinished { job_id: id }, &mut ctx);
-        assert!(matches!(ca.jobs[0].state, JobState::Completed { .. }));
+        run(&mut ca, &mut h);
+        ca.on_message(SimMsg::JobFinished { job_id: 1000 }, &mut h.ctx());
+        assert!(matches!(state(&ca, "alice.0"), JobStatus::Completed { .. }));
         assert_eq!(h.metrics.jobs_completed, 1);
         assert!(ca.is_drained());
     }
@@ -487,65 +425,54 @@ mod tests {
     fn vacate_with_checkpoint_keeps_progress() {
         let mut h = Harness::new();
         let mut ca = agent_with_one_job(&mut h);
-        let id = ca.jobs[0].id;
-        ca.jobs[0].state = JobState::Running {
-            provider: "m:9614".into(),
-            since: 0,
-        };
-        let mut ctx = h.ctx();
+        run(&mut ca, &mut h);
         ca.on_message(
             SimMsg::Vacated {
-                job_id: id,
+                job_id: 1000,
                 done_ms: 4_000,
             },
-            &mut ctx,
+            &mut h.ctx(),
         );
-        assert_eq!(ca.jobs[0].remaining_ms, 6_000);
-        assert_eq!(ca.jobs[0].wasted_ms, 0);
-        assert_eq!(ca.jobs[0].vacations, 1);
-        assert_eq!(ca.jobs[0].state, JobState::Idle);
+        let job = ca.job_mut(1000).unwrap();
+        assert_eq!(job.remaining_ms, 6_000);
+        assert_eq!(job.wasted_ms, 0);
+        assert_eq!(job.vacations, 1);
+        assert_eq!(state(&ca, "alice.0"), JobStatus::Idle);
+        assert_eq!(
+            ca.jobs.get("alice.0").unwrap().ad.get_int("RemainingWork"),
+            Some(6_000),
+            "the requeued job advertises what is left"
+        );
     }
 
     #[test]
     fn vacate_without_checkpoint_restarts() {
         let mut h = Harness::new();
-        let mut ca = CustomerAgent::new(
-            1,
-            0,
-            "bob",
+        let mut ca = agent_with(
+            &mut h,
             vec![JobArrival {
                 want_checkpoint: false,
                 ..arrival(10_000)
             }],
-            60_000,
-            0,
         );
-        {
-            let mut ctx = h.ctx();
-            ca.start(&mut ctx);
-            ca.on_timer(CustomerTimer::JobArrival, &mut ctx);
-        }
-        let id = ca.jobs[0].id;
-        ca.jobs[0].state = JobState::Running {
-            provider: "m:9614".into(),
-            since: 0,
-        };
-        let mut ctx = h.ctx();
+        run(&mut ca, &mut h);
         ca.on_message(
             SimMsg::Vacated {
-                job_id: id,
+                job_id: 1000,
                 done_ms: 4_000,
             },
-            &mut ctx,
+            &mut h.ctx(),
         );
-        assert_eq!(ca.jobs[0].remaining_ms, 10_000, "restart from scratch");
-        assert_eq!(ca.jobs[0].wasted_ms, 4_000);
+        let job = ca.job_mut(1000).unwrap();
+        assert_eq!(job.remaining_ms, 10_000, "restart from scratch");
+        assert_eq!(job.wasted_ms, 4_000);
     }
 
     #[test]
     fn job_ids_offset_by_base() {
         let mut h = Harness::new();
-        let ca = agent_with_one_job(&mut h);
-        assert_eq!(ca.jobs[0].id, 1000);
+        let mut ca = agent_with_one_job(&mut h);
+        assert_eq!(ca.job_mut(1000).unwrap().name, "alice.0");
+        assert!(ca.job_mut(999).is_none());
     }
 }

@@ -13,7 +13,8 @@ use crate::engine::SimTime;
 use crate::metrics::JobRecord;
 use crate::types::{Event, GangPortInfo, GangTimer, NodeId, SimMsg};
 use classad::ClassAd;
-use matchmaker::protocol::{Advertisement, ClaimRequest, EntityKind, Message};
+use matchmaker::agent::claim_request;
+use matchmaker::protocol::{Advertisement, EntityKind, Message};
 use std::collections::{HashMap, VecDeque};
 
 /// Where a gang currently stands.
@@ -242,7 +243,7 @@ impl GangCustomerAgent {
     pub fn on_message(&mut self, msg: SimMsg, ctx: &mut Ctx<'_>) {
         match msg {
             SimMsg::GangNotify { gang_name, ports } => self.on_grant(gang_name, ports, ctx),
-            SimMsg::Proto(Message::ClaimReply(resp)) => self.on_claim_reply(resp, ctx),
+            SimMsg::ClaimReply { resp, .. } => self.on_claim_reply(resp, ctx),
             SimMsg::JobFinished { job_id } => self.on_finished(job_id, ctx),
             SimMsg::Vacated { job_id, .. } => self.on_vacated(job_id, ctx),
             _ => {}
@@ -266,11 +267,10 @@ impl GangCustomerAgent {
             ctx.metrics.claim_attempts += 1;
             ctx.send_to_contact(
                 &port.contact,
-                SimMsg::Proto(Message::Claim(ClaimRequest {
-                    ticket: port.ticket,
-                    customer_ad: customer_ad.clone(),
-                    customer_contact: self.contact.clone(),
-                })),
+                SimMsg::Claim {
+                    job: gang_name.clone(),
+                    req: claim_request(port.ticket, customer_ad.clone(), &self.contact),
+                },
             );
         }
         self.gangs[idx].state = GangState::Claiming {
@@ -469,7 +469,8 @@ mod tests {
     }
 
     fn reply(provider: &str, accepted: bool) -> SimMsg {
-        SimMsg::Proto(Message::ClaimReply(matchmaker::protocol::ClaimResponse {
+        let job = "raman.gang.0".to_string();
+        let resp = matchmaker::protocol::ClaimResponse {
             accepted,
             rejection: if accepted {
                 None
@@ -485,7 +486,8 @@ mod tests {
                 }
             ))
             .unwrap(),
-        }))
+        };
+        SimMsg::ClaimReply { job, resp }
     }
 
     #[test]

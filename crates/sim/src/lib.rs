@@ -7,8 +7,9 @@
 //! (with owner policies up to and including the paper's Figure 1 policy,
 //! verbatim), Customer Agents advertise job classads, the pool manager
 //! runs real negotiation cycles, and claims are adjudicated by the real
-//! ticket-and-reverify claiming protocol. Nothing in `matchmaker` is
-//! mocked; the simulation only supplies time, network, and workload.
+//! ticket-and-reverify claiming protocol, decided by the live agents' cores
+//! (`matchmaker::agent`). Nothing in `matchmaker` is mocked; the simulation
+//! supplies only time, network, workload, and the agents' environment.
 //!
 //! ```
 //! use condor_sim::scenario::{PolicyConfig, Scenario};
@@ -53,10 +54,12 @@ pub use engine::{EventQueue, SimTime, MS_PER_SEC};
 pub use gangca::{GangCustomerAgent, GangJob, GangState};
 pub use license::LicenseAgent;
 pub use machine::{MachineAgent, MachinePolicy, REFERENCE_MIPS};
+/// A job's status: the job-queue core's, as in the live pool.
+pub use matchmaker::agent::JobStatus as JobState;
 pub use metrics::{JobRecord, Metrics, Summary};
 pub use network::NetworkModel;
 pub use scenario::{NegotiatorSettings, PolicyConfig, Scenario};
 pub use sim::{Node, Simulation};
 pub use trace::{TraceEvent, TraceLog, TraceRecord};
-pub use types::{Event, Job, JobState, NodeId, SimMsg};
+pub use types::{Event, Job, NodeId, SimMsg};
 pub use workload::{FleetSpec, JobArrival, MachineSpec, MachineTemplate, OwnerActivity, UserSpec};

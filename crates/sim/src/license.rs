@@ -2,14 +2,14 @@
 //! in the pool, demonstrating the paper's claim that "a large number of
 //! dissimilar resources (such as workstations, tape drives, network
 //! links, application instances, and software licenses)" all fit the same
-//! advertise/match/claim cycle.
+//! advertise/match/claim cycle. Its protocol decisions are the live
+//! resource agent's: a [`ProviderCore`] that never preempts.
 
 use crate::ctx::Ctx;
 use crate::types::{Event, LicenseTimer, NodeId, SimMsg};
 use classad::ClassAd;
-use matchmaker::claim::ClaimHandler;
-use matchmaker::protocol::{Advertisement, ClaimRequest, EntityKind, Message};
-use matchmaker::ticket::TicketIssuer;
+use matchmaker::agent::{Preemption, ProviderCore};
+use matchmaker::protocol::{ClaimRequest, Message};
 use rand::Rng;
 
 /// A single-seat license token served through matchmaking.
@@ -27,8 +27,7 @@ pub struct LicenseAgent {
     pub contact: String,
     /// Advertisement refresh period, ms.
     pub advertise_period_ms: u64,
-    claim: ClaimHandler,
-    tickets: TicketIssuer,
+    core: ProviderCore,
 }
 
 impl LicenseAgent {
@@ -48,14 +47,14 @@ impl LicenseAgent {
             product: product.to_string(),
             contact: format!("{name}:27000"),
             advertise_period_ms,
-            claim: ClaimHandler::new(),
-            tickets: TicketIssuer::new(ticket_seed),
+            // One seat, first valid claim wins.
+            core: ProviderCore::new(ticket_seed, Preemption::Never),
         }
     }
 
     /// Is the seat currently claimed?
     pub fn is_claimed(&self) -> bool {
-        self.claim.is_claimed()
+        self.core.is_claimed()
     }
 
     /// The license's current classad.
@@ -90,21 +89,14 @@ impl LicenseAgent {
     }
 
     fn advertise(&mut self, ctx: &mut Ctx<'_>) {
-        // A claimed seat stops advertising availability (single seat, no
-        // preemption for licenses): let the old ad's lease lapse.
-        if self.is_claimed() {
-            return;
+        // A claimed seat advertises nothing: the old ad's lease lapses.
+        let expires_at = ctx.now + self.advertise_period_ms * 2 + self.advertise_period_ms / 2;
+        if let Some(adv) = self
+            .core
+            .advertisement(self.build_ad(), &self.contact, expires_at)
+        {
+            ctx.send_to_node(self.manager, SimMsg::Proto(Message::Advertise(adv)));
         }
-        let ticket = self.tickets.issue();
-        self.claim.set_ticket(ticket);
-        let adv = Advertisement {
-            kind: EntityKind::Provider,
-            ad: self.build_ad(),
-            contact: self.contact.clone(),
-            ticket: Some(ticket),
-            expires_at: ctx.now + self.advertise_period_ms * 2 + self.advertise_period_ms / 2,
-        };
-        ctx.send_to_node(self.manager, SimMsg::Proto(Message::Advertise(adv)));
     }
 
     /// Handle a timer event.
@@ -126,26 +118,23 @@ impl LicenseAgent {
     /// Handle an incoming message.
     pub fn on_message(&mut self, msg: SimMsg, ctx: &mut Ctx<'_>) {
         match msg {
-            SimMsg::Proto(Message::Claim(req)) => self.on_claim(req, ctx),
+            SimMsg::Claim { job, req } => self.on_claim(job, req, ctx),
             SimMsg::Proto(Message::Release { .. }) => {
-                self.claim.release();
+                self.core.release();
                 self.advertise(ctx);
             }
             _ => {}
         }
     }
 
-    fn on_claim(&mut self, req: ClaimRequest, ctx: &mut Ctx<'_>) {
-        let current = self.build_ad();
-        let reply_to = req.customer_contact.clone();
-        // Licenses never preempt: one seat, first valid claim wins.
-        let (resp, _) = self.claim.handle_claim(&req, &current, ctx.now, |_| false);
+    fn on_claim(&mut self, job: String, req: ClaimRequest, ctx: &mut Ctx<'_>) {
+        let (resp, _) = self.core.claim(&req, &self.build_ad(), ctx.now);
         if resp.accepted {
             ctx.metrics.claims_accepted += 1;
         } else if let Some(why) = resp.rejection {
             ctx.metrics.claim_rejected(why);
         }
-        ctx.send_to_contact(&reply_to, SimMsg::Proto(Message::ClaimReply(resp)));
+        ctx.send_to_contact(&req.customer_contact, SimMsg::ClaimReply { job, resp });
     }
 }
 
@@ -155,7 +144,7 @@ mod tests {
     use crate::engine::EventQueue;
     use crate::metrics::Metrics;
     use crate::network::NetworkModel;
-    use matchmaker::ticket::Ticket;
+    use matchmaker::ticket::{Ticket, TicketIssuer};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
@@ -192,15 +181,40 @@ mod tests {
         }
     }
 
-    fn claim_req(ticket: Ticket) -> ClaimRequest {
-        ClaimRequest {
-            ticket,
-            customer_ad: classad::parse_classad(
-                r#"[ Name = "g"; Type = "Gang"; Owner = "u"; Constraint = true ]"#,
-            )
-            .unwrap(),
-            customer_contact: "ca:1".into(),
+    fn claim(ticket: Ticket) -> SimMsg {
+        SimMsg::Claim {
+            job: "g".into(),
+            req: matchmaker::agent::claim_request(
+                ticket,
+                classad::parse_classad(
+                    r#"[ Name = "g"; Type = "Gang"; Owner = "u"; Constraint = true ]"#,
+                )
+                .unwrap(),
+                "ca:1",
+            ),
         }
+    }
+
+    #[test]
+    fn re_advertising_keeps_the_outstanding_ticket() {
+        let mut h = H::new();
+        let mut lic = LicenseAgent::new(1, 0, "lic", "matlab", 60_000, 4);
+        lic.advertise(&mut h.ctx());
+        lic.advertise(&mut h.ctx());
+        let mut tickets = Vec::new();
+        while let Some((_, ev)) = h.queue.pop() {
+            if let Event::Deliver {
+                msg: SimMsg::Proto(Message::Advertise(a)),
+                ..
+            } = ev
+            {
+                tickets.push(a.ticket.unwrap());
+            }
+        }
+        assert_eq!(tickets.len(), 2);
+        assert_eq!(tickets[0], tickets[1]);
+        lic.on_message(claim(tickets[0]), &mut h.ctx());
+        assert!(lic.is_claimed(), "a claim on the first ad's ticket holds");
     }
 
     #[test]
@@ -219,7 +233,7 @@ mod tests {
             t.issue()
         };
         let mut ctx = h.ctx();
-        lic.on_message(SimMsg::Proto(Message::Claim(claim_req(ticket))), &mut ctx);
+        lic.on_message(claim(ticket), &mut ctx);
         assert!(lic.is_claimed());
         // Claimed seat does not re-advertise.
         let sent_before = h.metrics.messages_sent;
@@ -237,7 +251,7 @@ mod tests {
         {
             let mut ctx = h.ctx();
             lic.advertise(&mut ctx);
-            lic.on_message(SimMsg::Proto(Message::Claim(claim_req(ticket))), &mut ctx);
+            lic.on_message(claim(ticket), &mut ctx);
         }
         assert!(lic.is_claimed());
         let mut ctx = h.ctx();

@@ -3,21 +3,25 @@
 //!
 //! "An RA periodically probes the resource to determine its current state,
 //! and encapsulates this information in a classad along with the owner's
-//! usage policy." The agent advertises, adjudicates claims with the real
-//! [`ClaimHandler`] (ticket + constraint re-verification), runs jobs at a
-//! speed proportional to its `Mips`, vacates them when the owner returns,
-//! and — while claimed — keeps advertising with `State = "Claimed"` and a
-//! `CurrentRank`, staying "interested in hearing from higher priority
-//! customers".
+//! usage policy." The protocol decisions — the advertised ticket, the
+//! claim verdict (ticket + constraint re-verification, preemption by
+//! rank) and release — are the live resource agent's, from
+//! [`ProviderCore`] with [`Preemption::HigherRank`]: while claimed the
+//! machine keeps advertising with `State = "Claimed"` and a `CurrentRank`,
+//! staying "interested in hearing from higher priority customers". Around
+//! the core the agent models its environment: the owner's presence, jobs
+//! running at a speed proportional to `Mips`, vacating them when the owner
+//! returns, and usage reports.
 
 use crate::ctx::Ctx;
 use crate::engine::{SimTime, MS_PER_SEC};
+use crate::trace::TraceEvent;
 use crate::types::{Event, MachineTimer, NodeId, SimMsg};
 use crate::workload::MachineSpec;
-use classad::{rank_of, ClassAd, EvalPolicy, MatchConventions, Value};
-use matchmaker::claim::ClaimHandler;
-use matchmaker::protocol::{Advertisement, ClaimRequest, EntityKind, Message};
-use matchmaker::ticket::TicketIssuer;
+use classad::ClassAd;
+use matchmaker::agent::{Preemption, ProviderCore};
+use matchmaker::claim::ClaimState;
+use matchmaker::protocol::{ClaimRequest, Message};
 use rand::Rng;
 
 /// Reference speed: a machine with `Mips == 100` executes one
@@ -99,18 +103,23 @@ impl MachinePolicy {
     }
 }
 
+/// The job a claim runs; who holds the claim, and since when, is the
+/// core's [`ClaimState`].
 #[derive(Debug, Clone)]
 struct RunningJob {
     job_id: u64,
-    owner: String,
-    customer_contact: String,
     /// Reference-speed work remaining when the claim started.
-    work_at_start_ms: u64,
-    started_at: SimTime,
-    /// This machine's execution speed multiplier.
-    speed: f64,
-    /// The machine's rank of the claimant (advertised as `CurrentRank`).
-    rank: f64,
+    work_ms: u64,
+}
+
+/// How a running job stopped, and so what its customer hears.
+enum Stop {
+    /// The customer released the claim: nothing.
+    Released,
+    /// `JobFinished`.
+    Finished,
+    /// `Vacated`, with the work done.
+    Vacated,
 }
 
 /// A simulated workstation with its Resource-owner Agent.
@@ -136,15 +145,11 @@ pub struct MachineAgent {
     owner_present: bool,
     /// When the owner last left (keyboard idle anchor).
     owner_left_at: SimTime,
-    claim: ClaimHandler,
-    tickets: TicketIssuer,
+    core: ProviderCore,
+    /// The claimant's job, running while the core holds its claim.
     running: Option<RunningJob>,
     /// Invalidates stale `JobDone` timers after vacate/complete.
     generation: u64,
-    /// When the current claim started (for busy-time accounting).
-    claim_started: Option<SimTime>,
-    eval_policy: EvalPolicy,
-    conventions: MatchConventions,
 }
 
 impl MachineAgent {
@@ -168,13 +173,9 @@ impl MachineAgent {
             owner_present: false,
             owner_left_at: 0,
             push_on_change: true,
-            claim: ClaimHandler::new(),
-            tickets: TicketIssuer::new(ticket_seed),
+            core: ProviderCore::new(ticket_seed, Preemption::HigherRank),
             running: None,
             generation: 0,
-            claim_started: None,
-            eval_policy: EvalPolicy::default(),
-            conventions: MatchConventions::default(),
         }
     }
 
@@ -254,10 +255,10 @@ impl MachineAgent {
                 MachinePolicy::list(untrusted),
             ));
         }
-        if let Some(run) = &self.running {
+        if let ClaimState::Claimed { owner, .. } = self.core.state() {
             src.push_str(&format!(
-                "RemoteOwner = \"{}\";\nCurrentRank = {:.6};\n",
-                run.owner, run.rank
+                "RemoteOwner = \"{owner}\";\nCurrentRank = {:.6};\n",
+                self.core.claimant_rank()
             ));
         }
         src.push_str(&format!(
@@ -296,19 +297,13 @@ impl MachineAgent {
     }
 
     fn advertise(&mut self, ctx: &mut Ctx<'_>) {
+        // Lease slightly over two periods: one missed refresh is
+        // tolerated, two are not.
+        let expires_at = ctx.now + self.advertise_period_ms * 2 + self.advertise_period_ms / 2;
         let ad = self.build_ad(ctx.now);
-        let ticket = self.tickets.issue();
-        self.claim.set_ticket(ticket);
-        let adv = Advertisement {
-            kind: EntityKind::Provider,
-            ad,
-            contact: self.contact.clone(),
-            ticket: Some(ticket),
-            // Lease slightly over two periods: one missed refresh is
-            // tolerated, two are not.
-            expires_at: ctx.now + self.advertise_period_ms * 2 + self.advertise_period_ms / 2,
-        };
-        ctx.send_to_node(self.manager, SimMsg::Proto(Message::Advertise(adv)));
+        if let Some(adv) = self.core.advertisement(ad, &self.contact, expires_at) {
+            ctx.send_to_node(self.manager, SimMsg::Proto(Message::Advertise(adv)));
+        }
     }
 
     /// Handle a timer event.
@@ -336,7 +331,9 @@ impl MachineAgent {
                 if self.owner_present {
                     if self.policy.owner_sensitive() && self.running.is_some() {
                         ctx.metrics.vacated_by_owner += 1;
-                        self.vacate(ctx);
+                        if let Some(claim) = self.core.release() {
+                            self.stop_job(claim, Stop::Vacated, ctx);
+                        }
                     }
                 } else {
                     self.owner_left_at = ctx.now;
@@ -360,7 +357,12 @@ impl MachineAgent {
                 if generation != self.generation {
                     return; // stale timer from a vacated claim
                 }
-                self.complete(ctx);
+                if let Some(claim) = self.core.release() {
+                    self.stop_job(claim, Stop::Finished, ctx);
+                }
+                if self.push_on_change {
+                    self.advertise(ctx);
+                }
             }
         }
     }
@@ -368,10 +370,12 @@ impl MachineAgent {
     /// Handle an incoming message.
     pub fn on_message(&mut self, msg: SimMsg, ctx: &mut Ctx<'_>) {
         match msg {
-            SimMsg::Proto(Message::Claim(req)) => self.on_claim(req, ctx),
+            SimMsg::Claim { job, req } => self.on_claim(job, req, ctx),
             SimMsg::Proto(Message::Release { .. }) if self.running.is_some() => {
                 // Customer relinquished: account the usage, free the slot.
-                self.finish_claim(ctx);
+                if let Some(claim) = self.core.release() {
+                    self.stop_job(claim, Stop::Released, ctx);
+                }
                 if self.push_on_change {
                     self.advertise(ctx);
                 }
@@ -382,66 +386,22 @@ impl MachineAgent {
         }
     }
 
-    fn on_claim(&mut self, req: ClaimRequest, ctx: &mut Ctx<'_>) {
+    fn on_claim(&mut self, job: String, req: ClaimRequest, ctx: &mut Ctx<'_>) {
         let current_ad = self.build_ad(ctx.now);
-        // Preemption policy: displace the current claimant only for a
-        // request this machine ranks strictly higher.
-        let current_rank = self.running.as_ref().map(|r| r.rank).unwrap_or(0.0);
-        let eval_policy = EvalPolicy {
-            now: Some((ctx.now / MS_PER_SEC) as i64),
-            ..self.eval_policy.clone()
-        };
-        let conventions = self.conventions.clone();
-        let new_rank = rank_of(&current_ad, &req.customer_ad, &eval_policy, &conventions);
-        let preemptible = |_req: &ClaimRequest| new_rank > current_rank;
-
-        let (resp, displaced) = self
-            .claim
-            .handle_claim(&req, &current_ad, ctx.now, preemptible);
-        let accepted = resp.accepted;
-        let reply_to = req.customer_contact.clone();
-
-        if accepted {
-            // If we displaced a running claim, vacate it first.
-            if displaced.is_some() {
+        let (resp, displaced) = self.core.claim(&req, &current_ad, ctx.now);
+        if resp.accepted {
+            // A claimant this machine ranks higher displaced the running
+            // job: vacate it (the core already holds the new claim).
+            if let Some(displaced) = displaced {
                 ctx.metrics.preempted_by_rank += 1;
-                self.vacate(ctx);
-                // `vacate` resets claim state; re-establish the new claim.
-                self.claim.set_ticket(req.ticket);
-                let again = self
-                    .claim
-                    .handle_claim(&req, &current_ad, ctx.now, |_| true);
-                debug_assert!(again.0.accepted);
+                self.stop_job(displaced, Stop::Vacated, ctx);
             }
-            // Extract execution parameters from the *current* customer ad.
-            let job_id = req
-                .customer_ad
-                .eval_attr("JobId", &eval_policy)
-                .as_int()
-                .unwrap_or(0) as u64;
-            let remaining = req
-                .customer_ad
-                .eval_attr("RemainingWork", &eval_policy)
-                .as_int()
-                .unwrap_or(0)
-                .max(0) as u64;
-            let owner = match req.customer_ad.eval_attr("Owner", &eval_policy) {
-                Value::Str(s) => s.to_string(),
-                _ => "<unknown>".to_string(),
-            };
-            let speed = self.spec.mips as f64 / REFERENCE_MIPS;
-            let runtime_ms = ((remaining as f64) / speed.max(1e-9)).ceil() as u64;
+            // Execution parameters come from the *current* customer ad.
+            let job_id = req.customer_ad.get_int("JobId").unwrap_or(0) as u64;
+            let work_ms = req.customer_ad.get_int("RemainingWork").unwrap_or(0).max(0) as u64;
+            let runtime_ms = ((work_ms as f64) / self.speed().max(1e-9)).ceil() as u64;
             self.generation += 1;
-            self.running = Some(RunningJob {
-                job_id,
-                owner,
-                customer_contact: req.customer_contact.clone(),
-                work_at_start_ms: remaining,
-                started_at: ctx.now,
-                speed,
-                rank: new_rank,
-            });
-            self.claim_started = Some(ctx.now);
+            self.running = Some(RunningJob { job_id, work_ms });
             ctx.schedule(
                 runtime_ms.max(1),
                 Event::Machine {
@@ -469,83 +429,181 @@ impl MachineAgent {
                 },
             );
         }
-        ctx.send_to_contact(&reply_to, SimMsg::Proto(Message::ClaimReply(resp)));
+        ctx.send_to_contact(&req.customer_contact, SimMsg::ClaimReply { job, resp });
         if self.push_on_change {
             // State changed (or a customer needs fresh info): re-advertise.
             self.advertise(ctx);
         }
     }
 
-    /// The running job finished: notify the customer and free the slot.
-    fn complete(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(run) = self.running.clone() else {
-            return;
-        };
-        ctx.metrics.trace.record(
-            ctx.now,
-            crate::trace::TraceEvent::JobFinished {
-                provider: self.spec.name.clone(),
-                job: run.job_id,
-            },
-        );
-        ctx.send_to_contact(
-            &run.customer_contact,
-            SimMsg::JobFinished { job_id: run.job_id },
-        );
-        self.finish_claim(ctx);
-        if self.push_on_change {
-            self.advertise(ctx);
-        }
+    /// Execution speed relative to the reference machine.
+    fn speed(&self) -> f64 {
+        self.spec.mips as f64 / REFERENCE_MIPS
     }
 
-    /// Vacate the running job prematurely, reporting completed work.
-    fn vacate(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(run) = self.running.clone() else {
+    /// The running job stopped under `claim`: tell its customer, report
+    /// its usage to the manager, and invalidate its `JobDone` timer.
+    fn stop_job(&mut self, claim: ClaimState, how: Stop, ctx: &mut Ctx<'_>) {
+        let (
+            Some(run),
+            ClaimState::Claimed {
+                owner,
+                contact,
+                since,
+            },
+        ) = (self.running.take(), claim)
+        else {
             return;
         };
-        ctx.metrics.trace.record(
-            ctx.now,
-            crate::trace::TraceEvent::Vacated {
-                provider: self.spec.name.clone(),
-                job: run.job_id,
-                by_owner: self.owner_present,
-            },
-        );
-        let elapsed = ctx.now.saturating_sub(run.started_at);
-        let done_ms = (((elapsed as f64) * run.speed) as u64).min(run.work_at_start_ms);
-        ctx.send_to_contact(
-            &run.customer_contact,
-            SimMsg::Vacated {
-                job_id: run.job_id,
-                done_ms,
-            },
-        );
-        self.finish_claim(ctx);
-    }
-
-    /// Common claim-teardown: usage accounting and state reset.
-    fn finish_claim(&mut self, ctx: &mut Ctx<'_>) {
-        if let (Some(run), Some(started)) = (self.running.take(), self.claim_started.take()) {
-            let used = ctx.now.saturating_sub(started);
-            ctx.metrics.busy_ms += used;
-            ctx.send_to_node(
-                self.manager,
-                SimMsg::UsageReport {
-                    user: run.owner,
-                    used_ms: used,
-                },
-            );
-        }
         self.generation += 1;
-        self.claim.release();
+        let (provider, job) = (self.spec.name.clone(), run.job_id);
+        let used = ctx.now.saturating_sub(since);
+        let notice = match how {
+            Stop::Released => None,
+            Stop::Finished => Some((
+                TraceEvent::JobFinished { provider, job },
+                SimMsg::JobFinished { job_id: job },
+            )),
+            Stop::Vacated => {
+                let done_ms = ((used as f64 * self.speed()) as u64).min(run.work_ms);
+                let by_owner = self.owner_present;
+                let event = TraceEvent::Vacated {
+                    provider,
+                    job,
+                    by_owner,
+                };
+                Some((
+                    event,
+                    SimMsg::Vacated {
+                        job_id: job,
+                        done_ms,
+                    },
+                ))
+            }
+        };
+        if let Some((event, msg)) = notice {
+            ctx.metrics.trace.record(ctx.now, event);
+            ctx.send_to_contact(&contact, msg);
+        }
+        ctx.metrics.busy_ms += used;
+        ctx.send_to_node(
+            self.manager,
+            SimMsg::UsageReport {
+                user: owner,
+                used_ms: used,
+            },
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EventQueue;
+    use crate::metrics::Metrics;
+    use crate::network::NetworkModel;
     use crate::workload::OwnerActivity;
-    use classad::symmetric_match;
+    use classad::{rank_of, symmetric_match, EvalPolicy, MatchConventions};
+    use matchmaker::protocol::{Advertisement, ClaimRejection, ClaimResponse};
+    use matchmaker::ticket::Ticket;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use std::collections::HashMap;
+
+    /// A network of ideal links: what the machine sends stays in `queue`.
+    struct H {
+        queue: EventQueue<Event>,
+        rng: SmallRng,
+        metrics: Metrics,
+        directory: HashMap<String, NodeId>,
+        network: NetworkModel,
+    }
+
+    impl H {
+        fn new() -> Self {
+            let directory = [("ca:1", 9), ("ca:2", 10)]
+                .into_iter()
+                .map(|(c, n)| (c.to_string(), n))
+                .collect();
+            H {
+                queue: EventQueue::new(),
+                rng: SmallRng::seed_from_u64(3),
+                metrics: Metrics::default(),
+                directory,
+                network: NetworkModel::ideal(),
+            }
+        }
+
+        fn ctx(&mut self) -> Ctx<'_> {
+            Ctx {
+                now: self.queue.now(),
+                rng: &mut self.rng,
+                metrics: &mut self.metrics,
+                directory: &self.directory,
+                queue: &mut self.queue,
+                network: &self.network,
+            }
+        }
+
+        /// Move the clock to `at`.
+        fn advance(&mut self, at: SimTime) {
+            self.queue.schedule_at(
+                at,
+                Event::Manager {
+                    node: 99,
+                    tag: crate::types::ManagerTimer::Negotiate,
+                },
+            );
+            while self.queue.now() < at {
+                self.queue.pop();
+            }
+        }
+
+        /// Deliver everything sent so far (timers are dropped).
+        fn sent(&mut self) -> Vec<(NodeId, SimMsg)> {
+            let mut out = Vec::new();
+            while let Some((_, ev)) = self.queue.pop() {
+                if let Event::Deliver { to, msg } = ev {
+                    out.push((to, msg));
+                }
+            }
+            out
+        }
+
+        fn ads(&mut self) -> Vec<Advertisement> {
+            self.sent()
+                .into_iter()
+                .filter_map(|(_, m)| match m {
+                    SimMsg::Proto(Message::Advertise(a)) => Some(a),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        fn replies(&mut self) -> Vec<(String, ClaimResponse)> {
+            self.sent()
+                .into_iter()
+                .filter_map(|(_, m)| match m {
+                    SimMsg::ClaimReply { job, resp } => Some((job, resp)),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    fn claim(m: &mut MachineAgent, h: &mut H, ticket: Ticket, owner: &str, contact: &str) {
+        let req = matchmaker::agent::claim_request(
+            ticket,
+            classad::parse_classad(&format!(
+                r#"[ Name = "{owner}.0"; Type = "Job"; Owner = "{owner}"; JobId = 1;
+                     RemainingWork = 600000; Constraint = other.Type == "Machine" ]"#
+            ))
+            .unwrap(),
+            contact,
+        );
+        let job = format!("{owner}.0");
+        m.on_message(SimMsg::Claim { job, req }, &mut h.ctx());
+    }
 
     fn spec() -> MachineSpec {
         MachineSpec {
@@ -688,22 +746,111 @@ mod tests {
         ));
     }
 
+    fn figure1() -> MachinePolicy {
+        MachinePolicy::Figure1 {
+            research: vec!["raman".into()],
+            friends: vec!["tannenba".into()],
+            untrusted: vec![],
+        }
+    }
+
     #[test]
     fn claimed_ad_carries_preemption_info() {
-        let mut a = agent(MachinePolicy::Always);
-        a.running = Some(RunningJob {
-            job_id: 1,
-            owner: "alice".into(),
-            customer_contact: "ca:1".into(),
-            work_at_start_ms: 1000,
-            started_at: 0,
-            speed: 1.0,
-            rank: 7.5,
-        });
+        let mut h = H::new();
+        let mut a = agent(figure1());
+        a.advertise(&mut h.ctx());
+        let ticket = h.ads()[0].ticket.unwrap();
+        claim(&mut a, &mut h, ticket, "raman", "ca:1");
+        assert!(a.is_busy());
         let ad = a.build_ad(100);
         assert_eq!(ad.get_string("State"), Some("Claimed"));
-        assert_eq!(ad.get_string("RemoteOwner"), Some("alice"));
+        assert_eq!(ad.get_string("RemoteOwner"), Some("raman"));
         let policy = EvalPolicy::default();
-        assert_eq!(ad.eval_attr("CurrentRank", &policy).as_f64(), Some(7.5));
+        assert_eq!(ad.eval_attr("CurrentRank", &policy).as_f64(), Some(10.0));
+    }
+
+    /// The simulated twin of the live resource agent's
+    /// `stale_state_rejects_claim_and_ticket_survives_renewal`: the
+    /// machine refreshes its ad between the match and the claim, and the
+    /// claim on the matched ad's ticket is accepted.
+    #[test]
+    fn ticket_survives_a_refresh_between_match_and_claim() {
+        let mut h = H::new();
+        let mut a = agent(MachinePolicy::Always);
+        a.on_timer(MachineTimer::Advertise, &mut h.ctx());
+        let matched = h.ads().remove(0);
+        a.on_timer(MachineTimer::Advertise, &mut h.ctx());
+        let refreshed = h.ads().remove(0);
+        assert_eq!(
+            matched.ticket, refreshed.ticket,
+            "a refresh must not rotate the ticket"
+        );
+        claim(&mut a, &mut h, matched.ticket.unwrap(), "alice", "ca:1");
+        let replies = h.replies();
+        assert_eq!(replies.len(), 1);
+        assert_eq!(
+            replies[0].0, "alice.0",
+            "the reply names the job that dialed"
+        );
+        assert!(replies[0].1.accepted, "{:?}", replies[0].1.rejection);
+        assert!(a.is_busy());
+        assert_eq!(h.metrics.claims_accepted, 1);
+    }
+
+    #[test]
+    fn stale_state_rejects_the_claim_and_the_ticket_survives() {
+        let mut h = H::new();
+        let mut a = agent(MachinePolicy::OwnerIdle {
+            min_keyboard_idle_s: 60,
+        });
+        a.push_on_change = false;
+        h.advance(600_000);
+        a.advertise(&mut h.ctx());
+        let ticket = h.ads()[0].ticket.unwrap();
+        // The owner comes back after the ad went out.
+        a.on_timer(MachineTimer::OwnerToggle, &mut h.ctx());
+        assert!(a.owner_present());
+        claim(&mut a, &mut h, ticket, "alice", "ca:1");
+        let replies = h.replies();
+        assert_eq!(
+            replies[0].1.rejection,
+            Some(ClaimRejection::ConstraintFailed)
+        );
+        assert_eq!(replies[0].1.provider_ad.get_int("KeyboardIdle"), Some(0));
+        assert!(!a.is_busy());
+        a.advertise(&mut h.ctx());
+        assert_eq!(h.ads()[0].ticket, Some(ticket));
+    }
+
+    #[test]
+    fn a_higher_ranked_claim_preempts_on_the_claimed_ad_ticket() {
+        let mut h = H::new();
+        let mut a = agent(figure1());
+        // An hour after the owner left: friends are welcome.
+        h.advance(3_600_000);
+        a.advertise(&mut h.ctx());
+        let first = h.ads()[0].ticket.unwrap();
+        claim(&mut a, &mut h, first, "tannenba", "ca:1");
+        // While claimed the machine keeps advertising, on a fresh ticket.
+        let claimed_ad = h.ads().remove(0);
+        assert_eq!(claimed_ad.ad.get_string("State"), Some("Claimed"));
+        let second = claimed_ad.ticket.unwrap();
+        assert_ne!(second, first);
+        claim(&mut a, &mut h, second, "raman", "ca:2");
+        let sent = h.sent();
+        assert!(
+            sent.iter()
+                .any(|(to, m)| *to == 9 && matches!(m, SimMsg::Vacated { job_id: 1, .. })),
+            "the displaced friend is vacated: {sent:?}"
+        );
+        assert!(sent
+            .iter()
+            .any(|(to, m)| *to == 10
+                && matches!(m, SimMsg::ClaimReply { resp, .. } if resp.accepted)));
+        assert_eq!(h.metrics.preempted_by_rank, 1);
+        assert_eq!(a.build_ad(0).get_string("RemoteOwner"), Some("raman"));
+        // The displaced claimant's usage was reported to the manager.
+        assert!(sent.iter().any(|(to, m)| *to == 99
+            && matches!(m, SimMsg::UsageReport { user, .. } if user == "tannenba")));
     }
 }

@@ -12,7 +12,6 @@ use crate::metrics::Metrics;
 use crate::network::NetworkModel;
 use crate::types::{Event, NodeId};
 use rand::rngs::SmallRng;
-use rand::Rng;
 use std::collections::HashMap;
 
 /// A node in the simulated pool.
@@ -283,13 +282,6 @@ impl Simulation {
         self.queue.processed() - start
     }
 
-    /// Run until all jobs complete or `max_time` is reached. Returns
-    /// `true` if drained.
-    pub fn run_until_drained(&mut self, max_time: SimTime) -> bool {
-        self.run_until(max_time);
-        self.drained()
-    }
-
     /// Keep processing events up to `until` even after all jobs have
     /// completed — lets in-flight teardown traffic (releases, usage
     /// reports) deliver after [`Simulation::run_until`] stopped at the
@@ -308,11 +300,6 @@ impl Simulation {
     /// Borrow the RNG (e.g. for ad-hoc perturbations in tests).
     pub fn rng(&mut self) -> &mut SmallRng {
         &mut self.rng
-    }
-
-    /// Sample a uniform value in `[0, n)` from the simulation RNG.
-    pub fn gen_index(&mut self, n: usize) -> usize {
-        self.rng.gen_range(0..n.max(1))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Shared simulation types: node addressing, messages, jobs, and events.
 
 use crate::engine::SimTime;
-use matchmaker::protocol::Message;
+use matchmaker::protocol::{ClaimRequest, ClaimResponse, Message};
 
 /// Index of a node (agent) in the simulation.
 pub type NodeId = usize;
@@ -10,13 +10,28 @@ pub type NodeId = usize;
 ///
 /// The matchmaking traffic is carried verbatim as the real protocol
 /// [`Message`]s (so every wire path in the `matchmaker` crate is exercised
-/// by the simulator); the two extra variants model the working relationship
-/// *after* a claim is established, which the paper leaves to the entities
-/// themselves.
+/// by the simulator); a claim exchange adds the name of the job that
+/// dialed, standing in for the live agents' connection. The remaining
+/// variants model the working relationship *after* a claim is
+/// established, which the paper leaves to the entities themselves.
 #[derive(Debug, Clone)]
 pub enum SimMsg {
     /// A matchmaking-protocol message.
     Proto(Message),
+    /// Customer → provider: a claim for `job`, which the reply echoes.
+    Claim {
+        /// The job (or gang) claiming.
+        job: String,
+        /// The claim.
+        req: ClaimRequest,
+    },
+    /// Provider → customer: the verdict on `job`'s claim.
+    ClaimReply {
+        /// The job named in the claim.
+        job: String,
+        /// The verdict.
+        resp: ClaimResponse,
+    },
     /// Provider → customer: the running job finished.
     JobFinished {
         /// Job identifier.
@@ -161,31 +176,9 @@ pub enum Event {
     },
 }
 
-/// Where a job currently stands.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobState {
-    /// Waiting to be matched (advertised each cycle).
-    Idle,
-    /// A match notification arrived; a claim is in flight.
-    Claiming {
-        /// The provider being claimed.
-        provider: String,
-    },
-    /// Running on a provider.
-    Running {
-        /// The provider executing the job.
-        provider: String,
-        /// When this attempt started.
-        since: SimTime,
-    },
-    /// Finished.
-    Completed {
-        /// Completion time.
-        at: SimTime,
-    },
-}
-
-/// A job in a customer agent's queue.
+/// What the simulator models of a job around the job-queue core: its
+/// work, checkpointing and accounting. Its status lives in the customer
+/// agent's [`matchmaker::agent::JobQueue`].
 #[derive(Debug, Clone)]
 pub struct Job {
     /// Unique id across the simulation.
@@ -213,8 +206,6 @@ pub struct Job {
     pub extra_constraint: String,
     /// Rank expression source (customer preference over machines).
     pub rank: String,
-    /// Current state.
-    pub state: JobState,
     /// Number of times this job was vacated.
     pub vacations: u32,
     /// Work wasted by restarts (reference-speed ms).
@@ -282,7 +273,6 @@ mod tests {
             want_checkpoint: true,
             extra_constraint: r#"other.Arch == "INTEL""#.into(),
             rank: "other.Mips".into(),
-            state: JobState::Idle,
             vacations: 0,
             wasted_ms: 0,
             first_start: None,

@@ -28,9 +28,12 @@
 
 use crate::store::{HistoryConfig, HistoryStore};
 use classad::ClassAd;
-use condor_obs::{recover, replay, schema, Event, Journal, JournalConfig};
+use condor_obs::{recover, schema, Event, Journal, JournalConfig, Record};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
+use std::fs::{File, Metadata};
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pool label the embedding daemon uses for its own pool.
@@ -90,8 +93,8 @@ pub struct Collector {
     last_sources: Mutex<HashMap<String, BTreeSet<String>>>,
     /// Per (pool, metric): running totals for event-sourced counters.
     event_totals: Mutex<HashMap<(String, String), f64>>,
-    /// Per tailed journal path: highest record seq already folded in.
-    tail_seq: Mutex<HashMap<String, u64>>,
+    /// Per tailed journal path: where the last tail stopped.
+    tails: Mutex<HashMap<PathBuf, TailCursor>>,
     collections: AtomicU64,
 }
 
@@ -122,7 +125,7 @@ impl Collector {
             resumption,
             last_sources: Mutex::new(HashMap::new()),
             event_totals: Mutex::new(HashMap::new()),
-            tail_seq: Mutex::new(HashMap::new()),
+            tails: Mutex::new(HashMap::new()),
             collections: AtomicU64::new(0),
         })
     }
@@ -242,21 +245,17 @@ impl Collector {
     }
 
     /// Fold the daemon event journal at `path` into `pool`'s
-    /// event-sourced counter series. Only records with a sequence number
-    /// above the last call's high-water mark are consumed, so calling
-    /// this every sample interval tails the journal incrementally. Errors
-    /// reading the journal are returned (a missing journal is an error —
-    /// gate on existence, as the daemon does).
-    pub fn tail_journal(
-        &self,
-        pool: &str,
-        path: &std::path::Path,
-        unix: u64,
-    ) -> std::io::Result<usize> {
-        let records = replay(path)?;
-        let key = path.display().to_string();
-        let mut seqs = self.tail_seq.lock();
-        let high = seqs.entry(key).or_insert(0);
+    /// event-sourced counter series. The first call reads every retained
+    /// generation; later calls read only the lines appended since (see
+    /// [`TailCursor`]), and only records with a sequence number above the
+    /// last call's high-water mark are consumed, so calling this every
+    /// sample interval costs what was appended. A missing journal reads as
+    /// empty; other read errors are returned.
+    pub fn tail_journal(&self, pool: &str, path: &Path, unix: u64) -> std::io::Result<usize> {
+        let mut tails = self.tails.lock();
+        let cursor = tails.entry(path.to_path_buf()).or_default();
+        let records = cursor.advance(path)?;
+        let high = &mut cursor.seq;
         let mut folded = 0usize;
         let mut totals = self.event_totals.lock();
         let mut bump = |metric: &str, by: f64| {
@@ -388,6 +387,106 @@ impl Collector {
 fn source_name(ad: &ClassAd) -> String {
     let name = ad.get_string("Name").unwrap_or("unnamed");
     name.strip_suffix("#stats").unwrap_or(name).to_string()
+}
+
+/// Where [`Collector::tail_journal`] stopped in one journal: the bytes of
+/// the current file already read, which file that was, and the highest
+/// sequence number folded in.
+///
+/// A current file shorter than the offset, or (on unix) a different file
+/// under the same name, has rotated. The pass then finishes the file it
+/// was reading — found by its identity among `<path>.1`, `<path>.2`, …,
+/// else taken to be `<path>.1` — from the offset, reads any newer rotated
+/// generation whole, and reads the new current file from 0.
+#[derive(Debug, Default)]
+struct TailCursor {
+    /// The current file when last read; `None` before the first pass.
+    file: Option<FileId>,
+    offset: u64,
+    seq: u64,
+}
+
+/// A file's identity across renames: device and inode on unix. Elsewhere
+/// every file looks alike and only a shrunk file reveals a rotation.
+type FileId = (u64, u64);
+
+#[cfg(unix)]
+fn file_id(meta: &Metadata) -> FileId {
+    use std::os::unix::fs::MetadataExt;
+    (meta.dev(), meta.ino())
+}
+
+#[cfg(not(unix))]
+fn file_id(_meta: &Metadata) -> FileId {
+    (0, 0)
+}
+
+/// The journal's rotated generation `n` (`<path>.n`; `n` = 1 is newest).
+fn generation(path: &Path, n: usize) -> PathBuf {
+    let mut s = path.as_os_str().to_os_string();
+    s.push(format!(".{n}"));
+    PathBuf::from(s)
+}
+
+impl TailCursor {
+    /// The records appended since the last pass, oldest first.
+    fn advance(&mut self, path: &Path) -> std::io::Result<Vec<Record>> {
+        let mut records = Vec::new();
+        let mut current = match File::open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(records),
+            Err(e) => return Err(e),
+        };
+        let meta = current.metadata()?;
+        let id = file_id(&meta);
+        let rotated = match self.file {
+            None => true,
+            Some(prev) => meta.len() < self.offset || id != prev,
+        };
+        if rotated {
+            let mut rotated_files = Vec::new();
+            for n in 1.. {
+                match File::open(generation(path, n)) {
+                    Ok(f) => rotated_files.push(f),
+                    Err(_) => break,
+                }
+            }
+            // How many generations to read, and the offset in the oldest.
+            let (count, from) = match self.file {
+                None => (rotated_files.len(), 0),
+                Some(prev) => {
+                    let at = rotated_files
+                        .iter()
+                        .position(|f| f.metadata().is_ok_and(|m| file_id(&m) == prev));
+                    (at.map_or(1, |i| i + 1), self.offset)
+                }
+            };
+            for (i, f) in rotated_files.iter_mut().take(count).enumerate().rev() {
+                let start = if i + 1 == count { from } else { 0 };
+                read_lines(f, start, &mut records)?;
+            }
+            self.offset = 0;
+        }
+        self.offset = read_lines(&mut current, self.offset, &mut records)?;
+        self.file = Some(id);
+        Ok(records)
+    }
+}
+
+/// Decode the complete lines of `file` from byte `from` on into `out`;
+/// returns the offset after the last complete line (a line still being
+/// written is left for the next pass).
+fn read_lines(file: &mut File, from: u64, out: &mut Vec<Record>) -> std::io::Result<u64> {
+    file.seek(SeekFrom::Start(from))?;
+    let mut buf = Vec::new();
+    file.read_to_end(&mut buf)?;
+    let complete = buf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    for line in buf[..complete].split(|&b| b == b'\n') {
+        if let Some(rec) = std::str::from_utf8(line).ok().and_then(Record::decode) {
+            out.push(rec);
+        }
+    }
+    Ok(from + complete as u64)
 }
 
 #[cfg(test)]
@@ -535,6 +634,68 @@ mod tests {
             .map(|b| b.sum)
             .sum();
         assert_eq!(growth, 2.0, "first tail set the baseline, second added 2");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_tailing_folds_each_record_once_across_rotations() {
+        let dir = std::env::temp_dir().join(format!("view-rotate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mm.journal");
+        // About three records a file, and room for every generation a
+        // pass below can rotate past.
+        let journal = Journal::open(JournalConfig {
+            rotate_bytes: 350,
+            keep_rotated: 4,
+            ..JournalConfig::new(path.clone())
+        })
+        .unwrap();
+        let c = Collector::in_memory(HistoryConfig::single(10, 16));
+        let (mut appended, mut folded) = (0usize, 0usize);
+        // Passes that see no rotation, one, and several; and rotations
+        // after which the new file is already longer than the old offset.
+        for (round, batch) in [1, 4, 0, 2, 7, 1, 3, 5, 0, 9, 2].into_iter().enumerate() {
+            for _ in 0..batch {
+                journal.append(Event::LeaseExpired { expired: 1 });
+            }
+            appended += batch;
+            folded += c.tail_journal(LOCAL_POOL, &path, round as u64).unwrap();
+            assert_eq!(folded, appended, "round {round}");
+        }
+        assert!(generation(&path, 3).exists(), "the journal rotated");
+        let growth: f64 = c
+            .with_store(|s| s.buckets(LOCAL_POOL, metric::EXPIRY_EVENTS, "journal", 0))
+            .unwrap()
+            .iter()
+            .map(|b| b.sum)
+            .sum();
+        assert_eq!(growth, (appended - 1) as f64, "all but the baseline");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_half_written_line_waits_for_its_end() {
+        use std::io::Write;
+        let dir = std::env::temp_dir().join(format!("view-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mm.journal");
+        let journal = Journal::open(JournalConfig::new(path.clone())).unwrap();
+        journal.append(Event::LeaseExpired { expired: 1 });
+        let line = std::fs::read_to_string(&path).unwrap();
+        let c = Collector::in_memory(HistoryConfig::single(10, 16));
+        assert_eq!(c.tail_journal(LOCAL_POOL, &path, 1).unwrap(), 1);
+        // A second record, caught mid-write.
+        let next = line.replace("\"seq\":1", "\"seq\":2");
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(&next.as_bytes()[..20]).unwrap();
+        assert_eq!(c.tail_journal(LOCAL_POOL, &path, 2).unwrap(), 0);
+        f.write_all(&next.as_bytes()[20..]).unwrap();
+        assert_eq!(c.tail_journal(LOCAL_POOL, &path, 3).unwrap(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -146,3 +146,81 @@ proptest! {
         check_merge(&s, fine * factor)?;
     }
 }
+
+/// One way a checkpoint payload goes bad on disk or on the way there.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// Cut at a byte.
+    Truncate,
+    /// One byte XORed with a non-zero mask.
+    Flip(u8),
+    /// One line written twice.
+    DuplicateLine,
+}
+
+fn arb_damage() -> impl Strategy<Value = (Damage, u64)> {
+    (
+        prop_oneof![
+            Just(Damage::Truncate),
+            (1u8..=255).prop_map(Damage::Flip),
+            Just(Damage::DuplicateLine),
+        ],
+        any::<u64>(),
+    )
+}
+
+/// `text` with `damage` applied at a position drawn from `at`.
+fn damaged(text: &str, damage: Damage, at: u64) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    match damage {
+        Damage::Truncate => bytes.truncate((at % (bytes.len() as u64 + 1)) as usize),
+        Damage::Flip(mask) if !bytes.is_empty() => {
+            let i = (at % bytes.len() as u64) as usize;
+            bytes[i] ^= mask;
+        }
+        Damage::Flip(_) => {}
+        Damage::DuplicateLine => {
+            let lines: Vec<&str> = text.split_inclusive('\n').collect();
+            if !lines.is_empty() {
+                let i = (at % lines.len() as u64) as usize;
+                let mut out = lines[..=i].concat();
+                out.push_str(&lines[i..].concat());
+                bytes = out.into_bytes();
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A damaged checkpoint payload either fails to decode or yields a
+    /// store that still records and answers — the collector restoring
+    /// from it never panics.
+    #[test]
+    fn damaged_checkpoints_never_panic(
+        trace in proptest::collection::vec((0u64..7, -1e3f64..1e3, 0u32..3), 1..60),
+        (damage, at) in arb_damage(),
+    ) {
+        let mut s = store(2, 3);
+        let mut t = 1_000_000u64;
+        for (dt, v, which) in trace {
+            t += dt;
+            match which {
+                0 => s.record_gauge(POOL, METRIC, SOURCE, t, v),
+                1 => s.record_counter(POOL, "c", SOURCE, t, v.abs()),
+                _ => s.record_absent(POOL, &format!("gone-{}", v as i64 % 3), t),
+            }
+        }
+        let text = damaged(&s.encode_state(), damage, at);
+        if let Some(mut restored) = HistoryStore::decode_state(&text) {
+            restored.record_gauge(POOL, METRIC, SOURCE, t + 1, 1.0);
+            restored.record_counter(POOL, "c", SOURCE, t + 2, 5.0);
+            for tier in 0..2 {
+                let _ = restored.buckets(POOL, METRIC, SOURCE, tier);
+            }
+            let _ = restored.encode_state();
+        }
+    }
+}
